@@ -15,7 +15,7 @@ use std::time::Instant;
 use shrimp_dma::{DmaTiming, LoopbackPort};
 use shrimp_mem::{Layout, Pfn, PhysAddr, PhysMemory, VirtAddr, Vpn, PAGE_SIZE};
 use shrimp_mmu::{AccessKind, Mmu, Mode, PageTable, Pte, PteFlags};
-use shrimp_sim::{EventQueue, SimTime, SplitMix64};
+use shrimp_sim::{merge_tag, MergeQueue, SimTime, SplitMix64};
 use udma_core::{plan::plan_transfer, state, UdmaController, UdmaStatus};
 
 /// Runs `f` for ~100 ms after a short warm-up and prints mean ns/iter.
@@ -123,13 +123,15 @@ fn bench_controller_initiation() {
     });
 }
 
-fn bench_event_queue() {
-    let mut q: EventQueue<u64> = EventQueue::new();
+fn bench_merge_queue() {
+    let mut q: MergeQueue<u64> = MergeQueue::new();
     let mut rng = SplitMix64::new(1);
-    bench("event_queue_schedule_pop", || {
+    let mut seq = 0u64;
+    bench("merge_queue_push_pop", || {
         let t = SimTime::from_nanos(rng.next_below(1_000_000));
-        q.schedule(t, 1);
-        q.pop_due(SimTime::from_nanos(u64::MAX / 2))
+        q.push(t, merge_tag(0, seq), 1);
+        seq += 1;
+        q.pop_within(None)
     });
 }
 
@@ -147,6 +149,6 @@ fn main() {
     bench_status_word();
     bench_mmu();
     bench_controller_initiation();
-    bench_event_queue();
+    bench_merge_queue();
     bench_phys_memory();
 }

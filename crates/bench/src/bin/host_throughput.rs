@@ -25,12 +25,12 @@
 //!                      (thermal, noisy neighbours) then biases neither
 //!                      side. The baseline's best rows become `"before"`.
 //!   --trace <path>     also run the 8-node stream with the flight
-//!                      recorder enabled, write the Perfetto trace-event
-//!                      JSON to <path>, and record the traced run (its
-//!                      digest must match the untraced runs)
-//!   --trace-bin <path> like --trace but writes the compact `SHRTRC01`
-//!                      binary span format (convertible to the identical
-//!                      JSON with `shrimp::trace_bin_to_json`)
+//!                      recorder enabled, write its trace converted to
+//!                      Perfetto trace-event JSON (`shrimp::trace_bin_to_json`)
+//!                      to <path>, and record the traced run (its digest
+//!                      must match the untraced runs)
+//!   --trace-bin <path> like --trace but writes the `SHRTRC01` binary the
+//!                      engine exports, unconverted
 //!   --metrics <path>   also run a traced + metered 64-node mesh smoke
 //!                      (t=2) and a traced 2-node stream, write the
 //!                      machine-wide metrics snapshot (stable text form)
@@ -68,14 +68,6 @@ use shrimp_bench::table::print_table;
 #[cfg(feature = "count-allocs")]
 #[global_allocator]
 static ALLOC: shrimp_bench::alloc_count::CountingAlloc = shrimp_bench::alloc_count::CountingAlloc;
-
-/// Scans `json` for `key` (e.g. `"spans":`) and parses the integer that
-/// follows it (our own format; no JSON dep).
-fn baseline_field_u64(json: &str, key: &str) -> Option<u64> {
-    let rest = &json[json.find(key)? + key.len()..];
-    let end = rest.find([',', '}'])?;
-    rest[..end].trim().parse().ok()
-}
 
 /// Pulls `"msgs_per_sec":<n>` for workload `name` out of a previous
 /// output with plain string scanning (our own format; no JSON dep).
@@ -173,7 +165,7 @@ fn main() {
                     "--sample-trace" => {
                         // Fixed small deterministic workload: same bytes
                         // on every host, safe to commit as a sample.
-                        let (r, _, bin) = host_perf::stream_pairs_traced_bin(2, 4096, 200, 1);
+                        let (r, bin) = host_perf::stream_pairs_traced(2, 4096, 200, 1);
                         fs::write(v, &bin).expect("write sample trace");
                         println!(
                             "wrote {}-byte sample trace ({} msgs, digest {:016x}) to {v}",
@@ -331,21 +323,16 @@ fn main() {
     // also proves tracing never perturbs the simulated timeline.
     let mut traced_overhead = String::new();
     if trace_path.is_some() || trace_bin_path.is_some() {
-        let (result, trace, bin) = host_perf::stream_pairs_traced_bin(8, 4096, 50_000 / scale, 2);
-        let spans = baseline_field_u64(&trace, "\"spans\":").unwrap_or(0);
+        let (result, bin) = host_perf::stream_pairs_traced(8, 4096, 50_000 / scale, 2);
+        let spans = shrimp::decode_trace_bin(&bin).expect("well-formed binary trace").recorded;
         if let Some(path) = &trace_path {
-            fs::write(path, &trace).expect("write trace JSON");
+            let json = shrimp::trace_bin_to_json(&bin).expect("well-formed binary trace");
+            fs::write(path, &json).expect("write trace JSON");
             println!("wrote {spans}-span Perfetto trace to {path}");
         }
         if let Some(path) = &trace_bin_path {
-            let roundtrip = shrimp::trace_bin_to_json(&bin).expect("well-formed binary trace");
-            assert_eq!(roundtrip, trace, "binary trace must convert back to the exact JSON");
             fs::write(path, &bin).expect("write binary trace");
-            println!(
-                "wrote {spans}-span binary trace to {path} ({} bytes vs {} JSON)",
-                bin.len(),
-                trace.len()
-            );
+            println!("wrote {spans}-span binary trace to {path} ({} bytes)", bin.len());
         }
         // The traced-vs-untraced throughput delta, against the same
         // workload's untraced row from this invocation.
@@ -374,8 +361,7 @@ fn main() {
         // --quick): the metered digest then joins the equality check
         // against the untraced rows, and one-time shard setup amortizes
         // below the 0.002 allocs/msg contract.
-        let (result, _, _, metrics) =
-            host_perf::stream_pairs_traced_metered_bin(64, 4096, 6_000, 2);
+        let (result, _, metrics) = host_perf::stream_pairs_traced_metered(64, 4096, 6_000, 2);
         fs::write(path, &metrics).expect("write metrics snapshot");
         println!("wrote {}-line metrics snapshot to {path}", metrics.lines().count());
         runs.push(result);

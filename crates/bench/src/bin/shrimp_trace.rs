@@ -1,9 +1,8 @@
 //! Offline analyzer for SHRIMP transfer traces.
 //!
-//! Reads a trace produced by `host_throughput --trace[-bin]` (or any
-//! [`shrimp::Multicomputer::export_trace`]/`export_trace_bin` output) in
-//! either format — the compact `SHRTRC01` binary or the Perfetto
-//! trace-event JSON — and reports where transfer time went:
+//! Reads a `SHRTRC01` trace — the one format the engine exports
+//! ([`shrimp::Multicomputer::export_trace_bin`], e.g.
+//! `host_throughput --trace-bin`) — and reports where transfer time went:
 //!
 //! * per-stage latency percentiles (p50/p90/p99/max) from the same
 //!   log-scaled histograms the simulator uses internally,
@@ -15,15 +14,10 @@
 //!
 //! Run: `cargo run --release -p shrimp-bench --bin shrimp_trace -- \
 //!       traces/sample_2node.shrtrc`
-//!
-//! The format is sniffed from the content (magic bytes vs `{`), never
-//! the file name. No JSON library: the Perfetto parser is plain string
-//! scanning over the exporter's own line-per-event layout.
 
 use std::fs;
 use std::process::ExitCode;
 
-use shrimp::TRACE_BIN_MAGIC;
 use shrimp_sim::{Histogram, Stage, STAGE_COUNT};
 
 /// One normalized transfer span: identity, endpoints, and the duration
@@ -55,7 +49,7 @@ impl Span {
     }
 }
 
-/// A parsed trace, whichever format it came from.
+/// A parsed trace.
 #[derive(Debug)]
 struct Trace {
     nodes: u16,
@@ -66,116 +60,24 @@ struct Trace {
     spans: Vec<Span>,
 }
 
-/// Decodes the `SHRTRC01` binary format (layout documented at
-/// [`shrimp::Multicomputer::export_trace_bin`]): the 192-byte header,
-/// then one 64-byte record per span carrying six stage-boundary
-/// timestamps, here reduced to five stage durations.
-fn parse_bin(bytes: &[u8]) -> Option<Trace> {
-    struct Reader<'a> {
-        b: &'a [u8],
-    }
-    impl Reader<'_> {
-        fn take<const N: usize>(&mut self) -> Option<[u8; N]> {
-            let (head, rest) = self.b.split_at_checked(N)?;
-            self.b = rest;
-            head.try_into().ok()
-        }
-        fn u16(&mut self) -> Option<u16> {
-            self.take().map(u16::from_le_bytes)
-        }
-        fn u32(&mut self) -> Option<u32> {
-            self.take().map(u32::from_le_bytes)
-        }
-        fn u64(&mut self) -> Option<u64> {
-            self.take().map(u64::from_le_bytes)
-        }
-    }
-
-    let mut r = Reader { b: bytes };
-    if &r.take::<8>()? != TRACE_BIN_MAGIC {
-        return None;
-    }
-    let nodes = r.u16()?;
-    let _reserved = r.u16()?;
-    let count = r.u32()? as usize;
-    let recorded = r.u64()?;
-    let ring_dropped = r.u64()?;
-    // Per-stage summary block (count/min/max/mean-bits): recomputable
-    // from the spans, so the analyzer skips it.
-    for _ in 0..STAGE_COUNT * 4 {
-        r.u64()?;
-    }
-    let mut spans = Vec::with_capacity(count);
-    for _ in 0..count {
-        let id = r.u64()?;
-        let (src, dst, bytes) = (r.u16()?, r.u16()?, r.u32()?);
-        let mut ts = [0u64; STAGE_COUNT + 1];
-        for t in &mut ts {
-            *t = r.u64()?;
-        }
-        let mut stage_ns = [0u64; STAGE_COUNT];
-        for (i, d) in stage_ns.iter_mut().enumerate() {
-            *d = ts[i + 1].saturating_sub(ts[i]);
-        }
-        spans.push(Span { id, src, dst, bytes, stage_ns });
-    }
-    r.b.is_empty().then_some(Trace { nodes, recorded, ring_dropped, spans })
-}
-
-/// Pulls the value after `key` out of `line`, up to the next `,` or `}`.
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let rest = &line[line.find(key)? + key.len()..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim().trim_matches('"'))
-}
-
-/// Parses the exporter's Perfetto trace-event JSON: one `"ph":"X"` line
-/// per (span, stage), grouped per span in stage order, plus one
-/// `process_name` metadata line per node. Produces the same [`Trace`] as
-/// [`parse_bin`] on the matching binary export.
-fn parse_json(text: &str) -> Option<Trace> {
-    let mut nodes: u16 = 0;
-    let mut spans: Vec<Span> = Vec::new();
-    let mut current: Option<Span> = None;
-    for line in text.lines() {
-        if line.contains("\"process_name\"") {
-            nodes += 1;
-            continue;
-        }
-        if !line.contains("\"ph\":\"X\"") {
-            continue;
-        }
-        let stage_name = field(line, "\"name\":")?;
-        let stage = *Stage::ALL.iter().find(|s| s.name() == stage_name)?;
-        let dur_us: f64 = field(line, "\"dur\":")?.parse().ok()?;
-        let src: u16 = field(line, "\"pid\":")?.parse().ok()?;
-        let dst: u16 = field(line, "\"tid\":")?.parse().ok()?;
-        let bytes: u32 = field(line, "\"bytes\":")?.parse().ok()?;
-        let (id_node, id_seq) = field(line, "\"xfer\":")?.split_once(':')?;
-        let id = (id_node.parse::<u64>().ok()? << 48) | id_seq.parse::<u64>().ok()?;
-        if current.as_ref().is_none_or(|s| s.id != id) {
-            if let Some(done) = current.take() {
-                spans.push(done);
-            }
-            current = Some(Span { id, src, dst, bytes, stage_ns: [0; STAGE_COUNT] });
-        }
-        // Exported timestamps are microseconds with three decimals, so
-        // nanoseconds round-trip exactly.
-        current.as_mut()?.stage_ns[stage.index()] = (dur_us * 1000.0).round() as u64;
-    }
-    spans.extend(current);
-    let recorded = field(text, "\"spans\":").and_then(|v| v.parse().ok())?;
-    let ring_dropped = field(text, "\"dropped\":").and_then(|v| v.parse().ok())?;
-    Some(Trace { nodes, recorded, ring_dropped, spans })
-}
-
-/// Sniffs the format and parses: `SHRTRC01` magic → binary, else JSON.
+/// Decodes a `SHRTRC01` trace with the engine's own decoder
+/// ([`shrimp::decode_trace_bin`]), reducing each span's six
+/// stage-boundary timestamps to five stage durations.
 fn parse(bytes: &[u8]) -> Option<Trace> {
-    if bytes.starts_with(TRACE_BIN_MAGIC) {
-        parse_bin(bytes)
-    } else {
-        parse_json(std::str::from_utf8(bytes).ok()?)
-    }
+    let t = shrimp::decode_trace_bin(bytes)?;
+    let spans = t
+        .spans
+        .iter()
+        .map(|s| {
+            let mut stage_ns = [0u64; STAGE_COUNT];
+            for (d, stage) in stage_ns.iter_mut().zip(Stage::ALL) {
+                let (start, end) = s.stage_bounds(stage);
+                *d = end.saturating_duration_since(start).as_nanos();
+            }
+            Span { id: s.id.raw(), src: s.src, dst: s.dst, bytes: s.bytes, stage_ns }
+        })
+        .collect();
+    Some(Trace { nodes: t.nodes, recorded: t.recorded, ring_dropped: t.dropped, spans })
 }
 
 /// Per-stage latency histograms plus the end-to-end total, rebuilt from
@@ -357,7 +259,7 @@ fn load(path: &str) -> Trace {
     match parse(&bytes) {
         Some(t) => t,
         None => {
-            eprintln!("error: `{path}` is neither a SHRTRC01 binary nor an exporter JSON trace");
+            eprintln!("error: `{path}` is not a well-formed SHRTRC01 trace");
             std::process::exit(2);
         }
     }
@@ -426,6 +328,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shrimp::TRACE_BIN_MAGIC;
 
     /// Hand-encodes a two-node SHRTRC01 trace with `stamps` as each
     /// span's six stage-boundary timestamps.
@@ -480,21 +383,6 @@ mod tests {
         let mut bad = good.clone();
         bad[0] = b'X';
         assert!(parse(&bad).is_none(), "wrong magic");
-    }
-
-    #[test]
-    fn json_parse_matches_binary_parse() {
-        let bin = encode(&STAMPS);
-        let json = shrimp::trace_bin_to_json(&bin).expect("round-trip");
-        let (a, b) = (parse(&bin).unwrap(), parse(json.as_bytes()).unwrap());
-        assert_eq!(a.nodes, b.nodes);
-        assert_eq!(a.recorded, b.recorded);
-        assert_eq!(a.spans.len(), b.spans.len());
-        for (x, y) in a.spans.iter().zip(b.spans.iter()) {
-            assert_eq!(x.id, y.id);
-            assert_eq!((x.src, x.dst, x.bytes), (y.src, y.dst, y.bytes));
-            assert_eq!(x.stage_ns, y.stage_ns, "durations survive the µs round-trip");
-        }
     }
 
     #[test]

@@ -184,7 +184,7 @@ fn sweep_inner(
         let total_msgs = sent.get();
         out.push(CtxPoint {
             quantum,
-            context_switches: node.stats().get("context_switches"),
+            context_switches: node.counters().context_switches.get(),
             inval_retries: inval_retries.get(),
             busy_retries: busy_retries.get(),
             messages: total_msgs,

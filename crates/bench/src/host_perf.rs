@@ -219,8 +219,9 @@ pub fn stream_pairs(
 
 /// [`stream_pairs`] with the flight recorder enabled: tracing is switched
 /// on *after* warm-up (so ring storage is reserved outside the measured
-/// region) and the Perfetto trace-event JSON is exported afterwards. The
-/// workload name gains a `_traced` suffix; the digest must equal the
+/// region) and the `SHRTRC01` binary trace
+/// ([`shrimp::Multicomputer::export_trace_bin`]) is exported afterwards.
+/// The workload name gains a `_traced` suffix; the digest must equal the
 /// untraced run's (tracing is pure observation).
 ///
 /// # Panics
@@ -231,30 +232,10 @@ pub fn stream_pairs_traced(
     msg_bytes: u64,
     messages_per_pair: u32,
     threads: usize,
-) -> (ThroughputResult, String) {
+) -> (ThroughputResult, Vec<u8>) {
     let (result, trace, _) =
         stream_pairs_impl(nodes, msg_bytes, messages_per_pair, threads, true, false);
-    let (json, _) = trace.expect("tracing was enabled");
-    (result, json)
-}
-
-/// [`stream_pairs_traced`] returning the trace in both export formats:
-/// the Perfetto JSON and the compact `SHRTRC01` binary
-/// ([`shrimp::Multicomputer::export_trace_bin`]) of the same spans.
-///
-/// # Panics
-///
-/// Panics on kernel traps during setup (the workload is statically valid).
-pub fn stream_pairs_traced_bin(
-    nodes: u16,
-    msg_bytes: u64,
-    messages_per_pair: u32,
-    threads: usize,
-) -> (ThroughputResult, String, Vec<u8>) {
-    let (result, trace, _) =
-        stream_pairs_impl(nodes, msg_bytes, messages_per_pair, threads, true, false);
-    let (json, bin) = trace.expect("tracing was enabled");
-    (result, json, bin)
+    (result, trace.expect("tracing was enabled"))
 }
 
 /// [`stream_pairs`] with metrics harvesting: after the measured window
@@ -277,28 +258,23 @@ pub fn stream_pairs_metered(
     (result, metrics.expect("metering was enabled"))
 }
 
-/// Traced *and* metered stream: returns the result, the Perfetto JSON
-/// trace, the `SHRTRC01` binary trace, and the rendered metrics
-/// snapshot — the full observability surface of one run, for the CI
-/// smoke job and `host_throughput --metrics`.
+/// Traced *and* metered stream: returns the result, the `SHRTRC01`
+/// binary trace, and the rendered metrics snapshot — the full
+/// observability surface of one run, for `host_throughput --metrics`.
 ///
 /// # Panics
 ///
 /// Panics on kernel traps during setup (the workload is statically valid).
-pub fn stream_pairs_traced_metered_bin(
+pub fn stream_pairs_traced_metered(
     nodes: u16,
     msg_bytes: u64,
     messages_per_pair: u32,
     threads: usize,
-) -> (ThroughputResult, String, Vec<u8>, String) {
+) -> (ThroughputResult, Vec<u8>, String) {
     let (result, trace, metrics) =
         stream_pairs_impl(nodes, msg_bytes, messages_per_pair, threads, true, true);
-    let (json, bin) = trace.expect("tracing was enabled");
-    (result, json, bin, metrics.expect("metering was enabled"))
+    (result, trace.expect("tracing was enabled"), metrics.expect("metering was enabled"))
 }
-
-/// Trace exports of one run: `(perfetto_json, shrtrc01_bytes)`.
-type TraceExports = (String, Vec<u8>);
 
 fn stream_pairs_impl(
     nodes: u16,
@@ -307,7 +283,7 @@ fn stream_pairs_impl(
     threads: usize,
     traced: bool,
     metered: bool,
-) -> (ThroughputResult, Option<TraceExports>, Option<String>) {
+) -> (ThroughputResult, Option<Vec<u8>>, Option<String>) {
     assert!(nodes >= 2 && nodes.is_multiple_of(2), "need sender/receiver pairs");
     let machine = if nodes > SMALL_NODE_THRESHOLD {
         MachineConfig { mem_bytes: 64 * PAGE_SIZE, ..MachineConfig::default() }
@@ -404,7 +380,7 @@ fn stream_pairs_impl(
     let allocs = alloc_count::delta_since(alloc_mark);
 
     assert_eq!(mc.dropped_packets(), 0, "workload must not drop packets");
-    let trace = traced.then(|| (mc.export_trace(), mc.export_trace_bin()));
+    let trace = traced.then(|| mc.export_trace_bin());
     let metrics = metered.then(|| mc.metrics_snapshot().render_text());
     let phases = (threads > 0).then(|| {
         let em = mc.engine_metrics();
@@ -506,7 +482,7 @@ mod tests {
 
     #[test]
     fn traced_rows_report_stage_percentiles() {
-        let (r, _json) = stream_pairs_traced(2, 4096, 16, 1);
+        let (r, _trace) = stream_pairs_traced(2, 4096, 16, 1);
         let stages = r.stage_ns.expect("traced row has stage latencies");
         let wire = stages[Stage::Wire.index()];
         assert!(wire[0] > 0, "wire p50 nonzero for 4 KB payloads");

@@ -70,7 +70,7 @@ pub fn protection_cost(transfers: u64) -> ProtectionCost {
             .expect("kernel transfer");
     }
     let kernel_total = n.machine().now() - t0;
-    let kernel_pins = n.stats().get("pins");
+    let kernel_pins = n.counters().pins.get();
 
     // UDMA path.
     let mut n = fresh_node(None);
@@ -84,7 +84,7 @@ pub fn protection_cost(transfers: u64) -> ProtectionCost {
         n.udma_send(pid, VirtAddr::new(0x10_0000), 0, 0, PAGE_SIZE).expect("udma transfer");
     }
     let udma_total = n.machine().now() - t0;
-    let udma_pins = n.stats().get("pins");
+    let udma_pins = n.counters().pins.get();
 
     ProtectionCost {
         transfers,
@@ -142,8 +142,8 @@ pub fn pressure_run(transfers: u64, frames: u64, thrash_pages: u64) -> PressureR
     }
     PressureRun {
         elapsed: n.machine().now() - t0,
-        evictions: n.stats().get("evictions"),
-        i4_skips: n.stats().get("i4_skips"),
+        evictions: n.counters().evictions.get(),
+        i4_skips: n.counters().i4_skips.get(),
         transfers,
     }
 }

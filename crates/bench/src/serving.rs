@@ -372,7 +372,7 @@ pub fn serving(
 
 /// [`serving`] with the flight recorder on for the whole run, returning
 /// the `SHRTRC01` binary trace alongside — the serving analogue of
-/// [`stream_pairs_traced_bin`](crate::host_perf::stream_pairs_traced_bin).
+/// [`stream_pairs_traced`](crate::host_perf::stream_pairs_traced).
 /// Trace bytes must be identical at every thread count.
 ///
 /// # Panics

@@ -4,14 +4,26 @@
 //! array write; this test registers the counting allocator and holds the
 //! harness to 0.00 heap allocations per message on the 4 KB stream.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use shrimp_bench::alloc_count::{self, CountingAlloc};
 use shrimp_bench::host_perf;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// The allocation counter is process-global, so a concurrently running
+/// test's set-up would land inside another test's measured window. The
+/// tests here take turns; a run's own worker threads (t ≥ 2) still count.
+static ONE_RUN_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn measure_alone() -> MutexGuard<'static, ()> {
+    ONE_RUN_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn four_kb_stream_is_allocation_free_with_and_without_tracing() {
+    let _alone = measure_alone();
     assert!(alloc_count::is_active(), "counting allocator not registered");
 
     let plain = host_perf::stream_pairs(8, 4096, 2_000, 0);
@@ -29,11 +41,13 @@ fn four_kb_stream_is_allocation_free_with_and_without_tracing() {
         "traced steady state allocated: {:?}/msg",
         traced.allocs_per_msg
     );
-    assert!(trace.contains("\"ph\":\"X\""), "traced run exported no spans");
+    let spans = shrimp::decode_trace_bin(&trace).expect("well-formed trace").spans.len();
+    assert!(spans > 0, "traced run exported no spans");
 }
 
 #[test]
 fn metered_stream_is_allocation_free_with_metrics_updating() {
+    let _alone = measure_alone();
     assert!(alloc_count::is_active(), "counting allocator not registered");
 
     // The metrics plane's hot-path updates are plain indexed stores on
@@ -64,6 +78,7 @@ fn metered_stream_is_allocation_free_with_metrics_updating() {
 
 #[test]
 fn parallel_stream_amortizes_to_zero_allocs_per_message() {
+    let _alone = measure_alone();
     assert!(alloc_count::is_active(), "counting allocator not registered");
 
     // The epoch loop itself is allocation-free; what remains is one-time
@@ -85,6 +100,7 @@ fn parallel_stream_amortizes_to_zero_allocs_per_message() {
 
 #[test]
 fn big_mesh_parallel_stream_amortizes_to_zero_allocs_per_message() {
+    let _alone = measure_alone();
     assert!(alloc_count::is_active(), "counting allocator not registered");
 
     // A 256-node mesh multiplies the one-time per-run scratch (per-node

@@ -3,11 +3,11 @@
 
 use shrimp_dma::{DevicePort, DmaEngine, DmaTiming};
 use shrimp_mem::{Layout, Pfn, PhysAddr, PhysMemory, Region};
-use shrimp_sim::{Counter, SimTime, StatSet};
+use shrimp_sim::SimTime;
 
 use crate::plan::{plan_transfer, PlanError};
 use crate::state::{transition, Effect, UdmaEvent, UdmaState};
-use crate::{store_value_as_count, UdmaStatus};
+use crate::{store_value_as_count, UdmaCounters, UdmaStatus};
 
 /// Device-specific error bit reported when the device rejects a transfer
 /// (e.g. the §5 alignment example).
@@ -32,14 +32,9 @@ pub struct UdmaController {
     /// SOURCE proxy address of the transfer in progress (for MATCH).
     active_source: Option<PhysAddr>,
     engine: DmaEngine,
-    /// Per-access counts, kept as plain fields — `handle_store`/
-    /// `handle_load` run once per simulated proxy reference. Rare events
-    /// (errors, invals, terminations) stay in the keyed `rare` set.
-    stores: Counter,
-    loads: Counter,
-    initiations: Counter,
-    completions: Counter,
-    rare: StatSet,
+    /// Plain counter fields — `handle_store`/`handle_load` run once per
+    /// simulated proxy reference.
+    counters: UdmaCounters,
 }
 
 impl UdmaController {
@@ -51,11 +46,7 @@ impl UdmaController {
             dest: None,
             active_source: None,
             engine: DmaEngine::new(timing),
-            stores: Counter::new(),
-            loads: Counter::new(),
-            initiations: Counter::new(),
-            completions: Counter::new(),
-            rare: StatSet::new("udma"),
+            counters: UdmaCounters::default(),
         }
     }
 
@@ -70,14 +61,9 @@ impl UdmaController {
         &self.engine
     }
 
-    /// Controller statistics as a reportable set.
-    pub fn stats(&self) -> StatSet {
-        let mut s = self.rare.clone();
-        s.add("stores", self.stores.get());
-        s.add("loads", self.loads.get());
-        s.add("initiations", self.initiations.get());
-        s.add("completions", self.completions.get());
-        s
+    /// Controller counts.
+    pub fn counters(&self) -> &UdmaCounters {
+        &self.counters
     }
 
     /// Retires a completed transfer, if any, and runs the TransferDone
@@ -87,9 +73,9 @@ impl UdmaController {
         if self.state == UdmaState::Transferring && !self.engine.is_busy(now) {
             // Bus errors abort the transfer; either way the engine frees.
             match self.engine.retire(now, mem, port) {
-                Ok(Some(_)) => self.completions.incr(),
+                Ok(Some(_)) => self.counters.completions.incr(),
                 Ok(None) => {}
-                Err(_) => self.rare.bump("bus_errors"),
+                Err(_) => self.counters.bus_errors.incr(),
             }
             let (next, effect) = transition(self.state, UdmaEvent::TransferDone);
             debug_assert_eq!(effect, Effect::Complete);
@@ -110,7 +96,7 @@ impl UdmaController {
     ) {
         debug_assert!(self.layout.region_of_phys(proxy).is_proxy());
         self.poll(now, mem, port);
-        self.stores.incr();
+        self.counters.stores.incr();
 
         match store_value_as_count(value) {
             Some(nbytes) => {
@@ -121,7 +107,7 @@ impl UdmaController {
                 self.state = next;
             }
             None => {
-                self.rare.bump("invals");
+                self.counters.invals.incr();
                 let (next, effect) = transition(self.state, UdmaEvent::Inval);
                 if effect == Effect::ClearDest {
                     self.dest = None;
@@ -143,7 +129,7 @@ impl UdmaController {
     ) -> UdmaStatus {
         debug_assert!(self.layout.region_of_phys(proxy).is_proxy());
         self.poll(now, mem, port);
-        self.loads.incr();
+        self.counters.loads.incr();
 
         match self.state {
             UdmaState::Idle => {
@@ -171,7 +157,7 @@ impl UdmaController {
             Ok(plan) => plan,
             Err(PlanError::WrongSpace) | Err(PlanError::NotProxy(_)) => {
                 // BadLoad: back to Idle, report WRONG-SPACE.
-                self.rare.bump("bad_loads");
+                self.counters.bad_loads.incr();
                 let (next, effect) = transition(self.state, UdmaEvent::BadLoad);
                 debug_assert_eq!(effect, Effect::ClearDest);
                 self.state = next;
@@ -188,7 +174,7 @@ impl UdmaController {
         // Device-specific validation (§5's alignment example): the latched
         // registers are cleared and an error bit returned.
         if !port.validate(plan.dev_addr, plan.nbytes) {
-            self.rare.bump("device_rejects");
+            self.counters.device_rejects.incr();
             let (next, _) = transition(self.state, UdmaEvent::BadLoad);
             self.state = next;
             self.dest = None;
@@ -216,7 +202,7 @@ impl UdmaController {
         self.state = next;
         self.dest = None;
         self.active_source = Some(proxy);
-        self.initiations.incr();
+        self.counters.initiations.incr();
 
         UdmaStatus {
             initiation: false,
@@ -235,10 +221,10 @@ impl UdmaController {
     /// caller replays only after observing a completed cycle.
     pub fn replay_completed(&mut self, count: u64, nbytes: u64) {
         debug_assert_eq!(self.state, UdmaState::Idle, "replay requires an idle controller");
-        self.stores.add(count);
-        self.loads.add(3 * count);
-        self.initiations.add(count);
-        self.completions.add(count);
+        self.counters.stores.add(count);
+        self.counters.loads.add(3 * count);
+        self.counters.initiations.add(count);
+        self.counters.completions.add(count);
         self.engine.replay_retired(count, nbytes);
     }
 
@@ -257,7 +243,7 @@ impl UdmaController {
         self.active_source = None;
         self.dest = None;
         if killed {
-            self.rare.bump("terminations");
+            self.counters.terminations.incr();
         }
         killed
     }
@@ -561,7 +547,7 @@ mod tests {
         udma.poll(now, &mut mem, &mut port);
         assert_eq!(&port.bytes()[0..4], &[0xaa; 4]);
         assert_eq!(&port.bytes()[0x100..0x104], &[0xbb; 4]);
-        assert_eq!(udma.stats().get("initiations"), 2);
-        assert_eq!(udma.stats().get("completions"), 2);
+        assert_eq!(udma.counters().initiations.get(), 2);
+        assert_eq!(udma.counters().completions.get(), 2);
     }
 }

@@ -75,6 +75,33 @@ pub use queue::{Priority, QueuedRequest, QueuedUdma};
 pub use state::{transition, Effect, UdmaEvent, UdmaState};
 pub use status::UdmaStatus;
 
+shrimp_sim::counters! {
+    /// Proxy-reference and transfer counts of either UDMA controller
+    /// variant (metrics subsystem `udma`).
+    pub struct UdmaCounters {
+        /// Proxy STOREs (initiation first halves and Invals).
+        stores,
+        /// Proxy LOADs (initiation second halves and status polls).
+        loads,
+        /// Transfers started.
+        initiations,
+        /// Transfers retired.
+        completions,
+        /// Inval events (non-positive STOREs).
+        invals,
+        /// LOADs naming the wrong proxy space (BadLoad).
+        bad_loads,
+        /// Transfers the device refused at validation.
+        device_rejects,
+        /// Transfers aborted by a bus error at retire.
+        bus_errors,
+        /// Kernel-forced terminations (basic controller).
+        terminations,
+        /// Requests refused because the queue was full (queued controller).
+        queue_full_refusals,
+    }
+}
+
 /// Interpreting the value written by the initiating STORE: the paper uses
 /// negative values as `Inval` events ("STOREs of negative values (passing a
 /// negative, and hence invalid, value of nbytes to proxy space)", §5).

@@ -23,11 +23,11 @@ use std::collections::{BTreeMap, VecDeque};
 
 use shrimp_dma::{DevicePort, DmaEngine, DmaTiming};
 use shrimp_mem::{Layout, Pfn, PhysAddr, PhysMemory};
-use shrimp_sim::{SimTime, StatSet};
+use shrimp_sim::SimTime;
 
 use crate::controller::DEV_ERR_REJECTED;
 use crate::plan::{plan_transfer, PlanError, TransferPlan};
-use crate::{store_value_as_count, UdmaStatus};
+use crate::{store_value_as_count, UdmaCounters, UdmaStatus};
 
 /// Request priority: the high-priority queue is reserved for the kernel.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -65,7 +65,7 @@ pub struct QueuedUdma {
     engine_free_at: SimTime,
     capacity: usize,
     refcounts: BTreeMap<Pfn, u32>,
-    stats: StatSet,
+    counters: UdmaCounters,
 }
 
 impl QueuedUdma {
@@ -87,7 +87,7 @@ impl QueuedUdma {
             engine_free_at: SimTime::ZERO,
             capacity,
             refcounts: BTreeMap::new(),
-            stats: StatSet::new("udma-queued"),
+            counters: UdmaCounters::default(),
         }
     }
 
@@ -120,9 +120,9 @@ impl QueuedUdma {
         &self.engine
     }
 
-    /// Device statistics.
-    pub fn stats(&self) -> &StatSet {
-        &self.stats
+    /// Controller counts.
+    pub fn counters(&self) -> &UdmaCounters {
+        &self.counters
     }
 
     /// The §7 "reference-count register" for physical page `pfn`: how often
@@ -177,9 +177,9 @@ impl QueuedUdma {
                     return;
                 }
                 match self.engine.retire(now, mem, port) {
-                    Ok(Some(_)) => self.stats.bump("completions"),
+                    Ok(Some(_)) => self.counters.completions.incr(),
                     Ok(None) => {}
-                    Err(_) => self.stats.bump("bus_errors"),
+                    Err(_) => self.counters.bus_errors.incr(),
                 }
                 self.drop_refs(&active.plan);
                 self.active = None;
@@ -220,11 +220,11 @@ impl QueuedUdma {
     ) {
         debug_assert!(self.layout.region_of_phys(proxy).is_proxy());
         self.poll(now, mem, port);
-        self.stats.bump("stores");
+        self.counters.stores.incr();
         match store_value_as_count(value) {
             Some(nbytes) => self.dest = Some((proxy, nbytes)),
             None => {
-                self.stats.bump("invals");
+                self.counters.invals.incr();
                 self.dest = None;
             }
         }
@@ -253,7 +253,7 @@ impl QueuedUdma {
     ) -> UdmaStatus {
         debug_assert!(self.layout.region_of_phys(proxy).is_proxy());
         self.poll(now, mem, port);
-        self.stats.bump("loads");
+        self.counters.loads.incr();
 
         let Some((dest, nbytes)) = self.dest else {
             return self.status_query(proxy, now);
@@ -263,7 +263,7 @@ impl QueuedUdma {
         let plan = match plan_transfer(&self.layout, dest, proxy, nbytes) {
             Ok(plan) => plan,
             Err(PlanError::WrongSpace) | Err(PlanError::NotProxy(_)) => {
-                self.stats.bump("bad_loads");
+                self.counters.bad_loads.incr();
                 self.dest = None;
                 return UdmaStatus {
                     initiation: true,
@@ -274,7 +274,7 @@ impl QueuedUdma {
         };
 
         if !port.validate(plan.dev_addr, plan.nbytes) {
-            self.stats.bump("device_rejects");
+            self.counters.device_rejects.incr();
             self.dest = None;
             return UdmaStatus {
                 initiation: true,
@@ -286,7 +286,7 @@ impl QueuedUdma {
         // "A transfer request is refused only when the queue is full" — the
         // latch is kept so the user can simply repeat the LOAD.
         if self.queued_len() >= self.capacity {
-            self.stats.bump("queue_full_refusals");
+            self.counters.queue_full_refusals.incr();
             return UdmaStatus { initiation: true, transferring: true, ..UdmaStatus::default() };
         }
 
@@ -297,7 +297,7 @@ impl QueuedUdma {
             Priority::System => self.system_queue.push_back(req),
         }
         self.dest = None;
-        self.stats.bump("initiations");
+        self.counters.initiations.incr();
         // If the engine is idle the request starts immediately.
         self.engine_free_at = self.engine_free_at.max(now);
         self.poll(now, mem, port);
@@ -382,8 +382,8 @@ mod tests {
         for p in 0..4u64 {
             assert_eq!(port.bytes()[(p * PAGE_SIZE) as usize], 0x10 + p as u8);
         }
-        assert_eq!(udma.stats().get("initiations"), 4);
-        assert_eq!(udma.stats().get("completions"), 4);
+        assert_eq!(udma.counters().initiations.get(), 4);
+        assert_eq!(udma.counters().completions.get(), 4);
     }
 
     #[test]
@@ -396,7 +396,7 @@ mod tests {
         let refused = send_page(&layout, &mut udma, &mut mem, &mut port, 2, 2 * PAGE_SIZE, now);
         assert!(refused.initiation && refused.transferring);
         assert!(refused.should_retry());
-        assert_eq!(udma.stats().get("queue_full_refusals"), 1);
+        assert_eq!(udma.counters().queue_full_refusals.get(), 1);
 
         // Retrying just the LOAD after the first transfer drains succeeds.
         let after_first = now + udma.engine().duration_for(PAGE_SIZE);
@@ -482,7 +482,7 @@ mod tests {
         // The queued/in-flight transfer still completes.
         let done = udma.drained_at();
         udma.poll(done, &mut mem, &mut port);
-        assert_eq!(udma.stats().get("completions"), 1);
+        assert_eq!(udma.counters().completions.get(), 1);
         // But the latched initiation is gone: a LOAD is a status query now.
         let src = layout.proxy_of_phys(PhysAddr::new(PAGE_SIZE)).unwrap();
         let status = udma.handle_load(src, done, &mut mem, &mut port);

@@ -138,6 +138,6 @@ proptest! {
         }
         let drained = udma.drained_at() + SimDuration::from_us(1.0);
         udma.poll(drained, &mut mem, &mut port);
-        prop_assert_eq!(udma.stats().get("completions"), accepted);
+        prop_assert_eq!(udma.counters().completions.get(), accepted);
     }
 }

@@ -2,7 +2,7 @@
 
 use shrimp_dma::DevicePort;
 use shrimp_mem::{PAGE_MASK, PAGE_SHIFT, PAGE_SIZE};
-use shrimp_sim::{SimDuration, SimTime, StatSet};
+use shrimp_sim::{MetricSet, SimDuration, SimTime};
 
 use crate::Device;
 
@@ -32,6 +32,20 @@ impl Default for DiskGeometry {
     }
 }
 
+shrimp_sim::counters! {
+    /// Disk access counts (metrics subsystem `disk`).
+    pub struct DiskCounters {
+        /// DMA writes to the media.
+        writes,
+        /// Bytes written.
+        bytes_written,
+        /// DMA reads from the media.
+        reads,
+        /// Bytes read.
+        bytes_read,
+    }
+}
+
 /// A simulated disk whose device proxy pages name blocks.
 ///
 /// Device address layout: `dev_addr = block * PAGE_SIZE + offset`, so the
@@ -56,7 +70,7 @@ pub struct Disk {
     data: Vec<u8>,
     /// Head position (block index) for the seek model.
     head_at: u64,
-    stats: StatSet,
+    counters: DiskCounters,
 }
 
 impl Disk {
@@ -67,7 +81,7 @@ impl Disk {
             data: vec![0; (geometry.blocks * PAGE_SIZE) as usize],
             geometry,
             head_at: 0,
-            stats: StatSet::new("disk"),
+            counters: DiskCounters::default(),
         }
     }
 
@@ -94,9 +108,9 @@ impl Disk {
         self.data[s..s + PAGE_SIZE as usize].copy_from_slice(data);
     }
 
-    /// Access statistics.
-    pub fn stats(&self) -> &StatSet {
-        &self.stats
+    /// Access counts.
+    pub fn counters(&self) -> &DiskCounters {
+        &self.counters
     }
 
     fn in_range(&self, dev_addr: u64, nbytes: u64) -> bool {
@@ -110,8 +124,8 @@ impl DevicePort for Disk {
         let s = dev_addr as usize;
         self.data[s..s + data.len()].copy_from_slice(data);
         self.head_at = dev_addr >> PAGE_SHIFT;
-        self.stats.bump("writes");
-        self.stats.add("bytes_written", data.len() as u64);
+        self.counters.writes.incr();
+        self.counters.bytes_written.add(data.len() as u64);
     }
 
     fn dma_read(&mut self, dev_addr: u64, buf: &mut [u8], _now: SimTime) {
@@ -119,8 +133,8 @@ impl DevicePort for Disk {
         assert!(self.in_range(dev_addr, len), "disk read out of range");
         let s = dev_addr as usize;
         self.head_at = dev_addr >> PAGE_SHIFT;
-        self.stats.bump("reads");
-        self.stats.add("bytes_read", len);
+        self.counters.reads.incr();
+        self.counters.bytes_read.add(len);
         buf.copy_from_slice(&self.data[s..s + len as usize]);
     }
 
@@ -149,6 +163,10 @@ impl Device for Disk {
 
     fn proxy_space_bytes(&self) -> u64 {
         self.geometry.blocks * PAGE_SIZE
+    }
+
+    fn harvest_metrics(&self, set: &mut MetricSet, index: Option<u32>) {
+        self.counters.harvest(set, "disk", index);
     }
 }
 

@@ -1,9 +1,21 @@
 //! A graphics frame buffer whose device proxy addresses name pixels.
 
 use shrimp_dma::DevicePort;
-use shrimp_sim::{SimTime, StatSet};
+use shrimp_sim::{MetricSet, SimTime};
 
 use crate::Device;
+
+shrimp_sim::counters! {
+    /// Frame-buffer access counts (metrics subsystem `framebuffer`).
+    pub struct FrameBufferCounters {
+        /// DMA writes (blits).
+        blits,
+        /// Pixels written by blits.
+        pixels_written,
+        /// DMA reads (readbacks).
+        readbacks,
+    }
+}
 
 /// A simulated frame buffer (8 bits per pixel, row-major).
 ///
@@ -27,7 +39,7 @@ pub struct FrameBuffer {
     width: u64,
     height: u64,
     pixels: Vec<u8>,
-    stats: StatSet,
+    counters: FrameBufferCounters,
 }
 
 impl FrameBuffer {
@@ -43,7 +55,7 @@ impl FrameBuffer {
             width,
             height,
             pixels: vec![0; (width * height) as usize],
-            stats: StatSet::new("framebuffer"),
+            counters: FrameBufferCounters::default(),
         }
     }
 
@@ -79,9 +91,9 @@ impl FrameBuffer {
         self.pixels.iter().fold(0u64, |acc, &p| acc.wrapping_mul(31).wrapping_add(u64::from(p)))
     }
 
-    /// Access statistics.
-    pub fn stats(&self) -> &StatSet {
-        &self.stats
+    /// Access counts.
+    pub fn counters(&self) -> &FrameBufferCounters {
+        &self.counters
     }
 
     fn len(&self) -> u64 {
@@ -94,14 +106,14 @@ impl DevicePort for FrameBuffer {
         let end = dev_addr + data.len() as u64;
         assert!(end <= self.len(), "framebuffer write out of range");
         self.pixels[dev_addr as usize..end as usize].copy_from_slice(data);
-        self.stats.bump("blits");
-        self.stats.add("pixels_written", data.len() as u64);
+        self.counters.blits.incr();
+        self.counters.pixels_written.add(data.len() as u64);
     }
 
     fn dma_read(&mut self, dev_addr: u64, buf: &mut [u8], _now: SimTime) {
         let end = dev_addr + buf.len() as u64;
         assert!(end <= self.len(), "framebuffer read out of range");
-        self.stats.bump("readbacks");
+        self.counters.readbacks.incr();
         buf.copy_from_slice(&self.pixels[dev_addr as usize..end as usize]);
     }
 
@@ -117,6 +129,10 @@ impl Device for FrameBuffer {
 
     fn proxy_space_bytes(&self) -> u64 {
         self.len()
+    }
+
+    fn harvest_metrics(&self, set: &mut MetricSet, index: Option<u32>) {
+        self.counters.harvest(set, "framebuffer", index);
     }
 }
 

@@ -26,12 +26,13 @@ mod framebuffer;
 mod stream;
 mod tape;
 
-pub use disk::{block_of, Disk, DiskGeometry};
-pub use framebuffer::FrameBuffer;
+pub use disk::{block_of, Disk, DiskCounters, DiskGeometry};
+pub use framebuffer::{FrameBuffer, FrameBufferCounters};
 pub use stream::{StreamSink, StreamSource};
-pub use tape::{Tape, TapeGeometry};
+pub use tape::{Tape, TapeCounters, TapeGeometry};
 
 use shrimp_dma::DevicePort;
+use shrimp_sim::MetricSet;
 
 /// A registrable simulated device: a [`DevicePort`] with a name.
 pub trait Device: DevicePort {
@@ -66,4 +67,8 @@ pub trait Device: DevicePort {
     /// Bus snoop of a bulk memory write (a burst of consecutive stores).
     /// The default ignores it.
     fn snoop_write(&mut self, _pa: shrimp_mem::PhysAddr, _data: &[u8], _now: shrimp_sim::SimTime) {}
+
+    /// Registers the device's counters in `set` (at node `index`, when
+    /// given). The default registers nothing.
+    fn harvest_metrics(&self, _set: &mut MetricSet, _index: Option<u32>) {}
 }

@@ -7,7 +7,7 @@
 //! the opposite extreme from the frame buffer's.
 
 use shrimp_dma::DevicePort;
-use shrimp_sim::{SimDuration, SimTime, StatSet};
+use shrimp_sim::{MetricSet, SimDuration, SimTime};
 
 use crate::Device;
 
@@ -36,6 +36,22 @@ impl Default for TapeGeometry {
     }
 }
 
+shrimp_sim::counters! {
+    /// Tape access counts (metrics subsystem `tape`).
+    pub struct TapeCounters {
+        /// DMA writes to the medium.
+        writes,
+        /// Bytes written.
+        bytes_written,
+        /// DMA reads from the medium.
+        reads,
+        /// Bytes read.
+        bytes_read,
+        /// Untimed rewinds.
+        rewinds,
+    }
+}
+
 /// A simulated tape drive. Device proxy addresses are absolute byte
 /// positions on the medium.
 ///
@@ -57,7 +73,7 @@ pub struct Tape {
     data: Vec<u8>,
     /// Head position (byte offset on the medium).
     position: u64,
-    stats: StatSet,
+    counters: TapeCounters,
 }
 
 impl Tape {
@@ -68,7 +84,7 @@ impl Tape {
             data: vec![0; geometry.capacity as usize],
             geometry,
             position: 0,
-            stats: StatSet::new("tape"),
+            counters: TapeCounters::default(),
         }
     }
 
@@ -86,12 +102,12 @@ impl Tape {
     /// timed repositioning).
     pub fn rewind(&mut self) {
         self.position = 0;
-        self.stats.bump("rewinds");
+        self.counters.rewinds.incr();
     }
 
-    /// Access statistics.
-    pub fn stats(&self) -> &StatSet {
-        &self.stats
+    /// Access counts.
+    pub fn counters(&self) -> &TapeCounters {
+        &self.counters
     }
 
     fn in_range(&self, dev_addr: u64, nbytes: u64) -> bool {
@@ -105,8 +121,8 @@ impl DevicePort for Tape {
         let s = dev_addr as usize;
         self.data[s..s + data.len()].copy_from_slice(data);
         self.position = dev_addr + data.len() as u64;
-        self.stats.bump("writes");
-        self.stats.add("bytes_written", data.len() as u64);
+        self.counters.writes.incr();
+        self.counters.bytes_written.add(data.len() as u64);
     }
 
     fn dma_read(&mut self, dev_addr: u64, buf: &mut [u8], _now: SimTime) {
@@ -114,8 +130,8 @@ impl DevicePort for Tape {
         assert!(self.in_range(dev_addr, len), "tape read past end of medium");
         let s = dev_addr as usize;
         self.position = dev_addr + len;
-        self.stats.bump("reads");
-        self.stats.add("bytes_read", len);
+        self.counters.reads.incr();
+        self.counters.bytes_read.add(len);
         buf.copy_from_slice(&self.data[s..s + len as usize]);
     }
 
@@ -145,6 +161,10 @@ impl Device for Tape {
 
     fn proxy_space_bytes(&self) -> u64 {
         self.geometry.capacity
+    }
+
+    fn harvest_metrics(&self, set: &mut MetricSet, index: Option<u32>) {
+        self.counters.harvest(set, "tape", index);
     }
 }
 
@@ -190,7 +210,7 @@ mod tests {
         t.dma_write(5000, &[1], SimTime::ZERO);
         t.rewind();
         assert_eq!(t.position(), 0);
-        assert_eq!(t.stats().get("rewinds"), 1);
+        assert_eq!(t.counters().rewinds.get(), 1);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use shrimp_mem::{MemError, Pfn, PhysAddr, PhysMemory, PAGE_SHIFT};
-use shrimp_sim::{Counter, SimDuration, SimTime, StatSet};
+use shrimp_sim::{SimDuration, SimTime};
 
 use crate::{DevicePort, Direction};
 
@@ -73,6 +73,21 @@ impl fmt::Display for DmaError {
 
 impl Error for DmaError {}
 
+shrimp_sim::counters! {
+    /// Per-transfer engine counts (metrics subsystem `dma`): one plain
+    /// increment per start/retire.
+    pub struct DmaCounters {
+        /// Transfers started.
+        starts,
+        /// Bytes moved by started transfers.
+        bytes,
+        /// Transfers retired (data moved).
+        retired,
+        /// Transfers aborted.
+        aborts,
+    }
+}
+
 /// The traditional DMA engine of Figure 1.
 ///
 /// # Example
@@ -99,25 +114,13 @@ pub struct DmaEngine {
     /// The most recently retired transfer — the template a replayed run of
     /// identical transfers is stamped from (see `replay_retired`).
     last_retired: Option<Transfer>,
-    /// Per-transfer counts: plain fields, one increment per start/retire.
-    starts: Counter,
-    bytes: Counter,
-    retired: Counter,
-    aborts: Counter,
+    counters: DmaCounters,
 }
 
 impl DmaEngine {
     /// An idle engine with the given timing.
     pub fn new(timing: DmaTiming) -> Self {
-        DmaEngine {
-            timing,
-            active: None,
-            last_retired: None,
-            starts: Counter::new(),
-            bytes: Counter::new(),
-            retired: Counter::new(),
-            aborts: Counter::new(),
-        }
+        DmaEngine { timing, active: None, last_retired: None, counters: DmaCounters::default() }
     }
 
     /// The engine's timing parameters.
@@ -174,8 +177,8 @@ impl DmaEngine {
         let completes_at = now + self.duration_for(nbytes) + service;
         self.active =
             Some(Transfer { direction, mem_addr, dev_addr, nbytes, started_at: now, completes_at });
-        self.starts.incr();
-        self.bytes.add(nbytes);
+        self.counters.starts.incr();
+        self.counters.bytes.add(nbytes);
         Ok(completes_at)
     }
 
@@ -264,7 +267,7 @@ impl DmaEngine {
                 port.dma_read(t.dev_addr, buf, t.completes_at);
             }
         }
-        self.retired.incr();
+        self.counters.retired.incr();
         self.last_retired = Some(t);
         Ok(Some(t))
     }
@@ -280,26 +283,21 @@ impl DmaEngine {
     /// payload is identical) and advances time; the engine only books the
     /// counters it would have booked had each transfer run individually.
     pub fn replay_retired(&mut self, count: u64, nbytes: u64) {
-        self.starts.add(count);
-        self.bytes.add(count * nbytes);
-        self.retired.add(count);
+        self.counters.starts.add(count);
+        self.counters.bytes.add(count * nbytes);
+        self.counters.retired.add(count);
     }
 
     /// Drops any in-flight transfer without moving data (used by fault
     /// recovery paths).
     pub fn abort(&mut self) -> Option<Transfer> {
-        self.aborts.incr();
+        self.counters.aborts.incr();
         self.active.take()
     }
 
-    /// Engine statistics: starts, bytes, retirements, aborts.
-    pub fn stats(&self) -> StatSet {
-        let mut s = StatSet::new("dma");
-        s.add("starts", self.starts.get());
-        s.add("bytes", self.bytes.get());
-        s.add("retired", self.retired.get());
-        s.add("aborts", self.aborts.get());
-        s
+    /// Engine counts: starts, bytes, retirements, aborts.
+    pub fn counters(&self) -> &DmaCounters {
+        &self.counters
     }
 }
 
@@ -424,14 +422,14 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate() {
+    fn counters_accumulate() {
         let mut e = engine();
         let mut mem = PhysMemory::new(PAGE_SIZE);
         let mut port = LoopbackPort::new(8);
         let done = e.start(Direction::MemToDev, PhysAddr::new(0), 0, 4, SimTime::ZERO).unwrap();
         e.retire(done, &mut mem, &mut port).unwrap();
-        assert_eq!(e.stats().get("starts"), 1);
-        assert_eq!(e.stats().get("bytes"), 4);
-        assert_eq!(e.stats().get("retired"), 1);
+        assert_eq!(e.counters().starts.get(), 1);
+        assert_eq!(e.counters().bytes.get(), 4);
+        assert_eq!(e.counters().retired.get(), 1);
     }
 }

@@ -21,7 +21,7 @@
 mod engine;
 mod port;
 
-pub use engine::{DmaEngine, DmaError, DmaTiming, Transfer};
+pub use engine::{DmaCounters, DmaEngine, DmaError, DmaTiming, Transfer};
 pub use port::{DevicePort, LoopbackPort, RunTiming};
 
 /// Transfer direction relative to main memory.

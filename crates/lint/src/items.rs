@@ -109,7 +109,12 @@ impl Parser<'_> {
                 Some("impl") => i = self.impl_item(i, end),
                 Some("trait") => i = self.trait_item(i, end),
                 Some("mod") => i = self.mod_item(i, end, owner, trait_ctx),
-                Some("struct") => i = self.struct_item(i, end),
+                Some("struct") => i = self.struct_item(i, end, None),
+                // `shrimp_sim::counters! { struct X { a, b } }` declares
+                // a struct whose bare fields are all `Counter`s.
+                Some("counters") if self.t.get(i + 1).is_some_and(|t| t.is_punct('!')) => {
+                    i = self.counters_item(i, end);
+                }
                 Some("enum") | Some("union") => i = self.skip_braced_or_semi(i, end),
                 // `const fn` and `unsafe fn` fall through to the `fn`
                 // branch on the next token; bare consts/statics/types
@@ -264,7 +269,20 @@ impl Parser<'_> {
         close
     }
 
-    fn struct_item(&mut self, i: usize, end: usize) -> usize {
+    /// A `counters! { … struct X { a, b } }` invocation: the struct's
+    /// fields carry no written type; the macro makes each a `Counter`.
+    fn counters_item(&mut self, i: usize, end: usize) -> usize {
+        let Some(open) = (i + 2..end).find(|&k| self.t[k].is_punct('{')) else { return end };
+        let close = matching_brace(self.t, open, end);
+        if let Some(s) = (open + 1..close).find(|&k| self.t[k].is_ident("struct")) {
+            self.struct_item(s, close, Some("Counter"));
+        }
+        close
+    }
+
+    /// A `struct` item; `bare_field_ty` types fields written without one
+    /// (the `counters!` form).
+    fn struct_item(&mut self, i: usize, end: usize, bare_field_ty: Option<&str>) -> usize {
         let Some(name) = self.t.get(i + 1).and_then(Token::ident).map(str::to_owned) else {
             return i + 1;
         };
@@ -288,10 +306,12 @@ impl Parser<'_> {
         split_top_level_commas(&self.t[j + 1..close.saturating_sub(1)], &mut groups);
         let mut fields = Vec::new();
         for g in groups {
-            let p = parse_param(g);
-            if let (Some(n), Some(ty)) = (p.name, p.ty) {
-                fields.push((n, ty));
-            }
+            let field = match (parse_param(g), bare_field_ty) {
+                (Param { name: Some(n), ty: Some(ty) }, _) => Some((n, ty)),
+                (_, Some(ty)) => g.last().and_then(Token::ident).map(|n| (n.into(), ty.into())),
+                _ => None,
+            };
+            fields.extend(field);
         }
         self.out.structs.push(StructItem { name, fields });
         close
@@ -515,6 +535,17 @@ mod tests {
         assert_eq!(it.fns[2].owner.as_deref(), Some("Foo"));
         assert_eq!(it.fns[2].trait_name.as_deref(), Some("Drop"));
         assert_eq!(it.structs[0].fields, vec![("bar".to_owned(), "Baz".to_owned())]);
+    }
+
+    #[test]
+    fn counters_macro_fields_are_counters() {
+        let it = items(
+            "shrimp_sim::counters! {\n    /// Doc.\n    pub struct Hits {\n        /// A.\n        \
+             a,\n        b,\n    }\n}\n",
+        );
+        let fields = &it.structs[0].fields;
+        assert_eq!(it.structs[0].name, "Hits");
+        assert_eq!(fields, &vec![("a".into(), "Counter".into()), ("b".into(), "Counter".into())]);
     }
 
     #[test]

@@ -26,5 +26,5 @@
 mod machine;
 mod udma_hw;
 
-pub use machine::{Machine, MachineConfig};
+pub use machine::{Machine, MachineConfig, MachineCounters};
 pub use udma_hw::{UdmaHw, UdmaMode};

@@ -5,8 +5,7 @@ use shrimp_dma::DmaTiming;
 use shrimp_mem::{Layout, PhysMemory, Region, VirtAddr, MMIO_BASE, PAGE_SIZE};
 use shrimp_mmu::{AccessKind, Fault, Mmu, Mode, PageTable};
 use shrimp_sim::{
-    Clock, CostModel, Counter, EventRing, MachineEvent, MachineEventKind, SimDuration, SimTime,
-    StatSet, TraceBuffer,
+    Clock, CostModel, EventRing, MachineEvent, MachineEventKind, MetricSet, SimDuration, SimTime,
 };
 
 use crate::{UdmaHw, UdmaMode};
@@ -43,21 +42,28 @@ impl Default for MachineConfig {
 /// older ones are overwritten).
 const TRACE_EVENTS: usize = 4096;
 
-/// Per-region reference counters.
-///
-/// Plain fields rather than a keyed [`StatSet`]: `load`/`store` run once
-/// per simulated reference, so the bookkeeping must be a single inlined
-/// increment. [`Machine::stats`] folds them into a reportable set.
-#[derive(Clone, Copy, Debug, Default)]
-struct RefCounters {
-    mem_loads: Counter,
-    mem_stores: Counter,
-    proxy_loads: Counter,
-    proxy_stores: Counter,
-    mmio_loads: Counter,
-    mmio_stores: Counter,
-    inval_stores: Counter,
-    kernel_dmas: Counter,
+shrimp_sim::counters! {
+    /// Per-region reference counts (metrics subsystem `machine`): `load`
+    /// and `store` run once per simulated reference, so each is a single
+    /// inlined increment.
+    pub struct MachineCounters {
+        /// Loads from ordinary memory.
+        mem_loads,
+        /// Stores to ordinary memory.
+        mem_stores,
+        /// Loads from proxy space (initiations and status polls).
+        proxy_loads,
+        /// Stores to proxy space (initiations).
+        proxy_stores,
+        /// Loads from the device MMIO window.
+        mmio_loads,
+        /// Stores to the device MMIO window.
+        mmio_stores,
+        /// Kernel Inval stores (invariant I1).
+        inval_stores,
+        /// Kernel-driven (traditional) DMA transfers.
+        kernel_dmas,
+    }
 }
 
 /// One simulated SHRIMP node's hardware.
@@ -73,7 +79,7 @@ pub struct Machine<D> {
     mmu: Mmu,
     udma: UdmaHw,
     device: D,
-    refs: RefCounters,
+    refs: MachineCounters,
     events: EventRing<MachineEvent>,
 }
 
@@ -93,7 +99,7 @@ impl<D: Device> Machine<D> {
             layout,
             cost: config.cost,
             device,
-            refs: RefCounters::default(),
+            refs: MachineCounters::default(),
             events: EventRing::new(TRACE_EVENTS),
         }
     }
@@ -153,24 +159,21 @@ impl<D: Device> Machine<D> {
         &mut self.device
     }
 
-    /// Machine statistics (reference counts by region) as a reportable
-    /// set. Built on demand; the counters themselves are plain fields so
-    /// the reference path stays a single increment.
-    pub fn stats(&self) -> StatSet {
-        let mut s = StatSet::new("machine");
-        for (key, c) in [
-            ("mem_loads", self.refs.mem_loads),
-            ("mem_stores", self.refs.mem_stores),
-            ("proxy_loads", self.refs.proxy_loads),
-            ("proxy_stores", self.refs.proxy_stores),
-            ("mmio_loads", self.refs.mmio_loads),
-            ("mmio_stores", self.refs.mmio_stores),
-            ("inval_stores", self.refs.inval_stores),
-            ("kernel_dmas", self.refs.kernel_dmas),
-        ] {
-            s.add(key, c.get());
-        }
-        s
+    /// Reference counts by region.
+    pub fn counters(&self) -> &MachineCounters {
+        &self.refs
+    }
+
+    /// Registers every hardware counter of this machine in `set`, at node
+    /// `index` when given: references (`machine/*`), MMU and TLB
+    /// (`mmu/*`, `tlb/*`), UDMA controller (`udma/*`), DMA engine
+    /// (`dma/*`) and whatever the device registers.
+    pub fn harvest_metrics(&self, set: &mut MetricSet, index: Option<u32>) {
+        self.refs.harvest(set, "machine", index);
+        self.mmu.harvest_metrics(set, index);
+        self.udma.counters().harvest(set, "udma", index);
+        self.udma.engine().counters().harvest(set, "dma", index);
+        self.device.harvest_metrics(set, index);
     }
 
     /// Enables or disables the typed event transcript (disabled by
@@ -197,19 +200,6 @@ impl<D: Device> Machine<D> {
     pub fn record_event(&mut self, kind: MachineEventKind) {
         let at = self.clock.now();
         self.events.record(MachineEvent { at, kind });
-    }
-
-    /// Renders the typed event transcript as a legacy string
-    /// [`TraceBuffer`] — the debug formatter. Built on demand and owned by
-    /// the caller; the hot path records only typed events.
-    pub fn trace(&self) -> TraceBuffer {
-        let mut buf = TraceBuffer::new(self.events.capacity());
-        buf.set_enabled(true);
-        for e in self.events.iter() {
-            buf.record(e.at, e.kind.category(), || e.kind.to_string());
-        }
-        buf.set_enabled(self.events.is_enabled());
-        buf
     }
 
     /// Lets autonomous hardware (UDMA engine, device) catch up to the
@@ -288,6 +278,7 @@ impl<D: Device> Machine<D> {
         self.udma.replay_completed(count, t.nbytes);
         self.refs.proxy_stores.add(count);
         self.refs.proxy_loads.add(3 * count);
+        self.mmu.book_replayed_hits(4 * count);
         if traced {
             for k in 1..=count {
                 for e in tail {
@@ -679,8 +670,8 @@ mod tests {
         // StreamSink's default MMIO ignores stores and loads return 0.
         m.store(&mut pt, vmmio, 42, Mode::User).unwrap();
         assert_eq!(m.load(&mut pt, vmmio, Mode::User).unwrap(), 0);
-        assert_eq!(m.stats().get("mmio_stores"), 1);
-        assert_eq!(m.stats().get("mmio_loads"), 1);
+        assert_eq!(m.counters().mmio_stores.get(), 1);
+        assert_eq!(m.counters().mmio_loads.get(), 1);
     }
 
     #[test]
@@ -710,16 +701,15 @@ mod tests {
         );
         // Disabled by default: nothing recorded.
         m.store(&mut pt, vdev, 64, Mode::User).unwrap();
-        assert!(m.trace().is_empty());
+        assert!(m.events().is_empty());
 
         m.set_tracing(true);
         m.store(&mut pt, vdev, 64, Mode::User).unwrap();
         m.kernel_inval_udma();
         assert_eq!(m.events().len(), 2);
-        // The debug formatter renders the typed events as legacy text.
-        let rendered = m.trace();
-        assert_eq!(rendered.in_category("udma").count(), 2);
-        let messages: Vec<_> = rendered.iter().map(|e| e.message.clone()).collect();
+        // The typed events render their text on demand.
+        assert!(m.events().iter().all(|e| e.kind.category() == "udma"));
+        let messages: Vec<_> = m.events().iter().map(|e| e.kind.to_string()).collect();
         assert!(messages[0].contains("STORE 64"), "{messages:?}");
         assert!(messages[1].contains("INVAL"), "{messages:?}");
         let _ = layout;

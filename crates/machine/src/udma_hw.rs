@@ -3,7 +3,7 @@
 use shrimp_dma::{DevicePort, Direction, DmaEngine, DmaTiming, Transfer};
 use shrimp_mem::{Layout, Pfn, PhysAddr, PhysMemory};
 use shrimp_sim::SimTime;
-use udma_core::{Priority, QueuedUdma, UdmaController, UdmaState, UdmaStatus};
+use udma_core::{Priority, QueuedUdma, UdmaController, UdmaCounters, UdmaState, UdmaStatus};
 
 /// Which UDMA hardware variant a machine is built with.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -103,6 +103,14 @@ impl UdmaHw {
         match self {
             UdmaHw::Basic(c) => c.engine(),
             UdmaHw::Queued(q) => q.engine(),
+        }
+    }
+
+    /// The controller's proxy-reference and transfer counts.
+    pub fn counters(&self) -> &UdmaCounters {
+        match self {
+            UdmaHw::Basic(c) => c.counters(),
+            UdmaHw::Queued(q) => q.counters(),
         }
     }
 

@@ -34,7 +34,7 @@ mod pte;
 mod tlb;
 
 pub use fault::{AccessKind, Fault, Mode};
-pub use mmu::Mmu;
+pub use mmu::{Mmu, MmuCounters};
 pub use page_table::PageTable;
 pub use pte::{Pte, PteFlags};
 pub use tlb::Tlb;

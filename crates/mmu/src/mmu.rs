@@ -1,9 +1,23 @@
 //! The MMU translation and protection path.
 
 use shrimp_mem::{PhysAddr, VirtAddr};
-use shrimp_sim::{Counter, SimDuration, StatSet};
+use shrimp_sim::{MetricId, MetricSet, SimDuration};
 
 use crate::{AccessKind, Fault, Mode, PageTable, Pte, PteFlags};
+
+shrimp_sim::counters! {
+    /// Translation and protection-fault counts (metrics subsystem `mmu`).
+    /// TLB hits and misses live on the [`Tlb`](crate::Tlb) itself.
+    pub struct MmuCounters {
+        /// Successful translations — one per reference, the hottest line
+        /// in the simulator.
+        translations,
+        /// User accesses to kernel-only pages.
+        privilege_faults,
+        /// Stores to read-only pages.
+        write_faults,
+    }
+}
 
 /// The memory-management unit: translation, permission checking, and
 /// hardware maintenance of the REFERENCED/DIRTY bits.
@@ -15,11 +29,7 @@ use crate::{AccessKind, Fault, Mode, PageTable, Pte, PteFlags};
 #[derive(Clone, Debug)]
 pub struct Mmu {
     tlb: crate::Tlb,
-    /// Successful translations: one increment per reference, so a plain
-    /// field rather than a keyed stat (this is the hottest line in the
-    /// simulator). Fault-path counts stay in `faults` — they are rare.
-    translations: Counter,
-    faults: StatSet,
+    counters: MmuCounters,
     tlb_miss_cost: SimDuration,
 }
 
@@ -29,8 +39,7 @@ impl Mmu {
     pub fn new(tlb_entries: usize) -> Self {
         Mmu {
             tlb: crate::Tlb::new(tlb_entries),
-            translations: Counter::new(),
-            faults: StatSet::new("mmu"),
+            counters: MmuCounters::default(),
             tlb_miss_cost: SimDuration::from_nanos(400),
         }
     }
@@ -68,7 +77,6 @@ impl Mmu {
         let (pte, cost) = match self.tlb.lookup(vpn) {
             Some(pte) => (pte, SimDuration::ZERO),
             None => {
-                self.faults.bump("tlb_miss");
                 let pte = *pt.get(vpn).ok_or(Fault::NotMapped { va, vpn, access })?;
                 if !pte.is_valid() {
                     return Err(Fault::NotMapped { va, vpn, access });
@@ -82,11 +90,11 @@ impl Mmu {
         };
 
         if mode == Mode::User && !pte.flags.contains(PteFlags::USER) {
-            self.faults.bump("privilege_fault");
+            self.counters.privilege_faults.incr();
             return Err(Fault::Privilege { va, vpn });
         }
         if access == AccessKind::Write && !pte.is_writable() {
-            self.faults.bump("write_fault");
+            self.counters.write_faults.incr();
             return Err(Fault::WriteProtected { va, vpn });
         }
 
@@ -100,7 +108,7 @@ impl Mmu {
             self.tlb.update(vpn, Pte::new(pte.pfn, new_flags));
         }
 
-        self.translations.incr();
+        self.counters.translations.incr();
         Ok((pte.pfn.base() + va.page_offset(), cost))
     }
 
@@ -114,11 +122,28 @@ impl Mmu {
         self.tlb.flush_all();
     }
 
-    /// Translation and fault statistics as a reportable set.
-    pub fn stats(&self) -> StatSet {
-        let mut s = self.faults.clone();
-        s.add("translations", self.translations.get());
-        s
+    /// Translation and fault counts.
+    pub fn counters(&self) -> &MmuCounters {
+        &self.counters
+    }
+
+    /// Books `n` successful translations, all TLB hits, that a replayed
+    /// steady-state message train would have made: the replay runs no
+    /// reference, but its counts must equal the literal path's. (A TLB
+    /// miss would have cost time and broken the steady-state stride, so
+    /// a replayable train hits on every reference.)
+    pub fn book_replayed_hits(&mut self, n: u64) {
+        self.counters.translations.add(n);
+        self.tlb.book_replayed_hits(n);
+    }
+
+    /// Registers the MMU's counters (`mmu/*`) and its TLB's simulated
+    /// hit/miss counts (`tlb/hits`, `tlb/misses`) in `set`, at node
+    /// `index` when given.
+    pub fn harvest_metrics(&self, set: &mut MetricSet, index: Option<u32>) {
+        self.counters.harvest(set, "mmu", index);
+        set.counter(MetricId { subsystem: "tlb", name: "hits", index }, self.tlb.hits());
+        set.counter(MetricId { subsystem: "tlb", name: "misses", index }, self.tlb.misses());
     }
 
     /// The TLB model (for inspection in tests and benches).

@@ -70,6 +70,13 @@ impl Tlb {
         }
     }
 
+    /// Books `n` hits that a replayed steady-state message train would
+    /// have made (see [`Mmu::book_replayed_hits`](crate::Mmu::book_replayed_hits)).
+    /// No lookup runs, so the host-side shortcut count is untouched.
+    pub fn book_replayed_hits(&mut self, n: u64) {
+        self.hits.add(n);
+    }
+
     /// Inserts (or refreshes) a translation, evicting the oldest entry when
     /// full.
     pub fn insert(&mut self, vpn: Vpn, pte: Pte) {

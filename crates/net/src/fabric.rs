@@ -17,7 +17,7 @@
 //! [`Interconnect::split`] / [`Interconnect::merge`]. Both drain packets
 //! through the same `commit_next` — there is no second delivery loop.
 
-use shrimp_sim::{Counter, MergeQueue, SimDuration, SimTime, StatSet, XferId};
+use shrimp_sim::{MergeQueue, SimDuration, SimTime, XferId};
 
 use crate::{NodeId, Packet};
 
@@ -141,6 +141,23 @@ fn grid_cols(nodes: u16) -> u16 {
     c
 }
 
+shrimp_sim::counters! {
+    /// Fabric traffic counts (metrics subsystem `fabric`).
+    pub struct FabricCounters {
+        /// Packets injected (run members count individually).
+        packets,
+        /// Payload bytes injected.
+        payload_bytes,
+        /// Packets the fabric itself discarded (an out-of-fabric
+        /// destination reaching the ejection router).
+        /// [`FabricShard::inject`] asserts both endpoints, so this stays 0
+        /// unless a header is corrupted in flight; it is distinct from the
+        /// delivery layer's bad-address drops so conservation can
+        /// attribute every undelivered packet.
+        drops,
+    }
+}
+
 /// A 2-D mesh interconnect with dimension-order routing distances.
 ///
 /// Nodes are arranged on a near-square grid. A packet's latency is
@@ -173,9 +190,7 @@ impl Interconnect {
                 links: vec![LinkState::IDLE; nodes as usize],
                 staged: MergeQueue::new(),
                 dst_keys: DstIndex::new(nodes),
-                packets: Counter::new(),
-                payload_bytes: Counter::new(),
-                drops: Counter::new(),
+                counters: FabricCounters::default(),
             },
         }
     }
@@ -215,21 +230,15 @@ impl Interconnect {
         self.shard.staged_len()
     }
 
-    /// Fabric statistics.
-    pub fn stats(&self) -> StatSet {
-        self.shard.stats()
+    /// Traffic counts, including totals absorbed from merged shards.
+    pub fn counters(&self) -> &FabricCounters {
+        &self.shard.counters
     }
 
     /// Wire bytes serialized on each node's inbound link, indexed by
     /// destination node (payload plus header, counted at admit).
     pub fn wire_bytes_per_link(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
         self.shard.wire_bytes_per_link()
-    }
-
-    /// Packets the fabric itself discarded (distinct from delivery-level
-    /// bad-address drops); 0 on any run whose packets stay well-formed.
-    pub fn fabric_drops(&self) -> u64 {
-        self.shard.fabric_drops()
     }
 
     /// Per-destination index inserts that overflowed a full lane.
@@ -272,17 +281,15 @@ impl Interconnect {
                     .collect(),
                 staged: MergeQueue::new(),
                 dst_keys: DstIndex::new(self.shard.nodes),
-                packets: Counter::new(),
-                payload_bytes: Counter::new(),
-                drops: Counter::new(),
+                counters: FabricCounters::default(),
             })
             .collect()
     }
 
     /// Reabsorbs shard state after a parallel run: node `i`'s inbound-link
     /// occupancy is taken from shard `owner[i]`, and shard traffic counters
-    /// fold into the fabric's, so [`Interconnect::stats`] reports the same
-    /// totals a serial run would.
+    /// fold into the fabric's, so [`Interconnect::counters`] reports the
+    /// same totals a serial run would.
     ///
     /// # Panics
     ///
@@ -296,9 +303,7 @@ impl Interconnect {
         }
         for shard in shards {
             assert!(shard.staged.is_empty(), "cannot merge a shard with staged packets");
-            self.shard.packets.add(shard.packets.get());
-            self.shard.payload_bytes.add(shard.payload_bytes.get());
-            self.shard.drops.add(shard.drops.get());
+            self.shard.counters.merge(&shard.counters);
             self.shard.dst_keys.spills += shard.dst_keys.spills;
             self.shard.staged.absorb_metrics(&shard.staged);
             // Each node's inbound link is driven by exactly one shard, so
@@ -467,14 +472,7 @@ pub struct FabricShard {
     /// commit loop consults it to split runs only where a same-destination
     /// entry actually interleaves.
     dst_keys: DstIndex,
-    packets: Counter,
-    payload_bytes: Counter,
-    /// Packets the fabric itself discarded (an out-of-fabric destination
-    /// reaching the ejection router). [`FabricShard::inject`] asserts both
-    /// endpoints, so this stays 0 unless a header is corrupted in flight;
-    /// it is a distinct counter from the delivery layer's bad-address
-    /// drops so conservation can attribute every undelivered packet.
-    drops: Counter,
+    counters: FabricCounters,
 }
 
 impl FabricShard {
@@ -498,8 +496,8 @@ impl FabricShard {
         assert!(packet.src.raw() < self.nodes, "source {} not in fabric", packet.src);
         assert!(packet.dst.raw() < self.nodes, "destination {} not in fabric", packet.dst);
         packet.sent_at = now;
-        self.packets.incr();
-        self.payload_bytes.add(packet.payload.len() as u64);
+        self.counters.packets.incr();
+        self.counters.payload_bytes.add(packet.payload.len() as u64);
         let link_ready = now + self.params.hop_latency * self.hops(packet.src, packet.dst);
         packet.meta.link_ready = link_ready;
         link_ready
@@ -553,8 +551,8 @@ impl FabricShard {
         assert!(p.src.raw() < self.nodes, "source {} not in fabric", p.src);
         assert!(p.dst.raw() < self.nodes, "destination {} not in fabric", p.dst);
         p.sent_at = now;
-        self.packets.add(u64::from(run.count));
-        self.payload_bytes.add(p.payload.len() as u64 * u64::from(run.count));
+        self.counters.packets.add(u64::from(run.count));
+        self.counters.payload_bytes.add(p.payload.len() as u64 * u64::from(run.count));
         let link_ready = now + self.params.hop_latency * self.hops(p.src, p.dst);
         p.meta.link_ready = link_ready;
         link_ready
@@ -662,7 +660,7 @@ impl FabricShard {
             // (the conservation check attributes it) instead of panicking
             // mid-drain; the bogus instant is never observed because the
             // packet is gone.
-            self.drops.incr();
+            self.counters.drops.incr();
             return link_ready;
         };
         let start = link_ready.max(link.busy_until);
@@ -682,12 +680,9 @@ impl FabricShard {
         self.staged.next_at()
     }
 
-    /// Traffic statistics (injected packets and payload bytes).
-    pub fn stats(&self) -> StatSet {
-        let mut s = StatSet::new("net");
-        s.add("packets", self.packets.get());
-        s.add("payload_bytes", self.payload_bytes.get());
-        s
+    /// Traffic counts: injected packets, payload bytes, fabric drops.
+    pub fn counters(&self) -> &FabricCounters {
+        &self.counters
     }
 
     /// The shard's minimum cross-node latency (one router hop): the
@@ -702,12 +697,6 @@ impl FabricShard {
     /// destination node (payload plus header, counted at admit).
     pub fn wire_bytes_per_link(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
         self.links.iter().map(|l| l.wire_bytes)
-    }
-
-    /// Packets the fabric itself discarded (see the `drops` field docs);
-    /// 0 on any run whose packets stay well-formed.
-    pub fn fabric_drops(&self) -> u64 {
-        self.drops.get()
     }
 
     /// Per-destination index inserts that overflowed a full lane into the
@@ -880,8 +869,8 @@ mod tests {
         let lit_times: Vec<SimTime> = lit.iter().map(|&(at, _)| at).collect();
         let bat_times: Vec<SimTime> = bat.iter().map(|&(at, _)| at).collect();
         assert_eq!(bat_times, lit_times, "run split must reproduce the single-packet timeline");
-        assert_eq!(batched.stats().get("packets"), literal.stats().get("packets"));
-        assert_eq!(batched.stats().get("payload_bytes"), literal.stats().get("payload_bytes"));
+        assert_eq!(batched.counters().packets.get(), literal.counters().packets.get());
+        assert_eq!(batched.counters().payload_bytes.get(), literal.counters().payload_bytes.get());
     }
 
     /// Traffic bound for a *different* destination never splits a run,
@@ -1015,8 +1004,8 @@ mod tests {
         let mut net = Interconnect::new(2, LinkParams::default());
         net.send(pkt(0, 1, 10, 0), SimTime::ZERO);
         net.send(pkt(1, 0, 20, 0), SimTime::ZERO);
-        assert_eq!(net.stats().get("packets"), 2);
-        assert_eq!(net.stats().get("payload_bytes"), 30);
+        assert_eq!(net.counters().packets.get(), 2);
+        assert_eq!(net.counters().payload_bytes.get(), 30);
     }
 
     #[test]
@@ -1031,7 +1020,7 @@ mod tests {
         assert_eq!(per_link[0], 0, "node 0 received nothing");
         assert_eq!(per_link[1], 150 + 2 * hdr);
         assert_eq!(per_link[3], 10 + hdr);
-        assert_eq!(net.fabric_drops(), 0);
+        assert_eq!(net.counters().drops.get(), 0);
     }
 
     #[test]
@@ -1042,7 +1031,7 @@ mod tests {
         let mut net = Interconnect::new(2, LinkParams::default());
         let shard = net.shard_mut();
         shard.admit(&pkt(0, 7, 16, 0), SimTime::ZERO);
-        assert_eq!(shard.fabric_drops(), 1);
+        assert_eq!(shard.counters().drops.get(), 1);
         assert_eq!(shard.wire_bytes_per_link().collect::<Vec<u64>>(), [0, 0]);
     }
 
@@ -1157,8 +1146,8 @@ mod tests {
         assert_eq!(shard_times, sorted_serial);
         net.merge(shards, &owner);
 
-        assert_eq!(net.stats().get("packets"), serial.stats().get("packets"));
-        assert_eq!(net.stats().get("payload_bytes"), serial.stats().get("payload_bytes"));
+        assert_eq!(net.counters().packets.get(), serial.counters().packets.get());
+        assert_eq!(net.counters().payload_bytes.get(), serial.counters().payload_bytes.get());
         // Follow-up traffic sees identical link occupancy.
         serial.send(pkt(0, 1, 64, 10), SimTime::from_nanos(300));
         net.send(pkt(0, 1, 64, 10), SimTime::from_nanos(300));

@@ -34,5 +34,7 @@
 mod fabric;
 mod packet;
 
-pub use fabric::{Commit, FabricShard, Interconnect, LinkParams, PacketRun, Staged};
+pub use fabric::{
+    Commit, FabricCounters, FabricShard, Interconnect, LinkParams, PacketRun, Staged,
+};
 pub use packet::{NodeId, Packet, PacketClass};

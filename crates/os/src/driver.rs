@@ -159,7 +159,7 @@ mod tests {
         assert_eq!(steps, 8);
         // Interleaving at quantum 1 forces switches between every step of
         // different pids.
-        assert!(n.stats().get("context_switches") >= 6);
+        assert!(n.counters().context_switches.get() >= 6);
     }
 
     #[test]
@@ -189,7 +189,7 @@ mod tests {
             driver.add(CounterLoop { pid: a, remaining: 8 });
             driver.add(CounterLoop { pid: b, remaining: 8 });
             driver.run(&mut n).unwrap();
-            n.stats().get("context_switches")
+            n.counters().context_switches.get()
         };
         assert!(run_with_quantum(1) > run_with_quantum(8));
     }

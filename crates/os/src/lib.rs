@@ -56,7 +56,7 @@ pub mod userapi;
 
 pub use driver::{Driver, Progress, Workload};
 pub use error::Trap;
-pub use node::{Node, NodeConfig};
+pub use node::{KernelCounters, Node, NodeConfig};
 pub use process::{PagerAccount, Pid, Process, VPage};
 pub use syscall::{DmaStrategy, SyscallDmaResult};
 pub use userapi::UdmaXferResult;

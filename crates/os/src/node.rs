@@ -7,8 +7,7 @@ use shrimp_devices::Device;
 use shrimp_machine::{Machine, MachineConfig};
 use shrimp_mem::{BackingStore, FrameAllocator, Pfn, Region, SwapSlot, VirtAddr, Vpn, PAGE_SIZE};
 use shrimp_mmu::{Fault, Mode, Pte, PteFlags};
-use shrimp_sim::MachineEventKind;
-use shrimp_sim::StatSet;
+use shrimp_sim::{MachineEventKind, MetricSet};
 
 use crate::process::{DeviceGrant, Pid, Process, VPage};
 use crate::Trap;
@@ -22,6 +21,55 @@ pub struct NodeConfig {
     /// minus the kernel-reserved frame 0). Lowering this forces memory
     /// pressure for the invariant and pinning experiments.
     pub user_frames: Option<u64>,
+}
+
+shrimp_sim::counters! {
+    /// Kernel event counts (metrics subsystem `kernel`).
+    pub struct KernelCounters {
+        /// Processes created.
+        spawns,
+        /// Processes exited.
+        exits,
+        /// Context switches.
+        context_switches,
+        /// Fault-handler entries.
+        page_faults,
+        /// Zero-filled first touches.
+        zero_fills,
+        /// Pages read back from the backing store.
+        page_ins,
+        /// Frames reclaimed by the pager.
+        evictions,
+        /// Dirty pages written to the backing store.
+        page_outs,
+        /// Eviction candidates skipped because the UDMA hardware names
+        /// them (invariant I4).
+        i4_skips,
+        /// Dirty pages cleaned without eviction.
+        cleans,
+        /// Cleans deferred because an incoming DMA targets the page.
+        clean_deferred_dma,
+        /// Memory-proxy mappings created on demand.
+        proxy_mappings_created,
+        /// Proxy pages made writable after their page dirtied (I3).
+        i3_write_enables,
+        /// Device-proxy mappings created on demand.
+        device_proxy_mappings_created,
+        /// Device grants issued.
+        device_grants,
+        /// Device grants revoked.
+        device_revokes,
+        /// Page ranges wired for export.
+        wired_exports,
+        /// Frames pinned for traditional DMA.
+        pins,
+        /// Frames unpinned after traditional DMA.
+        unpins,
+        /// Traditional-DMA system calls.
+        dma_syscalls,
+        /// Bytes moved by traditional-DMA system calls.
+        dma_syscall_bytes,
+    }
 }
 
 /// A complete simulated node: the machine hardware plus the kernel state
@@ -42,7 +90,7 @@ pub struct Node<D> {
     pub(crate) pinned: BTreeMap<Pfn, u32>,
     /// Backing-store slot assigned to each (process, page), if any.
     pub(crate) swap_slots: BTreeMap<(Pid, Vpn), SwapSlot>,
-    pub(crate) stats: StatSet,
+    pub(crate) counters: KernelCounters,
 }
 
 impl<D: Device> Node<D> {
@@ -64,7 +112,7 @@ impl<D: Device> Node<D> {
             resident_fifo: VecDeque::new(),
             pinned: BTreeMap::new(),
             swap_slots: BTreeMap::new(),
-            stats: StatSet::new("kernel"),
+            counters: KernelCounters::default(),
         }
     }
 
@@ -78,9 +126,17 @@ impl<D: Device> Node<D> {
         &mut self.machine
     }
 
-    /// Kernel statistics (context switches, faults by kind, evictions...).
-    pub fn stats(&self) -> &StatSet {
-        &self.stats
+    /// Kernel event counts (context switches, faults by kind, evictions...).
+    pub fn counters(&self) -> &KernelCounters {
+        &self.counters
+    }
+
+    /// Registers every counter of this node in `set`, at node `index` when
+    /// given: the kernel's (`kernel/*`) plus the machine's (see
+    /// [`Machine::harvest_metrics`]).
+    pub fn harvest_metrics(&self, set: &mut MetricSet, index: Option<u32>) {
+        self.counters.harvest(set, "kernel", index);
+        self.machine.harvest_metrics(set, index);
     }
 
     /// The backing store (test inspection of I3's cleaning traffic).
@@ -107,7 +163,7 @@ impl<D: Device> Node<D> {
         let pid = Pid::new(self.next_pid);
         self.next_pid += 1;
         self.procs.insert(pid, Process::new(pid));
-        self.stats.bump("spawns");
+        self.counters.spawns.incr();
         pid
     }
 
@@ -176,7 +232,7 @@ impl<D: Device> Node<D> {
         }
         let proc = self.procs.get_mut(&pid).ok_or(Trap::NoSuchProcess(pid))?;
         proc.grants.push(DeviceGrant { first_page, pages, writable });
-        self.stats.bump("device_grants");
+        self.counters.device_grants.incr();
         Ok(())
     }
 
@@ -220,7 +276,7 @@ impl<D: Device> Node<D> {
         // Invariant I1 territory: a transfer the process half-initiated
         // through the revoked window must not survive the revocation.
         self.machine.kernel_inval_udma();
-        self.stats.bump("device_revokes");
+        self.counters.device_revokes.incr();
         Ok(())
     }
 
@@ -258,7 +314,7 @@ impl<D: Device> Node<D> {
         self.machine
             .record_event(MachineEventKind::ContextSwitch { from: as_raw(from), to: as_raw(to) });
         self.current = to;
-        self.stats.bump("context_switches");
+        self.counters.context_switches.incr();
     }
 
     /// One user-mode load, with kernel fault handling and restart.
@@ -407,7 +463,7 @@ impl<D: Device> Node<D> {
     pub fn handle_fault(&mut self, pid: Pid, fault: Fault) -> Result<(), Trap> {
         let overhead = self.machine.cost().page_fault_overhead;
         self.machine.advance(overhead);
-        self.stats.bump("page_faults");
+        self.counters.page_faults.incr();
         let what = match fault {
             Fault::NotMapped { .. } => "not-mapped",
             Fault::WriteProtected { .. } => "write-protected",
@@ -471,7 +527,7 @@ impl<D: Device> Node<D> {
                 // create the proxy mapping.
                 let pfn = self.ensure_resident(pid, real_vpn)?;
                 self.map_proxy_pte(pid, real_vpn, pfn);
-                self.stats.bump("proxy_mappings_created");
+                self.counters.proxy_mappings_created.incr();
                 Ok(())
             }
             Fault::WriteProtected { .. } => {
@@ -492,7 +548,7 @@ impl<D: Device> Node<D> {
                 self.machine.mmu_mut().flush_page(proxy_vpn);
                 self.machine.mmu_mut().flush_page(real_vpn);
                 let _ = pfn;
-                self.stats.bump("i3_write_enables");
+                self.counters.i3_write_enables.incr();
                 Ok(())
             }
             Fault::Privilege { .. } => Err(Trap::SegFault { pid, va }),
@@ -519,7 +575,7 @@ impl<D: Device> Node<D> {
                 proc.pt.map(va.page(), Pte::new(Pfn::new(va.page().raw()), flags));
                 let pte_cost = self.machine.cost().pte_update;
                 self.machine.advance(pte_cost);
-                self.stats.bump("device_proxy_mappings_created");
+                self.counters.device_proxy_mappings_created.incr();
                 Ok(())
             }
             // A store to a read-only device grant: cannot name the device
@@ -576,7 +632,7 @@ impl<D: Device> Node<D> {
                     .mem_mut()
                     .fill(pfn.base(), PAGE_SIZE, 0)
                     .expect("allocated frame in range");
-                self.stats.bump("zero_fills");
+                self.counters.zero_fills.incr();
                 (pfn, writable)
             }
             VPage::Swapped { slot, writable } => {
@@ -587,7 +643,7 @@ impl<D: Device> Node<D> {
                 self.machine.advance(io);
                 let data = self.swap.read(slot).expect("swapped page has contents").to_vec();
                 self.machine.mem_mut().write_frame(pfn, &data).expect("allocated frame in range");
-                self.stats.bump("page_ins");
+                self.counters.page_ins.incr();
                 (pfn, writable)
             }
         };
@@ -673,7 +729,7 @@ impl<D: Device> Node<D> {
         self.machine.mmu_mut().flush_all();
         let cost = self.machine.cost().syscall;
         self.machine.advance(cost);
-        self.stats.bump("exits");
+        self.counters.exits.incr();
         Ok(())
     }
 
@@ -714,7 +770,7 @@ impl<D: Device> Node<D> {
             proc.pt.set_flags(vpn, PteFlags::DIRTY);
             pfns.push(pfn);
         }
-        self.stats.bump("wired_exports");
+        self.counters.wired_exports.incr();
         Ok(pfns)
     }
 
@@ -837,7 +893,7 @@ mod tests {
         let pid = n.spawn();
         n.mmap(pid, 0x10000, 1, true).unwrap();
         assert_eq!(n.user_load(pid, VirtAddr::new(0x10008)).unwrap(), 0);
-        assert_eq!(n.stats().get("zero_fills"), 1);
+        assert_eq!(n.counters().zero_fills.get(), 1);
         assert_eq!(n.process(pid).unwrap().resident_pages(), 1);
     }
 
@@ -890,7 +946,7 @@ mod tests {
         let vproxy = layout.proxy_of_virt(VirtAddr::new(0x10000)).unwrap();
         let status = udma_core::UdmaStatus::unpack(n.user_load(pid, vproxy).unwrap());
         assert!(status.invalid, "idle device status expected, got {status}");
-        assert_eq!(n.stats().get("proxy_mappings_created"), 1);
+        assert_eq!(n.counters().proxy_mappings_created.get(), 1);
         n.check_invariants().unwrap();
     }
 
@@ -934,7 +990,7 @@ mod tests {
         // Storing to the proxy (naming the page as a DMA destination)
         // faults, then the kernel write-enables and dirties (I3).
         n.user_store(pid, vproxy, 64).unwrap();
-        assert_eq!(n.stats().get("i3_write_enables"), 1);
+        assert_eq!(n.counters().i3_write_enables.get(), 1);
         let proc = n.process(pid).unwrap();
         assert!(proc.pt.get(VirtAddr::new(0x10000).page()).unwrap().is_dirty());
         n.check_invariants().unwrap();
@@ -963,7 +1019,7 @@ mod tests {
 
         n.grant_device_proxy(pid, 0, 1, true).unwrap();
         n.user_store(pid, vdev, 64).unwrap();
-        assert_eq!(n.stats().get("device_proxy_mappings_created"), 1);
+        assert_eq!(n.counters().device_proxy_mappings_created.get(), 1);
     }
 
     #[test]
@@ -976,7 +1032,7 @@ mod tests {
         assert!(n.process(pid).unwrap().pt.get(vdev.page()).is_some());
 
         n.revoke_device_proxy(pid, 0, 2).unwrap();
-        assert_eq!(n.stats().get("device_revokes"), 1);
+        assert_eq!(n.counters().device_revokes.get(), 1);
         assert!(n.process(pid).unwrap().pt.get(vdev.page()).is_none(), "PTE must die");
         assert!(n.process(pid).unwrap().grants.is_empty(), "grant must die");
         let err = n.user_store(pid, vdev, 64).unwrap_err();
@@ -1023,7 +1079,7 @@ mod tests {
         let vproxy = n.machine().layout().proxy_of_virt(VirtAddr::new(0x10000)).unwrap();
         let status = udma_core::UdmaStatus::unpack(n.user_load(a, vproxy).unwrap());
         assert!(status.initiation && status.invalid, "{status}");
-        assert!(n.stats().get("context_switches") >= 2);
+        assert!(n.counters().context_switches.get() >= 2);
     }
 
     #[test]
@@ -1097,7 +1153,7 @@ mod tests {
             n.exit_process(pid).unwrap();
         }
         assert_eq!(n.frames.free_frames(), free_before);
-        assert_eq!(n.stats().get("exits"), 10);
+        assert_eq!(n.counters().exits.get(), 10);
     }
 
     #[test]

@@ -75,7 +75,7 @@ impl<D: Device> Node<D> {
                     inval_tried = true;
                 }
                 if self.machine.udma().frame_in_use(pfn) {
-                    self.stats.bump("i4_skips");
+                    self.counters.i4_skips.incr();
                     self.resident_fifo.push_back(pfn);
                     continue;
                 }
@@ -126,7 +126,7 @@ impl<D: Device> Node<D> {
                     + self.machine.cost().disk_rotation
                     + self.machine.cost().disk_transfer(PAGE_SIZE);
                 self.machine.advance(io);
-                self.stats.bump("page_outs");
+                self.counters.page_outs.incr();
                 if let Some(proc) = self.procs.get_mut(&pid) {
                     proc.pager.page_outs += 1;
                 }
@@ -157,7 +157,7 @@ impl<D: Device> Node<D> {
             vpn: vpn.raw(),
             pfn: pfn.raw(),
         });
-        self.stats.bump("evictions");
+        self.counters.evictions.incr();
     }
 
     /// Cleans one resident dirty page: writes it to backing store, clears
@@ -183,7 +183,7 @@ impl<D: Device> Node<D> {
             return Ok(false);
         }
         if self.machine.udma().frame_in_use(pfn) {
-            self.stats.bump("clean_deferred_dma");
+            self.counters.clean_deferred_dma.incr();
             return Ok(false);
         }
 
@@ -202,7 +202,7 @@ impl<D: Device> Node<D> {
         proc.pt.clear_flags(proxy_vpn, PteFlags::WRITABLE);
         self.machine.mmu_mut().flush_page(vpn);
         self.machine.mmu_mut().flush_page(proxy_vpn);
-        self.stats.bump("cleans");
+        self.counters.cleans.incr();
         Ok(true)
     }
 
@@ -232,7 +232,7 @@ impl<D: Device> Node<D> {
     /// evicted.
     pub(crate) fn pin_frame(&mut self, pfn: Pfn) {
         *self.pinned.entry(pfn).or_insert(0) += 1;
-        self.stats.bump("pins");
+        self.counters.pins.incr();
     }
 
     /// Releases one pin on a frame.
@@ -244,7 +244,7 @@ impl<D: Device> Node<D> {
             }
             None => debug_assert!(false, "unpin of unpinned frame {pfn}"),
         }
-        self.stats.bump("unpins");
+        self.counters.unpins.incr();
     }
 }
 
@@ -274,7 +274,7 @@ mod tests {
         for i in 0..8u64 {
             n.user_store(pid, VirtAddr::new(0x10000 + i * PAGE_SIZE), i as i64 + 1).unwrap();
         }
-        assert!(n.stats().get("evictions") > 0);
+        assert!(n.counters().evictions.get() > 0);
         // Everything reads back correctly through page-ins.
         for i in 0..8u64 {
             assert_eq!(
@@ -283,7 +283,7 @@ mod tests {
                 "page {i}"
             );
         }
-        assert!(n.stats().get("page_ins") > 0);
+        assert!(n.counters().page_ins.get() > 0);
         n.check_invariants().unwrap();
     }
 
@@ -331,7 +331,7 @@ mod tests {
 
         // Naming the page as a destination again re-dirties via the fault.
         n.user_store(pid, vproxy, 64).unwrap();
-        assert_eq!(n.stats().get("i3_write_enables"), 1);
+        assert_eq!(n.counters().i3_write_enables.get(), 1);
         n.check_invariants().unwrap();
     }
 
@@ -351,7 +351,7 @@ mod tests {
         assert!(status.started(), "{status}");
         // The §6 race rule: cleaning is refused mid-transfer.
         assert!(!n.clean_page(pid, VirtAddr::new(0x10000).page()).unwrap());
-        assert_eq!(n.stats().get("clean_deferred_dma"), 1);
+        assert_eq!(n.counters().clean_deferred_dma.get(), 1);
         n.check_invariants().unwrap();
     }
 
@@ -389,7 +389,7 @@ mod tests {
         for i in 1..8u64 {
             n.user_store(pid, VirtAddr::new(0x10000 + i * PAGE_SIZE), 1).unwrap();
         }
-        assert!(n.stats().get("i4_skips") > 0, "the pager must have skipped the frame");
+        assert!(n.counters().i4_skips.get() > 0, "the pager must have skipped the frame");
         assert_eq!(
             n.process(pid).unwrap().vpages[&VirtAddr::new(0x10000).page()].pfn(),
             Some(held),
@@ -439,8 +439,8 @@ mod tests {
         for i in 0..4u64 {
             let _ = n.user_load(pid, VirtAddr::new(0x10000 + i * PAGE_SIZE)).unwrap();
         }
-        assert!(n.stats().get("evictions") > 0);
-        assert_eq!(n.stats().get("page_outs"), 0, "clean pages need no cleaning");
+        assert!(n.counters().evictions.get() > 0);
+        assert_eq!(n.counters().page_outs.get(), 0, "clean pages need no cleaning");
         assert_eq!(n.swap().write_count(), 0);
     }
 
@@ -466,12 +466,12 @@ mod tests {
         assert!(pa.evictions > 0, "the victim is charged for evictions");
         assert_eq!(
             pa.evictions + pb.evictions,
-            n.stats().get("evictions"),
+            n.counters().evictions.get(),
             "per-process evictions partition the node total"
         );
         assert_eq!(
             pa.page_outs + pb.page_outs,
-            n.stats().get("page_outs"),
+            n.counters().page_outs.get(),
             "per-process page-outs partition the node total"
         );
         n.check_invariants().unwrap();

@@ -74,7 +74,7 @@ impl VPage {
 /// Per-process pager accounting: who demanded frames, and who paid for
 /// the pressure. Under multi-tenant churn the requester and the victim
 /// of an eviction are usually *different* processes — these counters
-/// make that visible per process, where the kernel-wide `StatSet` only
+/// make that visible per process, where the kernel-wide `KernelCounters` only
 /// shows node totals.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PagerAccount {

@@ -88,7 +88,7 @@ impl<D: Device> Node<D> {
         // Step 1: the system call itself.
         let c = self.machine.cost().clone();
         self.machine.advance(c.syscall);
-        self.stats.bump("dma_syscalls");
+        self.counters.dma_syscalls.incr();
 
         if nbytes == 0 {
             return Ok(SyscallDmaResult { elapsed: self.machine.now() - t0, pages: 0, bytes: 0 });
@@ -186,7 +186,7 @@ impl<D: Device> Node<D> {
             self.unpin_frame(pfn);
             self.machine.advance(c.unpin_page);
         }
-        self.stats.add("dma_syscall_bytes", nbytes);
+        self.counters.dma_syscall_bytes.add(nbytes);
 
         Ok(SyscallDmaResult { elapsed: self.machine.now() - t0, pages, bytes: nbytes })
     }
@@ -220,7 +220,7 @@ mod tests {
         assert_eq!(r.pages, 1);
         assert_eq!(n.machine().device().writes()[0].1, b"kernel dma payload");
         // Pins are released after completion.
-        assert_eq!(n.stats().get("pins"), n.stats().get("unpins"));
+        assert_eq!(n.counters().pins.get(), n.counters().unpins.get());
     }
 
     #[test]
@@ -235,7 +235,7 @@ mod tests {
         assert_eq!(r.bytes, 7);
         assert_eq!(n.machine().device().writes()[0].0, 8);
         assert_eq!(n.machine().device().writes()[0].1, b"bounced");
-        assert_eq!(n.stats().get("pins"), 0, "bounce strategy pins nothing");
+        assert_eq!(n.counters().pins.get(), 0, "bounce strategy pins nothing");
     }
 
     #[test]
@@ -298,7 +298,7 @@ mod tests {
             .sys_dma_from_device(pid, VirtAddr::new(0x10000), 0, 16, DmaStrategy::PinPages)
             .unwrap_err();
         assert!(matches!(err, Trap::ReadOnly { .. }));
-        assert_eq!(n.stats().get("pins"), n.stats().get("unpins"), "pins rolled back");
+        assert_eq!(n.counters().pins.get(), n.counters().unpins.get(), "pins rolled back");
     }
 
     #[test]

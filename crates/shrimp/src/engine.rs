@@ -96,6 +96,25 @@ impl LaneMap for [Lane] {
     }
 }
 
+shrimp_sim::counters! {
+    /// Delivery-core counts (metrics subsystem `delivery`).
+    pub(crate) struct DeliveryCounters {
+        /// Packets successfully deposited into receiver memory.
+        delivered,
+        /// Packets dropped for naming physical addresses outside the
+        /// receiver's memory.
+        drops,
+        /// Run prefixes committed as one dispatch (each covers ≥ 1 member;
+        /// `delivered / runs_committed` is the mean batch the drain
+        /// achieved).
+        runs_committed,
+        /// Runs that could not commit whole: an interleaving
+        /// same-destination key or the epoch horizon forced the tail back
+        /// into the queue.
+        run_splits,
+    }
+}
+
 /// The receive-side delivery engine: EISA DMA apply, clock and
 /// `last_delivery` advance, passive-receiver wakeup, and `SpanRecord`
 /// stamping. There is exactly one of these per execution context (the
@@ -106,31 +125,15 @@ pub(crate) struct DeliveryCore {
     /// Passive-receiver clock model: applying a delivery advances an idle
     /// receiver's clock to the delivery completion.
     pub passive: bool,
-    /// Packets dropped for naming physical addresses outside the
-    /// receiver's memory.
-    pub dropped: u64,
-    /// Packets successfully deposited into receiver memory.
-    pub delivered: u64,
-    /// Run prefixes committed as one dispatch (each covers ≥ 1 member;
-    /// `delivered / runs_committed` is the mean batch the drain achieved).
-    pub runs_committed: u64,
-    /// Runs that could not commit whole: an interleaving same-destination
-    /// key or the epoch horizon forced the tail back into the queue.
-    pub run_splits: u64,
+    /// Delivered/dropped packets and run-batching figures.
+    pub counters: DeliveryCounters,
     /// The transfer-level flight recorder this core stamps spans into.
     pub recorder: FlightRecorder,
 }
 
 impl DeliveryCore {
     pub fn new(passive: bool, recorder: FlightRecorder) -> Self {
-        DeliveryCore {
-            passive,
-            dropped: 0,
-            delivered: 0,
-            runs_committed: 0,
-            run_splits: 0,
-            recorder,
-        }
+        DeliveryCore { passive, counters: DeliveryCounters::default(), recorder }
     }
 
     /// Commits every staged entry with `link_ready` at or before
@@ -174,9 +177,9 @@ impl DeliveryCore {
         take: u32,
     ) {
         let lane = lanes.lane_mut(run.template.dst.raw() as usize);
-        self.runs_committed += 1;
+        self.counters.runs_committed.incr();
         if take < run.count {
-            self.run_splits += 1;
+            self.counters.run_splits.incr();
         }
         let mut left = take;
         loop {
@@ -214,10 +217,10 @@ impl DeliveryCore {
         // store.
         // lint:allow(F1) -- sender-side NIPT translation (I2, see above).
         if mem.write(packet.dst_paddr, &packet.payload).is_err() {
-            self.dropped += 1;
+            self.counters.drops.incr();
             return;
         }
-        self.delivered += 1;
+        self.counters.delivered.incr();
         lane.rx.last_delivery = lane.rx.last_delivery.max(done);
         if lane.collect {
             // lint:allow(A1) -- the inbox keeps its capacity across epochs

@@ -54,12 +54,11 @@ mod node;
 mod parallel;
 mod program;
 mod tenant;
+pub mod trace;
 
 pub use api::{Channel, ChannelMessage};
-pub use multicomputer::{
-    trace_bin_to_json, Multicomputer, MulticomputerConfig, ShrimpError, TRACE_BIN_MAGIC,
-};
-pub use nic::{Nic, OutgoingPacket, OutgoingRun, PioError, NIC_MMIO};
+pub use multicomputer::{Multicomputer, MulticomputerConfig, ShrimpError};
+pub use nic::{Nic, NicCounters, OutgoingPacket, OutgoingRun, PioError, NIC_MMIO};
 pub use nipt::{Nipt, NiptEntry};
 pub use node::ShrimpNode;
 pub use parallel::{NodePlan, ParallelReport, PhaseBreakdown, SendOp, MAX_EPOCH_WINDOWS};
@@ -68,3 +67,4 @@ pub use program::{
 };
 pub use shrimp_net::PacketClass;
 pub use tenant::{NiptDirectory, TenantMapping};
+pub use trace::{decode_trace_bin, trace_bin_to_json, BinTrace, TRACE_BIN_MAGIC};

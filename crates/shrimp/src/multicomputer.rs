@@ -8,10 +8,7 @@ use shrimp_machine::MachineConfig;
 use shrimp_mem::{PhysAddr, VirtAddr, PAGE_SIZE};
 use shrimp_net::{Interconnect, LinkParams, NodeId, PacketRun};
 use shrimp_os::{NodeConfig, Pid, Trap, UdmaXferResult};
-use shrimp_sim::{
-    FlightRecorder, MetricId, MetricSet, SampleRing, SimDuration, SimTime, SpanRecord, Stage,
-    StatSet, XferId, STAGE_COUNT,
-};
+use shrimp_sim::{FlightRecorder, MetricId, MetricSet, SampleRing, SimDuration, SimTime};
 
 use crate::engine::{DeliveryCore, Lane};
 use crate::{Nic, Nipt, ShrimpNode};
@@ -69,146 +66,6 @@ impl From<Trap> for ShrimpError {
     fn from(t: Trap) -> Self {
         ShrimpError::Trap(t)
     }
-}
-
-/// Magic prefix of the compact binary trace format
-/// ([`Multicomputer::export_trace_bin`]).
-pub const TRACE_BIN_MAGIC: &[u8; 8] = b"SHRTRC01";
-
-/// Span totals plus per-stage histogram figures (in [`Stage::ALL`]
-/// order: count, mean ns, min ns, max ns) — the summary block shared by
-/// the JSON and binary trace exports.
-#[derive(Clone, Copy, Debug)]
-struct TraceSummary {
-    spans: u64,
-    dropped: u64,
-    stages: [(u64, f64, u64, u64); STAGE_COUNT],
-}
-
-/// Renders spans + summary as the Chrome/Perfetto trace-event JSON of
-/// [`Multicomputer::export_trace`]. `spans` must already be in merge-key
-/// order; the output is a pure function of the arguments, so the JSON
-/// and binary export paths cannot drift apart.
-fn render_trace_json(nodes: usize, spans: &[SpanRecord], summary: &TraceSummary) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(512 + spans.len() * 5 * 160);
-    out.push_str("{\n  \"displayTimeUnit\": \"ns\",\n  \"traceEvents\": [");
-    let mut first = true;
-    for i in 0..nodes {
-        if !std::mem::take(&mut first) {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{i},\"tid\":0,\
-             \"args\":{{\"name\":\"node{i}\"}}}}"
-        );
-    }
-    for span in spans {
-        for stage in Stage::ALL {
-            let (start, end) = span.stage_bounds(stage);
-            if !std::mem::take(&mut first) {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"name\":\"{}\",\"cat\":\"udma\",\"ph\":\"X\",\"ts\":{:.3},\
-                 \"dur\":{:.3},\"pid\":{},\"tid\":{},\
-                 \"args\":{{\"xfer\":\"{}\",\"bytes\":{}}}}}",
-                stage.name(),
-                start.as_micros_f64(),
-                end.saturating_duration_since(start).as_micros_f64(),
-                span.src,
-                span.dst,
-                span.id,
-                span.bytes,
-            );
-        }
-    }
-    out.push_str("\n  ],\n");
-    let _ = write!(
-        out,
-        "  \"stats\": {{\"spans\":{},\"dropped\":{},\"stages\":{{",
-        summary.spans, summary.dropped,
-    );
-    for (i, stage) in Stage::ALL.into_iter().enumerate() {
-        let (count, mean, min, max) = summary.stages[i];
-        let _ = write!(
-            out,
-            "{}\n    \"{}\":{{\"count\":{count},\"mean_ns\":{mean:.1},\"min_ns\":{min},\
-             \"max_ns\":{max}}}",
-            if i == 0 { "" } else { "," },
-            stage.name(),
-        );
-    }
-    out.push_str("\n  }}\n}\n");
-    out
-}
-
-/// Decodes a [`Multicomputer::export_trace_bin`] buffer and renders the
-/// **byte-identical** Perfetto JSON [`Multicomputer::export_trace`] would
-/// have produced for the same spans (mean bits round-trip exactly).
-/// Returns `None` for a buffer that is truncated, carries the wrong
-/// magic, or disagrees with its own span count.
-pub fn trace_bin_to_json(bytes: &[u8]) -> Option<String> {
-    struct Reader<'a> {
-        b: &'a [u8],
-    }
-    impl<'a> Reader<'a> {
-        fn take<const N: usize>(&mut self) -> Option<[u8; N]> {
-            let (head, rest) = self.b.split_at_checked(N)?;
-            self.b = rest;
-            head.try_into().ok()
-        }
-        fn u16(&mut self) -> Option<u16> {
-            self.take().map(u16::from_le_bytes)
-        }
-        fn u32(&mut self) -> Option<u32> {
-            self.take().map(u32::from_le_bytes)
-        }
-        fn u64(&mut self) -> Option<u64> {
-            self.take().map(u64::from_le_bytes)
-        }
-        fn time(&mut self) -> Option<SimTime> {
-            self.u64().map(SimTime::from_nanos)
-        }
-    }
-
-    let mut r = Reader { b: bytes };
-    if &r.take::<8>()? != TRACE_BIN_MAGIC {
-        return None;
-    }
-    let nodes = r.u16()?;
-    let _reserved = r.u16()?;
-    let count = r.u32()? as usize;
-    let total = r.u64()?;
-    let dropped = r.u64()?;
-    let mut stages = [(0u64, 0.0f64, 0u64, 0u64); STAGE_COUNT];
-    for s in &mut stages {
-        let (count, min, max) = (r.u64()?, r.u64()?, r.u64()?);
-        *s = (count, f64::from_bits(r.u64()?), min, max);
-    }
-    let mut spans = Vec::with_capacity(count);
-    for _ in 0..count {
-        let raw = r.u64()?;
-        spans.push(SpanRecord {
-            id: XferId::new((raw >> 48) as u16, raw & ((1 << 48) - 1)),
-            src: r.u16()?,
-            dst: r.u16()?,
-            bytes: r.u32()?,
-            initiated_at: r.time()?,
-            queued_at: r.time()?,
-            link_ready: r.time()?,
-            wire_done: r.time()?,
-            delivered_at: r.time()?,
-            status_at: r.time()?,
-        });
-    }
-    if !r.b.is_empty() {
-        return None;
-    }
-    let summary = TraceSummary { spans: total, dropped, stages };
-    Some(render_trace_json(usize::from(nodes), &spans, &summary))
 }
 
 /// The SHRIMP multicomputer.
@@ -319,7 +176,7 @@ impl Multicomputer {
     }
 
     /// The flight recorder (span inspection; see
-    /// [`Multicomputer::export_trace`] for the Perfetto form).
+    /// [`Multicomputer::export_trace_bin`] for the exported form).
     pub fn recorder(&self) -> &FlightRecorder {
         &self.core.recorder
     }
@@ -372,7 +229,7 @@ impl Multicomputer {
     /// Packets dropped for naming physical addresses outside the
     /// receiver's memory (a corrupted NIPT entry would do this).
     pub fn dropped_packets(&self) -> u64 {
-        self.core.dropped
+        self.core.counters.drops.get()
     }
 
     /// FNV-1a digest of the machine's externally visible state: every
@@ -402,71 +259,38 @@ impl Multicomputer {
         h
     }
 
-    /// One combined statistics view of the whole machine: the fabric's
-    /// counters plus every node's machine, DMA engine, NIC and kernel
-    /// sets, unioned key-by-key with [`StatSet::merge`]. Component counter
-    /// names are disjoint, so the union is lossless; serial and parallel
-    /// runs of the same workload produce identical sets.
-    pub fn stats(&self) -> StatSet {
-        let mut all = StatSet::new("multicomputer");
-        all.merge(&self.fabric.stats());
-        for lane in &self.lanes {
-            let node = &lane.node;
-            let machine = node.os().machine();
-            all.merge(&machine.stats());
-            all.merge(&machine.udma().engine().stats());
-            all.merge(&machine.device().stats());
-            all.merge(node.os().stats());
-        }
-        all
-    }
-
-    /// Deterministic machine-wide metrics snapshot.
+    /// Deterministic machine-wide metrics snapshot: the one registry
+    /// every simulator counter is harvested into.
     ///
     /// Every metric registered here is a pure function of the simulated
-    /// timeline — per-node NIPT occupancy/evictions/refaults, per-node
-    /// TLB hit/miss/shortcut counts, per-link wire bytes, fabric traffic
-    /// totals and drops, and the delivery core's counters — registered in
-    /// a fixed order (node by node, then link by link, then scalars) and
-    /// rendered sorted by [`MetricId`]. The same workload therefore
-    /// produces **byte-identical** [`MetricSet::render_text`] /
-    /// [`MetricSet::render_json`] output at any thread count; the metrics
-    /// suite pins this on a 256-node mesh.
+    /// timeline — per node (indexed by node number) the kernel, machine,
+    /// MMU/TLB, UDMA controller, DMA engine, NIC and NIPT counters (see
+    /// [`shrimp_os::Node::harvest_metrics`]); per link the wire bytes;
+    /// and machine-wide the fabric's traffic counters and the delivery
+    /// core's — registered in a fixed order (node by node, then link by
+    /// link, then scalars) and rendered sorted by [`MetricId`]. The same
+    /// workload therefore produces **byte-identical**
+    /// [`MetricSet::render_text`] / [`MetricSet::render_json`] output at
+    /// any thread count; the metrics suite pins this on a 256-node mesh.
+    /// One pair is a batching figure rather than a timeline one:
+    /// `delivery/runs_committed` and `delivery/run_splits` count how the
+    /// sends were batched, so a per-message [`Multicomputer::send`] loop
+    /// and a batched run of the same timeline differ there (and only
+    /// there).
     ///
     /// Host- and schedule-variant observability (wheel spills, buffer-pool
     /// high water, phase timings) deliberately lives in the separate
     /// [`Multicomputer::engine_metrics`] set, outside this guarantee.
     pub fn metrics_snapshot(&self) -> MetricSet {
-        let n = self.lanes.len();
-        let mut set = MetricSet::with_capacity(9 * n + 8);
+        let mut set = MetricSet::default();
         for (i, lane) in self.lanes.iter().enumerate() {
-            let i = i as u32;
-            let os = lane.node.os();
-            let machine = os.machine();
-            let nipt = machine.device().nipt();
-            set.gauge(MetricId::indexed("nipt", "occupancy", i), nipt.occupancy_gauge());
-            set.counter(MetricId::indexed("nipt", "evictions", i), nipt.evictions());
-            set.counter(MetricId::indexed("nipt", "refaults", i), nipt.refaults());
-            // The pager's frame churn sits beside the NIPT's slot churn:
-            // under multi-tenant pressure both tables page on demand.
-            set.counter(MetricId::indexed("pager", "evictions", i), os.stats().get("evictions"));
-            set.counter(MetricId::indexed("pager", "page_outs", i), os.stats().get("page_outs"));
-            let tlb = machine.mmu().tlb();
-            set.counter(MetricId::indexed("tlb", "hits", i), tlb.hits());
-            set.counter(MetricId::indexed("tlb", "misses", i), tlb.misses());
-            set.counter(MetricId::indexed("tlb", "last_hits", i), tlb.last_hits());
+            lane.node.os().harvest_metrics(&mut set, Some(i as u32));
         }
         for (i, bytes) in self.fabric.wire_bytes_per_link().enumerate() {
             set.counter(MetricId::indexed("link", "wire_bytes", i as u32), bytes);
         }
-        let net = self.fabric.stats();
-        set.counter(MetricId::scalar("fabric", "packets"), net.get("packets"));
-        set.counter(MetricId::scalar("fabric", "payload_bytes"), net.get("payload_bytes"));
-        set.counter(MetricId::scalar("fabric", "drops"), self.fabric.fabric_drops());
-        set.counter(MetricId::scalar("delivery", "delivered"), self.core.delivered);
-        set.counter(MetricId::scalar("delivery", "drops"), self.core.dropped);
-        set.counter(MetricId::scalar("delivery", "runs_committed"), self.core.runs_committed);
-        set.counter(MetricId::scalar("delivery", "run_splits"), self.core.run_splits);
+        self.fabric.counters().harvest(&mut set, "fabric", None);
+        self.core.counters.harvest(&mut set, "delivery", None);
         set
     }
 
@@ -479,17 +303,19 @@ impl Multicomputer {
 
     /// Host- and schedule-variant engine observability, separate from the
     /// pinned [`Multicomputer::metrics_snapshot`]: staged-wheel pressure,
-    /// per-destination index spills, per-node buffer-pool demand, the
-    /// last run's epoch count, and (when a phase clock is installed) the
-    /// host-time epoch-phase histograms. Values here may legitimately
-    /// differ across thread counts and hosts.
+    /// per-destination index spills, per-node buffer-pool demand and TLB
+    /// lookup shortcuts, the last run's epoch count, and (when a phase
+    /// clock is installed) the host-time epoch-phase histograms. Values
+    /// here may legitimately differ across thread counts and hosts.
     pub fn engine_metrics(&self) -> MetricSet {
-        let mut set = MetricSet::with_capacity(2 * self.lanes.len() + 12);
+        let mut set = MetricSet::with_capacity(3 * self.lanes.len() + 12);
         for (i, lane) in self.lanes.iter().enumerate() {
             let i = i as u32;
-            let pool = lane.node.os().machine().device().buf_pool();
+            let machine = lane.node.os().machine();
+            let pool = machine.device().buf_pool();
             set.gauge(MetricId::indexed("buf_pool", "in_use", i), pool.in_use_gauge());
             set.counter(MetricId::indexed("buf_pool", "exhaustion", i), pool.exhaustion_stalls());
+            set.counter(MetricId::indexed("tlb", "last_hits", i), machine.mmu().tlb().last_hits());
         }
         let (spills, reseeds, depth_high) = self.fabric.staged_wheel_metrics();
         set.counter(MetricId::scalar("wheel", "spills"), spills);
@@ -505,93 +331,21 @@ impl Multicomputer {
         set
     }
 
-    /// Exports the recorded transfer spans as Chrome/Perfetto trace-event
-    /// JSON: the object form with one `"ph":"X"` complete event per span
-    /// stage (timestamps and durations in microseconds), per-node
-    /// `process_name` metadata, and a `"stats"` summary with per-stage
-    /// latency figures (nanoseconds) from the recorder's histograms.
-    /// Load the output at <https://ui.perfetto.dev> or `chrome://tracing`.
+    /// Exports the recorded transfer spans in the binary trace format
+    /// (`SHRTRC01`, layout in [`crate::trace`]): a fixed header carrying
+    /// the node count, span count and per-stage latency summary, then one
+    /// 64-byte record per span in merge-key order `(link_ready, id)`, the
+    /// engine's packet commit order.
     ///
     /// The output is a deterministic function of the recorded spans: the
-    /// same workload exports byte-identical JSON at any thread count —
-    /// **and** from either entry point. Spans are emitted sorted by their
-    /// merge key `(link_ready, id)`, the engine's packet commit order, so
-    /// the serial driver (which records per-`propagate`, source-major) and
-    /// the parallel engine (whose shard rings merge pre-sorted) produce
-    /// the same bytes. Export is off the hot path; the sort may allocate.
-    pub fn export_trace(&self) -> String {
-        let (spans, summary) = self.trace_parts();
-        render_trace_json(self.lanes.len(), &spans, &summary)
-    }
-
-    /// Exports the recorded transfer spans in the compact binary trace
-    /// format (`SHRTRC01`): a fixed little-endian header carrying the
-    /// node count, span count and per-stage latency summary, followed by
-    /// one 64-byte record per span in merge-key order. About 13× smaller
-    /// than the Perfetto JSON for the same spans, and convertible to the
-    /// *byte-identical* JSON with [`trace_bin_to_json`].
-    ///
-    /// Layout (all integers little-endian):
-    ///
-    /// | offset | bytes | field |
-    /// |--------|-------|-------|
-    /// | 0      | 8     | magic `"SHRTRC01"` |
-    /// | 8      | 2     | node count |
-    /// | 10     | 2     | reserved (0) |
-    /// | 12     | 4     | span count `N` |
-    /// | 16     | 8     | total spans recorded (≥ `N`; ring may drop) |
-    /// | 24     | 8     | spans dropped |
-    /// | 32     | 5×32  | per stage: `u64` count, min ns, max ns, `f64` mean bits |
-    /// | 192    | N×64  | spans: `u64` id, `u16` src, `u16` dst, `u32` bytes, 6×`u64` stage-boundary ns |
+    /// same workload exports byte-identical traces at any thread count —
+    /// **and** from either entry point, since the serial driver (which
+    /// records per-`propagate`, source-major) and the parallel engine
+    /// (whose shard rings merge pre-sorted) meet in the export sort.
+    /// Convert to Perfetto JSON with [`crate::trace_bin_to_json`]; analyze
+    /// with the `shrimp_trace` binary. Export is off the hot path.
     pub fn export_trace_bin(&self) -> Vec<u8> {
-        let (spans, summary) = self.trace_parts();
-        let mut out = Vec::with_capacity(192 + spans.len() * 64);
-        out.extend_from_slice(TRACE_BIN_MAGIC);
-        out.extend_from_slice(&(self.lanes.len() as u16).to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes());
-        out.extend_from_slice(&(spans.len() as u32).to_le_bytes());
-        out.extend_from_slice(&summary.spans.to_le_bytes());
-        out.extend_from_slice(&summary.dropped.to_le_bytes());
-        for (count, mean, min, max) in summary.stages {
-            out.extend_from_slice(&count.to_le_bytes());
-            out.extend_from_slice(&min.to_le_bytes());
-            out.extend_from_slice(&max.to_le_bytes());
-            out.extend_from_slice(&mean.to_bits().to_le_bytes());
-        }
-        for s in &spans {
-            out.extend_from_slice(&s.id.raw().to_le_bytes());
-            out.extend_from_slice(&s.src.to_le_bytes());
-            out.extend_from_slice(&s.dst.to_le_bytes());
-            out.extend_from_slice(&s.bytes.to_le_bytes());
-            for t in [
-                s.initiated_at,
-                s.queued_at,
-                s.link_ready,
-                s.wire_done,
-                s.delivered_at,
-                s.status_at,
-            ] {
-                out.extend_from_slice(&t.as_nanos().to_le_bytes());
-            }
-        }
-        out
-    }
-
-    /// The recorded spans in merge-key order plus the stage summary —
-    /// the one source both trace export formats render from.
-    fn trace_parts(&self) -> (Vec<SpanRecord>, TraceSummary) {
-        let recorder = &self.core.recorder;
-        let mut spans: Vec<SpanRecord> = recorder.iter().copied().collect();
-        spans.sort_unstable_by_key(|s| s.merge_key());
-        let mut stages = [(0u64, 0.0f64, 0u64, 0u64); STAGE_COUNT];
-        for (i, stage) in Stage::ALL.into_iter().enumerate() {
-            let h = recorder.stage_histogram(stage);
-            stages[i] =
-                (h.count(), h.mean().unwrap_or(0.0), h.min().unwrap_or(0), h.max().unwrap_or(0));
-        }
-        let summary =
-            TraceSummary { spans: recorder.total_recorded(), dropped: recorder.dropped(), stages };
-        (spans, summary)
+        crate::trace::encode(self.lanes.len() as u16, &self.core.recorder)
     }
 
     /// Spawns a process on node `i`.
@@ -1228,7 +982,7 @@ mod tests {
         mc.propagate();
         let got = mc.read_user(1, b, VirtAddr::new(0x30000 + PAGE_SIZE), 16).unwrap();
         assert_eq!(got, b"second page data");
-        assert!(mc.node(0).os().machine().device().stats().get("auto_updates") >= 2);
+        assert!(mc.node(0).os().machine().device().counters().auto_updates.get() >= 2);
     }
 
     #[test]
@@ -1266,20 +1020,27 @@ mod tests {
 
     #[test]
     fn binary_trace_roundtrips_to_the_json_export() {
+        use crate::{decode_trace_bin, trace_bin_to_json, TRACE_BIN_MAGIC};
         let (mut mc, s, _r, dev_page) = two_nodes();
         mc.set_tracing(true);
         mc.write_user(0, s, VirtAddr::new(0x10000), &[0xab; 256]).unwrap();
         for _ in 0..4 {
             mc.send(0, s, VirtAddr::new(0x10000), dev_page, 0, 256).unwrap();
         }
-        let json = mc.export_trace();
         let bin = mc.export_trace_bin();
         assert_eq!(&bin[..8], TRACE_BIN_MAGIC);
         assert_eq!(bin.len(), 192 + 4 * 64, "4 spans at 64 bytes after the 192-byte header");
-        let converted = trace_bin_to_json(&bin).expect("well-formed buffer");
-        assert_eq!(converted, json, "converter must reproduce the JSON export byte-for-byte");
+        // The decoder recovers exactly the recorder's spans, in commit order.
+        let decoded = decode_trace_bin(&bin).expect("well-formed buffer");
+        let recorded: Vec<_> = mc.recorder().iter().copied().collect();
+        assert_eq!(decoded.spans, recorded);
+        assert_eq!((decoded.nodes, decoded.recorded, decoded.dropped), (2, 4, 0));
+        let json = trace_bin_to_json(&bin).expect("well-formed buffer");
+        assert_eq!(json.matches("\"ph\":\"X\"").count(), 4 * 5, "five stage events per span");
+        assert!(json.contains("\"stats\": {\"spans\":4,\"dropped\":0"), "{json}");
         // Malformed buffers are rejected, not misparsed.
         assert!(trace_bin_to_json(&bin[..bin.len() - 1]).is_none(), "truncated");
+        assert!(trace_bin_to_json(&[bin.as_slice(), &[0]].concat()).is_none(), "trailing byte");
         assert!(trace_bin_to_json(b"NOTATRACE").is_none(), "bad magic");
     }
 

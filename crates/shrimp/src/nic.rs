@@ -17,9 +17,27 @@ use shrimp_devices::Device;
 use shrimp_dma::{DevicePort, RunTiming};
 use shrimp_mem::{Pfn, PhysAddr, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE};
 use shrimp_net::{NodeId, Packet};
-use shrimp_sim::{BufPool, Counter, SimDuration, SimTime, StatSet, XferId, XferMeta};
+use shrimp_sim::{BufPool, MetricId, MetricSet, SimDuration, SimTime, XferId, XferMeta};
 
 use crate::{Nipt, NiptEntry};
+
+shrimp_sim::counters! {
+    /// Packetizer and automatic-update counts (metrics subsystem `nic`).
+    pub struct NicCounters {
+        /// Packets built (run members count individually).
+        packets_built,
+        /// Payload bytes packetized.
+        bytes_sent,
+        /// Snooped stores forwarded by automatic update.
+        auto_updates,
+        /// Bytes forwarded by automatic update.
+        auto_update_bytes,
+        /// Device-to-memory DMA requests (unsupported on SHRIMP).
+        unsupported_reads,
+        /// Programmed-I/O FIFO commits.
+        pio_commits,
+    }
+}
 
 /// A packet the NIC has built, ready for fabric injection at `ready_at`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -101,12 +119,8 @@ pub struct Nic {
     /// Next flight-recorder transfer sequence number (each outgoing
     /// packet gets a fresh correlation ID).
     next_xfer: u64,
-    /// Per-packet counts: plain fields on the packetize/auto-update path.
-    packets_built: Counter,
-    bytes_sent: Counter,
-    auto_updates: Counter,
-    auto_update_bytes: Counter,
-    rare: StatSet,
+    /// Plain counter fields on the packetize/auto-update path.
+    counters: NicCounters,
 }
 
 impl Nic {
@@ -125,11 +139,7 @@ impl Nic {
             auto_bindings: BTreeMap::new(),
             pool: BufPool::new(),
             next_xfer: 0,
-            packets_built: Counter::new(),
-            bytes_sent: Counter::new(),
-            auto_updates: Counter::new(),
-            auto_update_bytes: Counter::new(),
-            rare: StatSet::new("nic"),
+            counters: NicCounters::default(),
         }
     }
 
@@ -174,8 +184,8 @@ impl Nic {
         let ready_at = now + self.header_cost;
         packet.meta = self.stamp(now, ready_at);
         self.outgoing.push(OutgoingPacket { packet, ready_at });
-        self.auto_updates.incr();
-        self.auto_update_bytes.add(len as u64);
+        self.counters.auto_updates.incr();
+        self.counters.auto_update_bytes.add(len as u64);
     }
 
     /// This NIC's node id.
@@ -224,14 +234,9 @@ impl Nic {
         self.outgoing.len() + self.outgoing_runs.len()
     }
 
-    /// NIC statistics.
-    pub fn stats(&self) -> StatSet {
-        let mut s = self.rare.clone();
-        s.add("packets_built", self.packets_built.get());
-        s.add("bytes_sent", self.bytes_sent.get());
-        s.add("auto_updates", self.auto_updates.get());
-        s.add("auto_update_bytes", self.auto_update_bytes.get());
-        s
+    /// Packetizer and automatic-update counts.
+    pub fn counters(&self) -> &NicCounters {
+        &self.counters
     }
 
     /// Packetize `data` for the destination named by device-relative
@@ -264,8 +269,8 @@ impl Nic {
         // (see drain_outgoing_into); steady-state pushes never reallocate,
         // pinned by the zero_alloc bench at 0.00 allocs/msg.
         self.outgoing.push(OutgoingPacket { packet, ready_at });
-        self.packets_built.incr();
-        self.bytes_sent.add(data.len() as u64);
+        self.counters.packets_built.incr();
+        self.counters.bytes_sent.add(data.len() as u64);
         Ok(())
     }
 
@@ -298,8 +303,8 @@ impl Nic {
         // drains (see drain_runs_into); steady-state pushes never
         // reallocate, pinned by the zero_alloc bench at 0.00 allocs/msg.
         self.outgoing_runs.push(OutgoingRun { packet, count, stride_ns, ready_at });
-        self.packets_built.add(u64::from(count));
-        self.bytes_sent.add(u64::from(count) * data.len() as u64);
+        self.counters.packets_built.add(u64::from(count));
+        self.counters.bytes_sent.add(u64::from(count) * data.len() as u64);
     }
 }
 
@@ -345,7 +350,7 @@ impl DevicePort for Nic {
         // SHRIMP uses UDMA for memory-to-device only ("SHRIMP uses UDMA
         // only for memory-to-device transfers", §8); incoming data goes
         // straight to memory via the receive-side EISA DMA logic.
-        self.rare.bump("unsupported_reads");
+        self.counters.unsupported_reads.incr();
         buf.fill(0);
     }
 
@@ -371,6 +376,21 @@ impl Device for Nic {
         self.nipt.capacity() as u64 * PAGE_SIZE
     }
 
+    /// Registers `nic/*` plus the NIPT's occupancy gauge and churn
+    /// counters (`nipt/occupancy`, `nipt/evictions`, `nipt/refaults`).
+    fn harvest_metrics(&self, set: &mut MetricSet, index: Option<u32>) {
+        self.counters.harvest(set, "nic", index);
+        set.gauge(
+            MetricId { subsystem: "nipt", name: "occupancy", index },
+            self.nipt.occupancy_gauge(),
+        );
+        set.counter(
+            MetricId { subsystem: "nipt", name: "evictions", index },
+            self.nipt.evictions(),
+        );
+        set.counter(MetricId { subsystem: "nipt", name: "refaults", index }, self.nipt.refaults());
+    }
+
     fn mmio_store(&mut self, offset: u64, value: u64, now: SimTime) {
         match offset {
             NIC_MMIO::DEST_PAGE => self.pio_dest_page = value,
@@ -392,7 +412,7 @@ impl Device for Nic {
                     Ok(()) => 0,
                     Err(_) => 1,
                 };
-                self.rare.bump("pio_commits");
+                self.counters.pio_commits.incr();
             }
             _ => {}
         }
@@ -488,7 +508,7 @@ mod tests {
     fn dma_read_is_unsupported() {
         let mut n = nic();
         assert_eq!(n.dma_read_vec(0, 4, SimTime::ZERO), vec![0; 4]);
-        assert_eq!(n.stats().get("unsupported_reads"), 1);
+        assert_eq!(n.counters().unsupported_reads.get(), 1);
     }
 
     #[test]
@@ -523,8 +543,8 @@ mod tests {
         assert_eq!(run.packet.meta.id, XferId::new(0, 0));
         assert_eq!(run.packet.meta.status_observed, status);
         assert_eq!(run.ready_at, t0 + stride + SimDuration::from_us(1.2));
-        assert_eq!(n.stats().get("packets_built"), 5);
-        assert_eq!(n.stats().get("bytes_sent"), 20);
+        assert_eq!(n.counters().packets_built.get(), 5);
+        assert_eq!(n.counters().bytes_sent.get(), 20);
         // The next single packet's ID follows the whole run.
         n.dma_write(2 * PAGE_SIZE, b"next", SimTime::ZERO);
         assert_eq!(n.take_outgoing()[0].packet.meta.id, XferId::new(0, 5));

@@ -763,10 +763,7 @@ impl Multicomputer {
             report.epochs = report.epochs.max(shard.epochs);
             report.messages += shard.messages;
             report.packets += shard.packets;
-            self.core.dropped += shard.core.dropped;
-            self.core.delivered += shard.core.delivered;
-            self.core.runs_committed += shard.core.runs_committed;
-            self.core.run_splits += shard.core.run_splits;
+            self.core.counters.merge(&shard.core.counters);
             for (index, error) in shard.errors {
                 if first_error.is_none_or(|(lowest, _)| index < lowest) {
                     first_error = Some((index, error));
@@ -851,8 +848,8 @@ mod tests {
             v.push(mc.node(i).os().machine().now().as_nanos());
             v.push(mc.last_delivery(i).as_nanos());
         }
-        v.push(mc.fabric().stats().get("packets"));
-        v.push(mc.fabric().stats().get("payload_bytes"));
+        v.push(mc.fabric().counters().packets.get());
+        v.push(mc.fabric().counters().payload_bytes.get());
         v.push(mc.dropped_packets());
         v
     }

@@ -83,7 +83,7 @@ impl NiptDirectory {
 
     /// Ensures tenant `handle`'s mapping is live in `node`'s NIPT and
     /// returns its device proxy page. The steady state is a single
-    /// [`Nipt::lookup_expect`] probe; a recycled or never-imported
+    /// [`Nipt::lookup_expect`](crate::Nipt::lookup_expect) probe; a recycled or never-imported
     /// mapping falls into the kernel reload path, evicting another
     /// tenant's slot run when the table is full.
     ///

@@ -54,7 +54,7 @@ fn off(i: usize) -> u64 {
 
 /// Serial driver: every flow sends each schedule entry as one
 /// [`Multicomputer::send_burst`] train.
-fn serial_fingerprint(burst: bool, schedule: &[u64]) -> (u64, String) {
+fn serial_fingerprint(burst: bool, schedule: &[u64]) -> (u64, Vec<u8>) {
     let (mut mc, flows) = build(4);
     mc.set_burst(burst);
     for f in &flows {
@@ -72,12 +72,12 @@ fn serial_fingerprint(burst: bool, schedule: &[u64]) -> (u64, String) {
         }
     }
     mc.run_until_quiet();
-    (mc.state_digest(), mc.export_trace())
+    (mc.state_digest(), mc.export_trace_bin())
 }
 
 /// Parallel engine: the same schedule as per-node plans — each entry
 /// becomes a train of identical consecutive ops the engine may batch.
-fn parallel_fingerprint(burst: bool, threads: usize, schedule: &[u64]) -> (u64, String) {
+fn parallel_fingerprint(burst: bool, threads: usize, schedule: &[u64]) -> (u64, Vec<u8>) {
     let (mut mc, flows) = build(4);
     mc.set_burst(burst);
     let plans: Vec<NodePlan> = flows
@@ -99,7 +99,7 @@ fn parallel_fingerprint(burst: bool, threads: usize, schedule: &[u64]) -> (u64, 
         })
         .collect();
     mc.run(&plans, threads).unwrap();
-    (mc.state_digest(), mc.export_trace())
+    (mc.state_digest(), mc.export_trace_bin())
 }
 
 #[test]

@@ -7,35 +7,35 @@
 //! - [`BufPool`] / [`Payload`] — recyclable packet buffers for the
 //!   allocation-free data plane,
 //! - [`Clock`] — a monotonically advancing per-node clock,
-//! - [`EventQueue`] — a deterministic time-ordered event queue,
 //! - [`parallel`] — conservative parallel-execution primitives (epoch
-//!   barrier, sharded exchange, deterministic merge, commit horizon),
+//!   barrier, sharded exchange, the deterministic [`MergeQueue`] every
+//!   engine drains its events from, commit horizon),
 //! - [`SplitMix64`] — a tiny, dependency-free deterministic RNG,
-//! - [`Counter`] / [`Histogram`] / [`StatSet`] — measurement plumbing,
-//! - [`MetricSet`] / [`Gauge`] / [`SampleRing`] — the metrics plane:
-//!   typed-id registry with deterministic sorted rendering, high-water
-//!   gauges, and fixed-ring gauge timeseries (see `DESIGN.md` §10),
+//! - [`Counter`] / [`counters!`] / [`Histogram`] — measurement primitives
+//!   embedded in the components that count,
+//! - [`MetricSet`] / [`Gauge`] / [`SampleRing`] — the metrics plane, the
+//!   one registry every counter is harvested into: typed ids with
+//!   deterministic sorted rendering, high-water gauges, and fixed-ring
+//!   gauge timeseries (see `DESIGN.md` §10),
 //! - [`FlightRecorder`] / [`SpanRecord`] / [`XferId`] — the transfer-level
 //!   flight recorder: typed five-stage spans with cross-node correlation
 //!   IDs and a deterministic merge for the parallel engine,
 //! - [`MachineEvent`] / [`EventRing`] — typed, allocation-free machine
-//!   event records; [`TraceBuffer`] remains as the debug formatter
-//!   rendered from them on demand,
+//!   event records, rendered as text by [`MachineEventKind`]'s `Display`,
 //! - [`CostModel`] — every timing constant used by the simulated machine,
 //!   documented with its calibration source (see `DESIGN.md` §4).
 //!
 //! # Example
 //!
 //! ```
-//! use shrimp_sim::{Clock, EventQueue, SimDuration, SimTime};
+//! use shrimp_sim::{merge_tag, Clock, MergeQueue, SimDuration, SimTime};
 //!
 //! let mut clock = Clock::new();
-//! let mut queue: EventQueue<&str> = EventQueue::new();
-//! queue.schedule(SimTime::ZERO + SimDuration::from_us(5.0), "dma-done");
+//! let mut queue: MergeQueue<&str> = MergeQueue::new();
+//! queue.push(SimTime::ZERO + SimDuration::from_us(5.0), merge_tag(0, 0), "dma-done");
 //! clock.advance(SimDuration::from_us(10.0));
-//! let fired: Vec<_> = queue.pop_until(clock.now()).collect();
-//! assert_eq!(fired.len(), 1);
-//! assert_eq!(fired[0].payload, "dma-done");
+//! let fired: Vec<_> = std::iter::from_fn(|| queue.pop_within(Some(clock.now()))).collect();
+//! assert_eq!(fired, [(SimTime::from_nanos(5000), "dma-done")]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -44,19 +44,16 @@
 mod buf;
 mod clock;
 mod cost;
-mod event;
 pub mod metrics;
 pub mod parallel;
 mod rng;
 mod span;
 mod stats;
 mod time;
-mod trace;
 
 pub use buf::{BufPool, Payload};
 pub use clock::Clock;
 pub use cost::CostModel;
-pub use event::{Event, EventQueue, PopUntil};
 pub use metrics::{CounterId, Gauge, GaugeId, HistId, MetricId, MetricSet, SampleRing};
 pub use parallel::{merge_tag, ExchangeGrid, MergeQueue, SpinBarrier, TimeFrontier};
 pub use rng::SplitMix64;
@@ -64,6 +61,5 @@ pub use span::{
     EventRing, FlightRecorder, MachineEvent, MachineEventKind, SpanRecord, Stage, XferId, XferMeta,
     STAGE_COUNT,
 };
-pub use stats::{Counter, Histogram, StatSet};
+pub use stats::{Counter, Histogram};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceBuffer, TraceEvent};

@@ -122,15 +122,14 @@ impl Gauge {
     }
 }
 
-/// One registered metric's payload. The histogram variant dominates the
-/// size, deliberately: sets hold at most a few thousand entries, and
-/// inlining keeps snapshot assembly free of per-entry heap boxes.
-#[allow(clippy::large_enum_variant)]
+/// One registered metric's payload. Histograms are boxed: a snapshot
+/// holds thousands of per-node counters and only a handful of
+/// histograms, so the boxed variant keeps every entry a few words wide.
 #[derive(Clone, Debug, PartialEq)]
 enum MetricValue {
     Counter(u64),
     Gauge(Gauge),
-    Hist(Histogram),
+    Hist(Box<Histogram>),
 }
 
 /// Typed handle to a registered counter: updates are plain indexed stores.
@@ -145,21 +144,21 @@ pub struct GaugeId(usize);
 #[derive(Clone, Copy, Debug)]
 pub struct HistId(usize);
 
-/// A fixed-capacity registry of metrics with deterministic rendering.
+/// The registry of metrics, with deterministic rendering.
 ///
-/// Capacity is fixed at construction ([`MetricSet::with_capacity`]);
-/// registration past it panics, so all registration belongs in setup
-/// code. Rendering sorts by [`MetricId`], making the output a pure
-/// function of the registered values — byte-identical across thread
-/// counts whenever the values are.
+/// Registration appends (pre-size with [`MetricSet::with_capacity`]);
+/// updates through the typed handles are plain indexed stores.
+/// Rendering sorts by [`MetricId`], making the output a pure function of
+/// the registered values — byte-identical across thread counts whenever
+/// the values are.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricSet {
     entries: Vec<(MetricId, MetricValue)>,
 }
 
 impl MetricSet {
-    /// An empty registry that will hold up to `capacity` metrics without
-    /// reallocating.
+    /// An empty registry with room for `capacity` metrics before it
+    /// reallocates.
     pub fn with_capacity(capacity: usize) -> Self {
         MetricSet { entries: Vec::with_capacity(capacity) }
     }
@@ -175,10 +174,6 @@ impl MetricSet {
     }
 
     fn register(&mut self, id: MetricId, value: MetricValue) -> usize {
-        assert!(
-            self.entries.len() < self.entries.capacity() || self.entries.capacity() == 0,
-            "MetricSet capacity exceeded: register all metrics at construction"
-        );
         self.entries.push((id, value));
         self.entries.len() - 1
     }
@@ -195,7 +190,7 @@ impl MetricSet {
 
     /// Registers a histogram; returns its update handle.
     pub fn hist(&mut self, id: MetricId, initial: Histogram) -> HistId {
-        HistId(self.register(id, MetricValue::Hist(initial)))
+        HistId(self.register(id, MetricValue::Hist(Box::new(initial))))
     }
 
     /// Bumps a pre-registered counter — a plain indexed store.
@@ -253,7 +248,7 @@ impl MetricSet {
     /// A registered histogram by identity.
     pub fn get_hist(&self, subsystem: &str, name: &str, index: Option<u32>) -> Option<&Histogram> {
         self.find(subsystem, name, index).and_then(|v| match v {
-            MetricValue::Hist(h) => Some(h),
+            MetricValue::Hist(h) => Some(&**h),
             _ => None,
         })
     }
@@ -290,16 +285,23 @@ impl MetricSet {
     /// current level and high-water (levels are instantaneous — they have
     /// no meaningful difference), histograms subtract bucketwise with
     /// count/sum and keep the current extremes.
+    ///
+    /// Linear when `base` registered the same ids in the same order (two
+    /// snapshots of one machine do); any other pairing falls back to a
+    /// search by id.
     pub fn delta(&self, base: &MetricSet) -> MetricSet {
         let mut out = MetricSet::with_capacity(self.entries.len());
-        for (id, now) in &self.entries {
-            let then = base.entries.iter().find(|(b, _)| b == id).map(|(_, v)| v);
+        for (i, (id, now)) in self.entries.iter().enumerate() {
+            let then = match base.entries.get(i) {
+                Some((b, v)) if b == id => Some(v),
+                _ => base.entries.iter().find(|(b, _)| b == id).map(|(_, v)| v),
+            };
             let value = match (now, then) {
                 (MetricValue::Counter(n), Some(MetricValue::Counter(t))) => {
                     MetricValue::Counter(n.saturating_sub(*t))
                 }
                 (MetricValue::Hist(n), Some(MetricValue::Hist(t))) => {
-                    MetricValue::Hist(n.subtract(t))
+                    MetricValue::Hist(Box::new(n.subtract(t)))
                 }
                 (v, _) => v.clone(),
             };
@@ -315,7 +317,7 @@ impl MetricSet {
         rows
     }
 
-    /// Renders the stable sorted text report. One line per metric:
+    /// Renders the stable sorted text report, one line per metric:
     ///
     /// ```text
     /// delivery/delivered 400

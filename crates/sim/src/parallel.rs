@@ -206,10 +206,9 @@ const MIN_BUCKET_WIDTH: u64 = 1024;
 
 /// A deterministic min-queue keyed `(SimTime, tag)`.
 ///
-/// Unlike [`EventQueue`](crate::EventQueue), which breaks time ties by
-/// *insertion* order (correct for a single-threaded scheduler, undefined
-/// across threads), `MergeQueue` orders purely by the caller-supplied
-/// key, so its pop sequence is a function of the inserted set alone.
+/// Time ties break by the caller-supplied tag, never by insertion order
+/// (which is undefined across threads), so the pop sequence is a
+/// function of the inserted set alone.
 ///
 /// Layout: a calendar wheel instead of a binary heap. Keys below
 /// `cur_end` live in `cur`, sorted descending so the minimum pops from

@@ -15,9 +15,9 @@
 //! - [`FlightRecorder`] — a span ring plus per-stage latency
 //!   [`Histogram`]s, with a deterministic merge for the sharded parallel
 //!   engine,
-//! - [`MachineEvent`] / [`MachineEventKind`] — the typed replacement for
-//!   the old string-based machine trace; the legacy `TraceBuffer` is now a
-//!   debug *formatter* rendered on demand from these events.
+//! - [`MachineEvent`] / [`MachineEventKind`] — typed machine/OS events;
+//!   `Display` renders the human-readable text on demand, off the hot
+//!   path.
 //!
 //! Determinism contract: per-shard recorders merge in the same
 //! `(link_ready, src‖seq)` order the parallel engine commits packets, so
@@ -416,8 +416,7 @@ impl FlightRecorder {
     }
 }
 
-/// One typed machine-level event: what the old string trace recorded,
-/// minus the strings.
+/// One typed machine-level event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MachineEvent {
     /// When the event happened.
@@ -428,9 +427,8 @@ pub struct MachineEvent {
 
 /// The typed event vocabulary of the machine/OS layers.
 ///
-/// Every variant is plain `Copy` data; the human-readable strings the old
-/// `TraceBuffer` stored are now produced on demand by the `Display` impl,
-/// off the hot path.
+/// Every variant is plain `Copy` data; the human-readable text is
+/// produced on demand by the `Display` impl, off the hot path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MachineEventKind {
     /// A user STORE hit device proxy space (UDMA initiation, first half).
@@ -488,7 +486,8 @@ pub enum MachineEventKind {
 }
 
 impl MachineEventKind {
-    /// The trace category the old string trace filed this under.
+    /// The layer that records this event (`"udma"`, `"msg"`, `"pager"`,
+    /// `"kernel"`).
     pub const fn category(self) -> &'static str {
         match self {
             MachineEventKind::ProxyStore { .. }
@@ -650,7 +649,7 @@ mod tests {
     }
 
     #[test]
-    fn event_kinds_render_the_legacy_trace_text() {
+    fn event_kinds_render_text_and_categories() {
         assert_eq!(
             MachineEventKind::ProxyStore { pa: 0x40, value: 64 }.to_string(),
             "STORE 64 TO pa=0x40"

@@ -1,4 +1,5 @@
-//! Measurement plumbing: counters, log-scaled histograms, named stat sets.
+//! Measurement primitives: counters, counter blocks and log-scaled
+//! histograms. Reports read them through [`MetricSet`](crate::MetricSet).
 
 use std::fmt;
 
@@ -212,148 +213,72 @@ impl fmt::Display for Histogram {
     }
 }
 
-/// A named collection of counters, for component-level reporting.
+/// Declares a component's counter block: a `Copy` struct of named public
+/// [`Counter`] fields, plus `merge` (fieldwise saturating sum, for folding
+/// per-shard copies) and `harvest` (registers every field in a
+/// [`MetricSet`](crate::MetricSet) under the field's own name).
 ///
-/// Counters live in a flat vector and `bump`/`add` resolve keys by
-/// fat-pointer identity first (the same `&'static str` literal at a call
-/// site keeps the same address), falling back to a content compare only
-/// for a key's first appearance from a new call site. This keeps the
-/// per-event cost to a short scan of machine-word compares — cheap enough
-/// to stay wired into per-reference hot paths — while `get`/`iter` remain
-/// content-addressed and key-ordered.
+/// Components bump the fields directly — one inlined increment on the hot
+/// path — and reports read them through the one registry, `MetricSet`
+/// (see `DESIGN.md` §10).
 ///
 /// # Example
 ///
 /// ```
-/// use shrimp_sim::StatSet;
+/// use shrimp_sim::MetricSet;
 ///
-/// let mut stats = StatSet::new("mmu");
-/// stats.bump("tlb_hit");
-/// stats.bump("tlb_hit");
-/// stats.bump("tlb_miss");
-/// assert_eq!(stats.get("tlb_hit"), 2);
-/// assert_eq!(stats.get("not_recorded"), 0);
+/// shrimp_sim::counters! {
+///     /// Disk access counts.
+///     pub struct DiskCounters {
+///         /// Blocks read.
+///         reads,
+///         /// Blocks written.
+///         writes,
+///     }
+/// }
+///
+/// let mut c = DiskCounters::default();
+/// c.reads.incr();
+/// let mut set = MetricSet::default();
+/// c.harvest(&mut set, "disk", None);
+/// assert_eq!(set.get("disk", "reads", None), Some(1));
+/// assert_eq!(set.get("disk", "writes", None), Some(0));
 /// ```
-#[derive(Clone, Debug, Eq)]
-pub struct StatSet {
-    name: String,
-    counters: Vec<(&'static str, Counter)>,
-}
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$field_meta:meta])* $field:ident),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        $vis struct $name {
+            $($(#[$field_meta])* pub $field: $crate::Counter,)+
+        }
 
-impl StatSet {
-    /// A stat set labelled `name`.
-    pub fn new(name: impl Into<String>) -> Self {
-        StatSet { name: name.into(), counters: Vec::new() }
-    }
-
-    /// The set's label.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Index of `key`'s counter, inserting a zeroed one if absent.
-    ///
-    /// Self-organizing: a hit swaps the entry one slot toward the front
-    /// (the classic transpose heuristic), so the handful of hot keys
-    /// settle into the first cache line and a hot `bump` is a compare or
-    /// two plus an increment.
-    #[inline]
-    fn slot(&mut self, key: &'static str) -> usize {
-        // Fat-pointer identity: one word-sized compare per entry, no
-        // byte-wise string walk.
-        if let Some(i) = self.counters.iter().position(|&(k, _)| std::ptr::eq(k, key)) {
-            if i == 0 {
-                return 0;
+        impl $name {
+            /// Adds every counter of `other` into `self` (saturating).
+            pub fn merge(&mut self, other: &Self) {
+                $(self.$field.saturating_add(other.$field.get());)+
             }
-            self.counters.swap(i, i - 1);
-            return i - 1;
+
+            /// Registers every counter in `set` as `subsystem/<field>`,
+            /// at `index` (a node or link number) when given.
+            pub fn harvest(
+                &self,
+                set: &mut $crate::MetricSet,
+                subsystem: &'static str,
+                index: Option<u32>,
+            ) {
+                $(set.counter(
+                    $crate::MetricId { subsystem, name: stringify!($field), index },
+                    self.$field.get(),
+                );)+
+            }
         }
-        self.slot_slow(key)
-    }
-
-    /// Content-compare fallback and first-use insertion.
-    #[cold]
-    fn slot_slow(&mut self, key: &'static str) -> usize {
-        // A codegen unit may hold its own copy of the same literal, which
-        // must land on the same counter: match by content before
-        // concluding the key is new.
-        if let Some(i) = self.counters.iter().position(|&(k, _)| k == key) {
-            return i;
-        }
-        // lint:allow(A1) -- first-use insertion of a static counter key;
-        // the set is bounded by the distinct keys in the program and
-        // steady-state bumps hit the identity fast path in slot().
-        self.counters.push((key, Counter::new()));
-        self.counters.len() - 1
-    }
-
-    /// Increments counter `key` by one.
-    #[inline]
-    pub fn bump(&mut self, key: &'static str) {
-        let i = self.slot(key);
-        self.counters[i].1.incr();
-    }
-
-    /// Adds `n` to counter `key`.
-    #[inline]
-    pub fn add(&mut self, key: &'static str, n: u64) {
-        let i = self.slot(key);
-        self.counters[i].1.add(n);
-    }
-
-    /// Current value of counter `key` (zero if never touched).
-    pub fn get(&self, key: &str) -> u64 {
-        self.counters.iter().find(|&&(k, _)| k == key).map_or(0, |&(_, c)| c.get())
-    }
-
-    /// Iterates `(key, value)` in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        let mut sorted: Vec<(&'static str, u64)> =
-            self.counters.iter().map(|&(k, c)| (k, c.get())).collect();
-        sorted.sort_unstable_by_key(|&(k, _)| k);
-        sorted.into_iter()
-    }
-
-    /// Folds `other`'s counters into `self` with saturating addition,
-    /// keyed by counter name; `other`'s set name is ignored.
-    ///
-    /// This is how the sharded parallel engine (and the multicomputer's
-    /// combined stats view) unions per-component stat sets: merging the
-    /// per-shard sets in any grouping yields the same counters the serial
-    /// engine would have produced.
-    pub fn merge(&mut self, other: &StatSet) {
-        for (key, value) in other.iter() {
-            let i = self.slot(key);
-            self.counters[i].1.saturating_add(value);
-        }
-    }
-
-    /// Zeroes every counter.
-    pub fn reset(&mut self) {
-        self.counters.clear();
-    }
-}
-
-impl Default for StatSet {
-    fn default() -> Self {
-        StatSet::new(String::new())
-    }
-}
-
-impl PartialEq for StatSet {
-    fn eq(&self, other: &Self) -> bool {
-        self.name == other.name && self.iter().eq(other.iter())
-    }
-}
-
-impl fmt::Display for StatSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:", self.name)?;
-        for (k, v) in self.iter() {
-            write!(f, " {k}={v}")?;
-        }
-        Ok(())
-    }
+    };
 }
 
 #[cfg(test)]
@@ -457,35 +382,31 @@ mod tests {
         assert_eq!(a.max(), Some(u64::MAX));
     }
 
-    #[test]
-    fn statset_merge_unions_by_key_and_saturates() {
-        let mut a = StatSet::new("machine");
-        a.bump("loads");
-        a.add("stores", 2);
-        let mut b = StatSet::new("other-name");
-        b.add("loads", 10);
-        b.bump("faults");
-        b.add("big", u64::MAX);
-        a.merge(&b);
-        assert_eq!(a.get("loads"), 11);
-        assert_eq!(a.get("stores"), 2);
-        assert_eq!(a.get("faults"), 1);
-        assert_eq!(a.name(), "machine", "merge keeps the receiver's name");
-        a.merge(&b);
-        assert_eq!(a.get("big"), u64::MAX, "saturates instead of overflowing");
+    counters! {
+        /// Test block.
+        struct Probe {
+            /// First.
+            hits,
+            /// Second.
+            misses,
+        }
     }
 
     #[test]
-    fn statset_accumulates_and_resets() {
-        let mut s = StatSet::new("dma");
-        s.bump("starts");
-        s.add("bytes", 4096);
-        assert_eq!(s.get("starts"), 1);
-        assert_eq!(s.get("bytes"), 4096);
-        assert_eq!(s.name(), "dma");
-        let rendered = s.to_string();
-        assert!(rendered.contains("bytes=4096"), "got {rendered}");
-        s.reset();
-        assert_eq!(s.get("starts"), 0);
+    fn counter_blocks_merge_and_harvest_by_field_name() {
+        let mut a = Probe::default();
+        a.hits.incr();
+        let mut b = Probe::default();
+        b.hits.add(2);
+        b.misses.add(u64::MAX);
+        a.merge(&b);
+        a.merge(&b);
+        assert_eq!(a.hits.get(), 5);
+        assert_eq!(a.misses.get(), u64::MAX, "merge saturates instead of overflowing");
+        let mut set = crate::MetricSet::default();
+        a.harvest(&mut set, "probe", Some(3));
+        assert_eq!(set.get("probe", "hits", Some(3)), Some(5));
+        assert_eq!(set.get("probe", "misses", Some(3)), Some(u64::MAX));
+        assert_eq!(set.len(), 2);
     }
 }

@@ -7,10 +7,11 @@
 //!
 //! Run: `cargo run -p shrimp --example disk_io`
 
-use shrimp_devices::{Disk, DiskGeometry};
+use shrimp_devices::{Device, Disk, DiskGeometry};
 use shrimp_machine::MachineConfig;
 use shrimp_mem::{VirtAddr, PAGE_SIZE};
 use shrimp_os::{DmaStrategy, Node, NodeConfig, Trap};
+use shrimp_sim::MetricSet;
 
 fn main() -> Result<(), Trap> {
     let disk = Disk::new("disk0", DiskGeometry { blocks: 64, ..DiskGeometry::default() });
@@ -56,6 +57,8 @@ fn main() -> Result<(), Trap> {
         w.elapsed,
         k.elapsed
     );
-    println!("\ndisk stats: {}", node.machine().device().stats());
+    let mut metrics = MetricSet::default();
+    node.machine().device().harvest_metrics(&mut metrics, None);
+    print!("\ndisk metrics:\n{}", metrics.render_text());
     Ok(())
 }

@@ -7,10 +7,11 @@
 //!
 //! Run: `cargo run -p shrimp --example framebuffer`
 
-use shrimp_devices::FrameBuffer;
+use shrimp_devices::{Device, FrameBuffer};
 use shrimp_machine::MachineConfig;
 use shrimp_mem::{VirtAddr, PAGE_SIZE};
 use shrimp_os::{Node, NodeConfig, Trap};
+use shrimp_sim::MetricSet;
 
 const WIDTH: u64 = 256;
 const HEIGHT: u64 = 128;
@@ -63,6 +64,8 @@ fn main() -> Result<(), Trap> {
     assert_eq!(&got[..], &frame[(row * WIDTH) as usize..(row * WIDTH) as usize + 64]);
     println!("readback of row {row}: {} bytes in {}", recv.bytes, recv.elapsed);
 
-    println!("fb stats: {}", node.machine().device().stats());
+    let mut metrics = MetricSet::default();
+    node.machine().device().harvest_metrics(&mut metrics, None);
+    print!("fb metrics:\n{}", metrics.render_text());
     Ok(())
 }

@@ -7,7 +7,7 @@ use shrimp_devices::StreamSink;
 use shrimp_machine::MachineConfig;
 use shrimp_mem::{VirtAddr, DEV_PROXY_BASE, PAGE_SIZE};
 use shrimp_os::{Node, NodeConfig, Trap};
-use shrimp_sim::{CostModel, SimDuration};
+use shrimp_sim::{CostModel, MetricSet, SimDuration};
 use udma_core::UdmaStatus;
 
 fn main() -> Result<(), Trap> {
@@ -113,17 +113,20 @@ fn main() -> Result<(), Trap> {
     let still = node.process(alice)?.vpages[&VirtAddr::new(0x10000).page()].pfn();
     println!(
         "  after {} evictions ({} I4 skips): frame still {:?}",
-        node.stats().get("evictions"),
-        node.stats().get("i4_skips"),
+        node.counters().evictions.get(),
+        node.counters().i4_skips.get(),
         still
     );
     assert_eq!(still, Some(held), "I4: the frame survived the storm");
     node.check_invariants().expect("I4 holds");
 
-    println!("\nall four invariants demonstrated; kernel stats:\n  {}", node.stats());
-    println!("\nlast 8 trace events:");
-    for event in node.machine().trace().recent(8) {
-        println!("  {event}");
+    let mut metrics = MetricSet::default();
+    node.counters().harvest(&mut metrics, "kernel", None);
+    print!("\nall four invariants demonstrated; kernel metrics:\n{}", metrics.render_text());
+    println!("\nlast 8 machine events:");
+    let events = node.machine().events();
+    for e in events.iter().skip(events.len().saturating_sub(8)) {
+        println!("  [{:>12}] {:<8} {}", e.at.to_string(), e.kind.category(), e.kind);
     }
     Ok(())
 }

@@ -8,6 +8,7 @@
 
 use shrimp::{Channel, Multicomputer, ShrimpError};
 use shrimp_mem::VirtAddr;
+use shrimp_sim::MetricSet;
 
 fn main() -> Result<(), ShrimpError> {
     const NODES: usize = 4;
@@ -61,6 +62,8 @@ fn main() -> Result<(), ShrimpError> {
     let expected: Vec<u8> = (0..3 * NODES - 1).map(|h| ((h + 1) % NODES) as u8).collect();
     assert_eq!(&last.data[8..], &expected[..], "token recorded each hop");
 
-    println!("\nfabric: {}", mc.fabric().stats());
+    let mut metrics = MetricSet::default();
+    mc.fabric().counters().harvest(&mut metrics, "fabric", None);
+    print!("\nfabric metrics:\n{}", metrics.render_text());
     Ok(())
 }

@@ -197,7 +197,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\ntwo tenants, one device, closed-loop echo:");
     println!("  requests answered:  {}", mux.completed);
     println!("  fabric messages:    {} (requests + echoes)", report.messages);
-    println!("  context switches:   {}", mc.node(0).os().stats().get("context_switches"));
+    println!("  context switches:   {}", mc.node(0).os().counters().context_switches.get());
     assert_eq!(mux.completed, u64::from(2 * PER_TENANT), "every request echoed");
     assert_eq!(report.messages, 2 * u64::from(2 * PER_TENANT));
 

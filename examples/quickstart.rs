@@ -10,6 +10,7 @@
 use shrimp_devices::StreamSink;
 use shrimp_mem::{VirtAddr, DEV_PROXY_BASE, PAGE_SIZE};
 use shrimp_os::{Node, NodeConfig, Trap};
+use shrimp_sim::MetricSet;
 use udma_core::UdmaStatus;
 
 fn main() -> Result<(), Trap> {
@@ -90,6 +91,8 @@ fn main() -> Result<(), Trap> {
         r.bytes, r.elapsed, r.transfers, r.retries
     );
 
-    println!("\nkernel stats: {}", node.stats());
+    let mut metrics = MetricSet::default();
+    node.counters().harvest(&mut metrics, "kernel", None);
+    print!("\nkernel metrics:\n{}", metrics.render_text());
     Ok(())
 }

@@ -8,10 +8,11 @@
 //!
 //! Run: `cargo run -p shrimp --example tape_backup`
 
-use shrimp_devices::{Tape, TapeGeometry};
+use shrimp_devices::{Device, Tape, TapeGeometry};
 use shrimp_machine::{MachineConfig, UdmaMode};
 use shrimp_mem::{VirtAddr, PAGE_SIZE};
 use shrimp_os::{Node, NodeConfig, Trap};
+use shrimp_sim::MetricSet;
 
 fn main() -> Result<(), Trap> {
     const ARCHIVE_PAGES: u64 = 16;
@@ -62,7 +63,9 @@ fn main() -> Result<(), Trap> {
     println!("sequential restore of page {}: {}", record_page + 1, rd2.elapsed);
     assert!(rd2.elapsed < rd.elapsed, "streaming must beat repositioning");
 
-    println!("\ntape stats: {}", node.machine().device().stats());
+    let mut metrics = MetricSet::default();
+    node.machine().device().harvest_metrics(&mut metrics, None);
+    print!("\ntape metrics:\n{}", metrics.render_text());
     Ok(())
 }
 

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use shrimp::{Multicomputer, MulticomputerConfig, NodePlan, PacketClass, SendOp};
 use shrimp_mem::VirtAddr;
 use shrimp_os::Pid;
-use shrimp_sim::{merge_tag, EventQueue, MergeQueue, SimTime};
+use shrimp_sim::{merge_tag, MergeQueue, SimTime};
 
 const SEND_BASE: u64 = 0x10_0000;
 const RECV_BASE: u64 = 0x40_0000;
@@ -113,8 +113,8 @@ fn unified_engine_reproduces_the_serial_driver_bytes() {
     }
     serial.run_until_quiet();
     let serial_digest = serial.state_digest();
-    let serial_trace = serial.export_trace();
-    assert!(serial_trace.contains("\"ph\":\"X\""), "serial trace must contain spans");
+    let serial_trace = serial.export_trace_bin();
+    assert_eq!(spans_in(&serial_trace), 4 * 20, "serial trace must contain every span");
 
     for threads in [1usize, 2, 4] {
         let (mut mc, plans) = paired_stream(8, 20, 1024);
@@ -126,7 +126,7 @@ fn unified_engine_reproduces_the_serial_driver_bytes() {
             "threads={threads}: unified engine digest diverged from the serial driver"
         );
         assert_eq!(
-            mc.export_trace(),
+            mc.export_trace_bin(),
             serial_trace,
             "threads={threads}: unified engine trace bytes diverged from the serial driver"
         );
@@ -153,32 +153,39 @@ fn tracing_is_invisible_to_state_digests() {
     }
 }
 
+/// Spans retained in an exported `SHRTRC01` trace.
+fn spans_in(trace: &[u8]) -> usize {
+    shrimp::decode_trace_bin(trace).expect("well-formed trace").spans.len()
+}
+
 #[test]
 fn traces_and_stats_are_bit_identical_across_thread_counts() {
-    // The exported Perfetto JSON and the combined stats view are pure
-    // functions of the simulated timeline: any thread count must produce
-    // byte-identical output (the recorder merges shard rings in commit
-    // order, exactly the serial event order).
+    // The exported trace and the metrics snapshot (every component
+    // counter, harvested per node) are pure functions of the simulated
+    // timeline: any thread count must produce byte-identical output (the
+    // recorder merges shard rings in commit order, exactly the serial
+    // event order).
     let mut traces = Vec::new();
-    let mut stats = Vec::new();
+    let mut snapshots = Vec::new();
     for threads in [1usize, 2, 4] {
         let (mut mc, plans) = paired_stream(8, 20, 1024);
         mc.set_tracing(true);
         mc.run(&plans, threads).unwrap();
-        traces.push(mc.export_trace());
-        stats.push(mc.stats());
+        traces.push(mc.export_trace_bin());
+        snapshots.push(mc.metrics_snapshot().render_text());
     }
-    assert!(traces[0].contains("\"ph\":\"X\""), "trace must contain spans");
+    assert_eq!(spans_in(&traces[0]), 4 * 20, "trace must contain every span");
     assert_eq!(traces[0], traces[1], "trace: 1 vs 2 threads");
     assert_eq!(traces[1], traces[2], "trace: 2 vs 4 threads");
-    assert_eq!(stats[0], stats[1], "stats: 1 vs 2 threads");
-    assert_eq!(stats[1], stats[2], "stats: 2 vs 4 threads");
+    assert_eq!(snapshots[0], snapshots[1], "snapshot: 1 vs 2 threads");
+    assert_eq!(snapshots[1], snapshots[2], "snapshot: 2 vs 4 threads");
 }
 
 #[test]
 fn merged_parallel_stats_equal_serial_stats() {
-    // Satellite: the combined stats view after a parallel run must union
-    // the per-shard counters into exactly what the serial driver counts.
+    // The metrics snapshot after a parallel run must merge the per-shard
+    // counters (fabric, delivery core) and carry the per-node component
+    // counters into exactly what the serial driver counts.
     let (mut serial, plans) = paired_stream(8, 20, 768);
     for plan in &plans {
         for op in &plan.ops {
@@ -186,12 +193,24 @@ fn merged_parallel_stats_equal_serial_stats() {
         }
     }
     serial.run_until_quiet();
-    let serial_stats = serial.stats();
-    assert!(serial_stats.get("packets_sent") > 0 || serial_stats.iter().count() > 0);
+    let serial_snapshot = serial.metrics_snapshot();
+    assert_eq!(serial_snapshot.get("nic", "packets_built", Some(0)), Some(20));
+    assert_eq!(serial_snapshot.get("machine", "proxy_stores", Some(0)), Some(20));
+    assert_eq!(serial_snapshot.get("fabric", "packets", None), Some(4 * 20));
 
+    // `runs_committed`/`run_splits` count how sends were batched — the
+    // one part of the snapshot the serial per-message loop and the run
+    // engine legitimately differ on.
+    let timeline = |text: String| -> Vec<String> {
+        text.lines().filter(|l| !l.contains("delivery/run")).map(str::to_string).collect()
+    };
     let (mut par, plans) = paired_stream(8, 20, 768);
     par.run(&plans, 2).unwrap();
-    assert_eq!(par.stats(), serial_stats, "parallel merge lost or double-counted a counter");
+    assert_eq!(
+        timeline(par.metrics_snapshot().render_text()),
+        timeline(serial_snapshot.render_text()),
+        "parallel merge lost or double-counted a counter"
+    );
 }
 
 #[test]
@@ -222,8 +241,8 @@ fn big_mesh_digest_and_trace_are_invariant_across_windows_and_threads() {
     }
     serial.run_until_quiet();
     let serial_digest = serial.state_digest();
-    let serial_trace = serial.export_trace();
-    assert!(serial_trace.contains("\"ph\":\"X\""), "serial trace must contain spans");
+    let serial_trace = serial.export_trace_bin();
+    assert_eq!(spans_in(&serial_trace), 128 * 10, "serial trace must contain every span");
 
     for windows in [1usize, 2, 8] {
         for threads in [1usize, 2, 4] {
@@ -237,7 +256,7 @@ fn big_mesh_digest_and_trace_are_invariant_across_windows_and_threads() {
                 "K={windows} t={threads}: digest diverged from the serial driver"
             );
             assert_eq!(
-                mc.export_trace(),
+                mc.export_trace_bin(),
                 serial_trace,
                 "K={windows} t={threads}: trace bytes diverged from the serial driver"
             );
@@ -259,10 +278,10 @@ fn merge_queue_ties_break_by_source_then_sequence() {
 proptest! {
     /// For any batch of timestamped packets with per-source sequence
     /// numbers, popping a [`MergeQueue`] — however thread interleaving
-    /// ordered the insertions — yields exactly the order a serial
-    /// [`EventQueue`] produces when fed the canonical `(time, tag)`
-    /// sequence. This is the reduction the engine's determinism rests on:
-    /// the parallel commit order *is* the serial event order.
+    /// ordered the insertions — yields exactly the canonical serial event
+    /// order: the batch sorted by `(time, tag)`. This is the reduction the
+    /// engine's determinism rests on: the parallel commit order *is* the
+    /// serial event order.
     #[test]
     fn merge_order_equals_serial_event_order(
         batch in proptest::collection::vec((0u64..300, 0u16..6), 1..80),
@@ -280,17 +299,11 @@ proptest! {
             })
             .collect();
 
-        // Canonical serial order: schedule into an EventQueue sorted by
-        // (time, tag) — its insertion-order tie-break then matches the
-        // tag order — and drain it.
+        // Canonical serial order: the batch sorted by (time, tag).
         let mut canonical = keyed.clone();
         canonical.sort_by_key(|&(at, tag, _)| (at, tag));
-        let mut eq = EventQueue::new();
-        for &(at, _, item) in &canonical {
-            eq.schedule(at, item);
-        }
         let serial: Vec<(SimTime, usize)> =
-            eq.drain_all().into_iter().map(|e| (e.at, e.payload)).collect();
+            canonical.iter().map(|&(at, _, item)| (at, item)).collect();
 
         // Adversarial insertion order for the MergeQueue.
         let mut shuffled = keyed.clone();

@@ -1,14 +1,15 @@
 //! The transfer-level flight recorder: a traced UDMA transfer must yield
 //! one five-stage span whose stage boundaries never run backwards, the
-//! Perfetto export must parse and carry every stage, and tracing must be
-//! pure observation (nothing recorded — and nothing exported — when off).
+//! exported trace's Perfetto conversion must parse and carry every stage,
+//! and tracing must be pure observation (nothing recorded — and nothing
+//! exported — when off).
 //!
-//! The exporter emits hand-built JSON, so the checks here parse it with a
+//! The converter emits hand-built JSON, so the checks here parse it with a
 //! deliberately independent hand-rolled scanner (no JSON dependency).
 
 use std::collections::BTreeMap;
 
-use shrimp::{Multicomputer, MulticomputerConfig};
+use shrimp::{trace_bin_to_json, Multicomputer, MulticomputerConfig};
 use shrimp_mem::VirtAddr;
 use shrimp_os::Pid;
 use shrimp_sim::{Stage, STAGE_COUNT};
@@ -45,9 +46,9 @@ fn num_field(obj: &str, key: &str) -> Option<f64> {
     rest[..end].trim().parse().ok()
 }
 
-/// Splits the exporter's `traceEvents` array into per-event object lines
-/// (the exporter writes one object per line; this asserts the envelope on
-/// the way: a `traceEvents` array must exist and must close).
+/// Splits the converter's `traceEvents` array into per-event object lines
+/// (it writes one object per line; this asserts the envelope on the way:
+/// a `traceEvents` array must exist and must close).
 fn trace_events(json: &str) -> Vec<&str> {
     let start = json.find("\"traceEvents\": [").expect("traceEvents array");
     let end = json.find("\n  ],").expect("traceEvents closes");
@@ -91,7 +92,7 @@ fn export_trace_parses_with_all_stages_in_order() {
     for _ in 0..3 {
         mc.send(0, s, VirtAddr::new(SEND_VA), dev_page, 0, 4096).unwrap();
     }
-    let json = mc.export_trace();
+    let json = trace_bin_to_json(&mc.export_trace_bin()).expect("well-formed trace");
 
     // Group the "ph":"X" events by transfer id, in emission order.
     let mut by_xfer: BTreeMap<String, Vec<(String, f64, f64)>> = BTreeMap::new();
@@ -145,7 +146,7 @@ fn tracing_off_records_and_exports_nothing() {
     assert!(!mc.tracing());
     assert!(mc.recorder().is_empty());
     assert_eq!(mc.recorder().total_recorded(), 0);
-    let json = mc.export_trace();
+    let json = trace_bin_to_json(&mc.export_trace_bin()).expect("well-formed trace");
     let spans = trace_events(&json).into_iter().filter(|e| str_field(e, "ph") == Some("X")).count();
     assert_eq!(spans, 0, "nothing traced, nothing exported");
     assert_eq!(num_field(&json, "spans"), Some(0.0));
@@ -158,9 +159,9 @@ fn machine_event_rings_capture_the_initiation_sequence() {
     mc.write_user(0, s, VirtAddr::new(SEND_VA), &[2u8; 256]).unwrap();
     mc.send(0, s, VirtAddr::new(SEND_VA), dev_page, 0, 256).unwrap();
     // The sender's typed event ring saw the STORE/LOAD pair and the
-    // message completion; the rendered debug view preserves the text form.
-    let rendered = mc.node(0).os().machine().trace();
-    let text: Vec<String> = rendered.recent(16).map(|e| e.to_string()).collect();
+    // message completion; each event renders its text on demand.
+    let events = mc.node(0).os().machine().events();
+    let text: Vec<String> = events.iter().map(|e| e.kind.to_string()).collect();
     assert!(text.iter().any(|l| l.contains("STORE")), "no proxy STORE in {text:?}");
     assert!(text.iter().any(|l| l.contains("LOAD")), "no status LOAD in {text:?}");
     assert!(text.iter().any(|l| l.contains("message done")), "no completion in {text:?}");

@@ -118,8 +118,8 @@ fn deliberate_update_stream_matches_seed_memory_and_clocks() {
 
     assert_eq!(mc.node(0).os().machine().now(), SimTime::from_nanos(STREAM_FINAL_TIMES_NS.0));
     assert_eq!(mc.node(1).os().machine().now(), SimTime::from_nanos(STREAM_FINAL_TIMES_NS.1));
-    assert_eq!(mc.fabric().stats().get("packets"), 50);
-    assert_eq!(mc.fabric().stats().get("payload_bytes"), 50 * msg_bytes);
+    assert_eq!(mc.fabric().counters().packets.get(), 50);
+    assert_eq!(mc.fabric().counters().payload_bytes.get(), 50 * msg_bytes);
 }
 
 /// Builds the pure 50-message stream machine and its plan.

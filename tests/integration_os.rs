@@ -98,7 +98,7 @@ fn paging_pressure_with_concurrent_udma_keeps_invariants() {
         }
         n.check_invariants().unwrap_or_else(|e| panic!("round {round}: {e}"));
     }
-    assert!(n.stats().get("evictions") > 0, "pressure must page");
+    assert!(n.counters().evictions.get() > 0, "pressure must page");
 }
 
 #[test]
@@ -151,9 +151,9 @@ fn i3_content_consistency_after_clean_and_incoming_dma() {
 
     // Receiving again triggers the I3 write-enable fault path (the proxy
     // was write-protected by the clean).
-    let before = n.stats().get("i3_write_enables");
+    let before = n.counters().i3_write_enables.get();
     n.udma_recv(pid, VirtAddr::new(0x30_0000), 0, 4096 - 64, 64).unwrap();
-    assert_eq!(n.stats().get("i3_write_enables"), before + 1);
+    assert_eq!(n.counters().i3_write_enables.get(), before + 1);
     n.check_invariants().unwrap();
 }
 

@@ -109,7 +109,7 @@ fn fabric_congestion_serializes_fan_in() {
     }
     // The last delivery is later than one isolated page delivery would be.
     assert!(mc.last_delivery(4).as_nanos() > 0);
-    assert_eq!(mc.fabric().stats().get("packets"), 4);
+    assert_eq!(mc.fabric().counters().packets.get(), 4);
 }
 
 #[test]
@@ -188,13 +188,13 @@ fn channels_interleave_without_cross_talk() {
 fn deliberate_update_needs_no_receiver_cpu() {
     let (mut mc, s, r, dev) = pair();
     mc.write_user(0, s, VirtAddr::new(0x10_0000), &[7u8; 64]).unwrap();
-    let receiver_stats_before = mc.node(1).os().stats().get("page_faults");
-    let receiver_refs_before = mc.node(1).os().machine().stats().get("mem_loads");
+    let receiver_stats_before = mc.node(1).os().counters().page_faults.get();
+    let receiver_refs_before = mc.node(1).os().machine().counters().mem_loads.get();
     mc.send(0, s, VirtAddr::new(0x10_0000), dev, 0, 64).unwrap();
     // Data is in the receiver's physical memory...
     assert_eq!(mc.read_user(1, r, VirtAddr::new(0x40_0000), 8).unwrap(), [7u8; 8]);
     // ...but delivery itself consumed no receiver CPU references or
     // faults (only the read_user just now did).
-    assert_eq!(mc.node(1).os().stats().get("page_faults"), receiver_stats_before);
-    assert!(mc.node(1).os().machine().stats().get("mem_loads") >= receiver_refs_before);
+    assert_eq!(mc.node(1).os().counters().page_faults.get(), receiver_stats_before);
+    assert!(mc.node(1).os().machine().counters().mem_loads.get() >= receiver_refs_before);
 }

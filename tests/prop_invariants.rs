@@ -222,7 +222,7 @@ proptest! {
             .unwrap();
         prop_assert_eq!(all, shadow);
         // And the pressure was real.
-        prop_assert!(node.stats().get("evictions") > 0 || ops.len() < 6);
+        prop_assert!(node.counters().evictions.get() > 0 || ops.len() < 6);
     }
 }
 
