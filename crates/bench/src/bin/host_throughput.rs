@@ -36,7 +36,8 @@
 //!                      machine-wide metrics snapshot (stable text form)
 //!                      to <path>, and record both runs — the 2-node row
 //!                      then carries per-stage p50/p99 latencies in the
-//!                      output JSON
+//!                      output JSON; `--metrics BENCH_metrics.txt` from the
+//!                      repo root regenerates the committed snapshot
 //!   --sample-trace <path>
 //!                      write the small fixed 2-node workload's SHRTRC01
 //!                      binary trace to <path> and exit — regenerates the
@@ -133,7 +134,8 @@ const AB_ROUNDS: usize = 2;
 
 const USAGE: &str = "usage: host_throughput [--quick] [--threads <n>] [--out <path>] \
      [--compare <path>] [--baseline-bin <path>] [--trace <path>] [--trace-bin <path>] \
-     [--metrics <path>] [--sample-trace <path>]";
+     [--metrics <path>] [--sample-trace <path>]\n\
+     (regenerate the committed metrics snapshot with --metrics BENCH_metrics.txt)";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

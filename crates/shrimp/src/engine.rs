@@ -1,45 +1,201 @@
-//! The delivery core: the **single** implementation of SHRIMP's receive
-//! path.
+//! The engine core: the **single** implementation of both halves of
+//! SHRIMP's fast path — proxy reference → packetize → wire →
+//! receive-side EISA DMA → status word. [`SendCore`] is the send half
+//! (literal send, message-train replay, NIC flush, staging);
+//! [`DeliveryCore`] is the receive half. Both engine instantiations drive
+//! the same two cores:
 //!
-//! The paper's fast path is one hardware story — proxy reference →
-//! packetize → wire → receive-side EISA DMA → status word — and this
-//! module is where the receive half of that story lives, exactly once.
-//! Both engine instantiations drain the same code:
-//!
-//! - the serial driver ([`Multicomputer::propagate`]) runs one
-//!   [`DeliveryCore`] over one machine-wide
-//!   [`FabricShard`](shrimp_net::FabricShard) with an unbounded horizon,
-//! - the parallel engine ([`Multicomputer::run`]) runs one core per shard
-//!   over that shard's fabric slice, bounded by the epoch horizon.
+//! - the serial driver ([`Multicomputer::send`], [`Multicomputer::propagate`])
+//!   runs one of each over one machine-wide [`FabricShard`] with an
+//!   unbounded horizon — the `threads = 1` case,
+//! - the parallel engine ([`Multicomputer::run`]) runs one of each per
+//!   shard over that shard's fabric slice, bounded by the epoch horizon.
 //!
 //! A [`Lane`] is a node plus the receive-side state ([`RxState`]) that
 //! must live wherever deliveries to that node are applied; [`LaneMap`]
 //! abstracts how an engine finds the lane for a global node index
 //! (identity for the serial driver, round-robin for a shard).
 //!
+//! [`Multicomputer::send`]: crate::Multicomputer::send
 //! [`Multicomputer::propagate`]: crate::Multicomputer::propagate
 //! [`Multicomputer::run`]: crate::Multicomputer::run
 
-use shrimp_net::{Commit, FabricShard, Packet, PacketRun};
+use shrimp_net::{Commit, FabricShard, NodeId, Packet, PacketClass, PacketRun, Staged};
+use shrimp_os::{Trap, UdmaXferResult};
 use shrimp_sim::{CostModel, FlightRecorder, SimDuration, SimTime, SpanRecord};
 
 use crate::program::DeliveryEvent;
-use crate::ShrimpNode;
+use crate::{OutgoingPacket, OutgoingRun, SendOp, ShrimpNode};
 
 /// The model's steady-state per-message clock stride for a warm
 /// single-chunk send of `nbytes`: per-message library software, the user
 /// check, the initiation STORE, the initiating and final status LOADs
 /// (the mid-transfer busy LOAD is absorbed by the wait for DMA
 /// completion), DMA start, and the bus burst. A measured message pair
-/// whose stride equals this is in the replayable steady state — both
-/// engine instantiations calibrate bursts against it.
-pub(crate) fn steady_stride(cost: &CostModel, nbytes: u64) -> SimDuration {
+/// whose stride equals this is in the replayable steady state.
+fn steady_stride(cost: &CostModel, nbytes: u64) -> SimDuration {
     cost.udma_per_message_sw
         + cost.udma_user_check
         + cost.proxy_store
         + cost.proxy_load * 2
         + cost.dma_start
         + cost.bus_transfer(nbytes)
+}
+
+/// A cross-shard staged entry: `(link_ready, merge tag, entry)`, keyed by
+/// the (first) packet's inbound-link instant and its own transfer id.
+pub(crate) type Flit = (SimTime, u64, Staged);
+
+/// The send-side engine, twin of [`DeliveryCore`]: one per execution
+/// context. Every staged entry leaves through one sink with one routing
+/// rule — stage straight into the caller's [`FabricShard`] when the
+/// destination lane is local (`dst % threads == id`), else post to
+/// `staging[dst % threads]` for the owning shard. The serial driver is
+/// the `threads = 1` case. The staged queue pops by key, never by
+/// insertion order, so where an entry is staged from cannot change the
+/// timeline.
+#[derive(Debug)]
+pub(crate) struct SendCore {
+    id: usize,
+    threads: usize,
+    /// Cross-shard flits per destination shard (this shard's slot stays
+    /// empty), posted once per epoch.
+    pub staging: Vec<Vec<Flit>>,
+    /// Minimum `link_ready` of every entry staged or posted since the
+    /// owner last reset it (the reactive bound's cover).
+    pub posted_min: Option<SimTime>,
+    /// Scratch NIC drain targets, reused across sends.
+    outbox: Vec<OutgoingPacket>,
+    run_outbox: Vec<OutgoingRun>,
+}
+
+impl SendCore {
+    /// Shard `id` of `threads`, with room for `batch` flits per other shard.
+    pub fn new(id: usize, threads: usize, batch: usize) -> Self {
+        SendCore {
+            id,
+            threads,
+            staging: (0..threads)
+                .map(|s| Vec::with_capacity(if s == id { 0 } else { batch }))
+                .collect(),
+            posted_min: None,
+            outbox: Vec::with_capacity(8),
+            run_outbox: Vec::with_capacity(4),
+        }
+    }
+
+    /// The literal send: `op` through the node's UDMA initiation, then
+    /// drain, class stamp, inject and stage. A trap returns before the
+    /// drain, leaving anything already built in the NIC for a flush.
+    /// A1/F1 cover it from its callers' roots; it is not a root itself,
+    /// since P1 from this file would extend to the whole kernel fault
+    /// path behind `udma_send`.
+    pub fn send(
+        &mut self,
+        node: &mut ShrimpNode,
+        fabric: &mut FabricShard,
+        tracing: bool,
+        op: &SendOp,
+    ) -> Result<UdmaXferResult, Trap> {
+        let result =
+            node.os_mut().udma_send(op.pid, op.src_va, op.dev_page, op.dev_off, op.nbytes)?;
+        self.stage_packets(node, fabric, tracing, op.class);
+        Ok(result)
+    }
+
+    /// Replays `count` more copies of `op` as one run, given its two
+    /// calibrating literal sends: `first` (result, sender clock after it)
+    /// and `second`, which just completed. Eligible when both took one
+    /// transfer with no retries and their stride is exactly
+    /// [`steady_stride`] (and fits `u32` ns); the machine then books the
+    /// messages wholesale and the NIC's burst descriptor stages as one
+    /// run. Returns `false`, having done nothing, otherwise — the caller
+    /// sends its next op literally and may calibrate again from there.
+    // lint:hot_path
+    pub fn replay(
+        &mut self,
+        node: &mut ShrimpNode,
+        fabric: &mut FabricShard,
+        op: &SendOp,
+        first: (UdmaXferResult, SimTime),
+        second: UdmaXferResult,
+        count: u64,
+    ) -> bool {
+        let (r0, after_first) = first;
+        let machine = node.os().machine();
+        let stride = machine.now().saturating_duration_since(after_first);
+        let eligible = r0.transfers == 1
+            && r0.retries == 0
+            && second == r0
+            && stride == steady_stride(machine.cost(), op.nbytes)
+            && stride.as_nanos() <= u64::from(u32::MAX);
+        if !eligible || !node.os_mut().machine_mut().udma_replay_messages(count, stride) {
+            return false;
+        }
+        self.stage_runs(node, fabric, op.class);
+        true
+    }
+
+    /// Stages everything the node's NIC holds, packets and runs, for
+    /// traffic no send op initiated (automatic update, PIO); it keeps the
+    /// user class every NIC-built packet starts with. An idle NIC costs
+    /// one length check: `propagate` flushes every lane per send.
+    // lint:hot_path
+    pub fn flush(&mut self, node: &mut ShrimpNode, fabric: &mut FabricShard, tracing: bool) {
+        if node.os().machine().device().outgoing_len() == 0 {
+            return;
+        }
+        self.stage_packets(node, fabric, tracing, PacketClass::User);
+        self.stage_runs(node, fabric, PacketClass::User);
+    }
+
+    fn stage_packets(
+        &mut self,
+        node: &mut ShrimpNode,
+        fabric: &mut FabricShard,
+        tracing: bool,
+        class: PacketClass,
+    ) {
+        node.drain_nic(tracing, &mut self.outbox);
+        let mut outbox = std::mem::take(&mut self.outbox);
+        for out in outbox.drain(..) {
+            let mut pkt = out.packet;
+            pkt.class = class;
+            let link_ready = fabric.inject(&mut pkt, out.ready_at);
+            let (tag, dst) = (pkt.merge_tag(), pkt.dst);
+            self.sink(fabric, link_ready, tag, dst, Staged::One(pkt));
+        }
+        self.outbox = outbox;
+    }
+
+    fn stage_runs(&mut self, node: &mut ShrimpNode, fabric: &mut FabricShard, class: PacketClass) {
+        node.drain_nic_runs(&mut self.run_outbox);
+        let mut run_outbox = std::mem::take(&mut self.run_outbox);
+        for out in run_outbox.drain(..) {
+            let mut run =
+                PacketRun { template: out.packet, count: out.count, stride_ns: out.stride_ns };
+            run.template.class = class;
+            let link_ready = fabric.inject_run(&mut run, out.ready_at);
+            let (tag, dst) = (run.template.merge_tag(), run.template.dst);
+            self.sink(fabric, link_ready, tag, dst, Staged::Run(run));
+        }
+        self.run_outbox = run_outbox;
+    }
+
+    fn sink(&mut self, fabric: &mut FabricShard, at: SimTime, tag: u64, dst: NodeId, e: Staged) {
+        self.posted_min = Some(self.posted_min.map_or(at, |m| m.min(at)));
+        // lint:checks(F1) -- `% self.threads` clamps the shard index
+        // into range regardless of the packet's destination field.
+        let shard = dst.raw() as usize % self.threads;
+        if shard == self.id {
+            fabric.stage(at, tag, e);
+        } else {
+            // lint:allow(A1) -- staging batches keep their capacity across
+            // epochs (post_batch drains them in place), so steady-state
+            // pushes never reallocate.
+            self.staging[shard].push((at, tag, e));
+        }
+    }
 }
 
 /// Receive-side per-node state: it must be owned by whichever engine

@@ -6,12 +6,12 @@ use std::fmt;
 
 use shrimp_machine::MachineConfig;
 use shrimp_mem::{PhysAddr, VirtAddr, PAGE_SIZE};
-use shrimp_net::{Interconnect, LinkParams, NodeId, PacketRun};
+use shrimp_net::{Interconnect, LinkParams, NodeId, PacketClass};
 use shrimp_os::{NodeConfig, Pid, Trap, UdmaXferResult};
-use shrimp_sim::{FlightRecorder, MetricId, MetricSet, SampleRing, SimDuration, SimTime};
+use shrimp_sim::{FlightRecorder, MetricId, MetricSet, SimTime};
 
-use crate::engine::{DeliveryCore, Lane};
-use crate::{Nic, Nipt, ShrimpNode};
+use crate::engine::{DeliveryCore, Lane, SendCore};
+use crate::{Nic, Nipt, SendOp, ShrimpNode};
 
 /// Configuration shared by every node of the multicomputer.
 #[derive(Clone, Debug)]
@@ -80,10 +80,11 @@ impl From<Trap> for ShrimpError {
 /// receiving node's clock to the delivery completion if that node was idle
 /// earlier than it (a node busy past that instant is unaffected).
 ///
-/// Delivery itself lives in one place — the crate-internal `DeliveryCore`
-/// (`engine.rs`) — which this serial driver runs over the whole machine
-/// and [`Multicomputer::run`] runs once per shard. The serial driver *is*
-/// the one-shard instantiation of the parallel engine.
+/// Both halves of the fast path live in one place — the crate-internal
+/// `SendCore` and `DeliveryCore` (`engine.rs`) — which this serial driver
+/// runs over the whole machine and [`Multicomputer::run`] runs once per
+/// shard. The serial driver *is* the one-shard instantiation of the
+/// parallel engine.
 #[derive(Debug)]
 pub struct Multicomputer {
     /// Every node with its receive-side state (`engine::Lane`).
@@ -91,17 +92,8 @@ pub struct Multicomputer {
     pub(crate) fabric: Interconnect,
     /// The single receive-side delivery implementation, serial instance.
     pub(crate) core: DeliveryCore,
-    /// Persistent scratch for the inject loop: NICs drain into it so the
-    /// steady state reuses one allocation instead of taking each queue.
-    outbox: Vec<crate::OutgoingPacket>,
-    /// Persistent scratch for burst descriptors (the run analogue of
-    /// `outbox`; a handful per propagate at most).
-    run_outbox: Vec<crate::OutgoingRun>,
-    /// Whether [`Multicomputer::send_burst`] may fold steady-state message
-    /// trains into replayed runs (`true` by default). Disable to force the
-    /// literal packet-at-a-time path — the digest-equality tests compare
-    /// both modes.
-    burst: bool,
+    /// The single send-side implementation, serial (one-shard) instance.
+    sender: SendCore,
     /// Forced windows-per-barrier count for parallel runs (`None` =
     /// adaptive from plan depth; see [`Multicomputer::set_epoch_windows`]).
     pub(crate) epoch_windows: Option<usize>,
@@ -110,12 +102,6 @@ pub struct Multicomputer {
     pub(crate) phase_clock: Option<fn() -> u64>,
     /// Merged epoch-phase breakdown of the most recent parallel run.
     pub(crate) phases: crate::parallel::PhaseBreakdown,
-    /// Ring capacity for per-epoch staged-depth sampling (`None` = off;
-    /// see [`Multicomputer::set_epoch_sampling`]).
-    pub(crate) epoch_sample_capacity: Option<usize>,
-    /// Per-shard staged-depth timeseries from the most recent parallel
-    /// run, in shard order (empty when sampling is off).
-    pub(crate) epoch_samples: Vec<SampleRing>,
     /// Epoch count of the most recent parallel run.
     pub(crate) last_epochs: u64,
 }
@@ -141,14 +127,10 @@ impl Multicomputer {
                 config.passive_receivers,
                 FlightRecorder::new(Self::TRACE_SPANS),
             ),
-            outbox: Vec::new(),
-            run_outbox: Vec::with_capacity(8),
-            burst: true,
+            sender: SendCore::new(0, 1, 0),
             epoch_windows: None,
             phase_clock: None,
             phases: crate::parallel::PhaseBreakdown::default(),
-            epoch_sample_capacity: None,
-            epoch_samples: Vec::new(),
             last_epochs: 0,
         }
     }
@@ -546,19 +528,6 @@ impl Multicomputer {
         Ok(())
     }
 
-    /// Enables or disables run batching for [`Multicomputer::send_burst`].
-    /// Disabled, every burst member goes through the literal per-message
-    /// path; the timeline (and `state_digest`, and exported traces) must
-    /// be identical either way.
-    pub fn set_burst(&mut self, enabled: bool) {
-        self.burst = enabled;
-    }
-
-    /// Whether run batching is enabled.
-    pub fn burst(&self) -> bool {
-        self.burst
-    }
-
     /// Forces the windows-per-barrier count for [`Multicomputer::run`]
     /// (clamped to `[1, MAX_EPOCH_WINDOWS]`), or restores the default
     /// adaptive selection with `None`. The count only sets how much work
@@ -590,50 +559,29 @@ impl Multicomputer {
         &self.phases
     }
 
-    /// Enables per-epoch gauge sampling for [`Multicomputer::run`]: each
-    /// shard records its staged-queue depth once per epoch into a fixed
-    /// ring of `capacity` samples (the newest epochs win when a run
-    /// outlasts the ring). `None` turns sampling off. Pure observation —
-    /// the simulated timeline is unchanged.
-    pub fn set_epoch_sampling(&mut self, capacity: Option<usize>) {
-        self.epoch_sample_capacity = capacity;
-    }
-
-    /// Per-shard staged-depth timeseries of the most recent
-    /// [`Multicomputer::run`], in shard order. Empty unless
-    /// [`Multicomputer::set_epoch_sampling`] enabled sampling.
-    pub fn epoch_samples(&self) -> &[SampleRing] {
-        &self.epoch_samples
-    }
-
-    /// The model's steady-state per-message clock stride for a warm
-    /// single-chunk send of `nbytes` on node `i` (see
-    /// `engine::steady_stride`).
-    fn steady_stride(&self, i: usize, nbytes: u64) -> SimDuration {
-        crate::engine::steady_stride(self.lanes[i].node.os().machine().cost(), nbytes)
-    }
-
     /// Sends the same message `count` times back to back — the §7 message
     /// train — batching the steady-state tail into one replayed *run*.
     ///
-    /// The first two messages always run the literal per-message machinery
-    /// and calibrate the train: if both complete in one transfer with no
+    /// Trains of three or more calibrate with two literal
+    /// [`Multicomputer::send`]s: if both complete in one transfer with no
     /// retries and their clock stride matches the model's steady-state
-    /// stride, the remaining `count - 2` messages are *replayed* — the
-    /// machine books their counters and events wholesale, the NIC builds
-    /// one §7-style gather descriptor (`OutgoingRun`) minting consecutive
-    /// transfer IDs, and the fabric stages the whole run as one entry.
-    /// Any ineligible train (cold TLB, multi-chunk, retries, burst
-    /// disabled) falls back to the literal loop. Either way the timeline
-    /// is identical — `state_digest` and exported traces cannot tell the
-    /// paths apart.
+    /// stride, the remaining messages are *replayed* — the machine books
+    /// their counters and events wholesale, the NIC builds one §7-style
+    /// gather descriptor (`OutgoingRun`) minting consecutive transfer
+    /// IDs, and the fabric stages the whole run as one entry. After an
+    /// ineligible calibration (cold TLB, multi-chunk, retries) the train
+    /// calibrates again from its next message, exactly as the parallel
+    /// engine does. Either way the timeline is identical to a plain
+    /// [`Multicomputer::send`] loop — `state_digest` and exported traces
+    /// cannot tell the paths apart.
     ///
-    /// Returns the last calibrated message's result (steady-state members
-    /// are replicas of it).
+    /// Returns the last literal message's result (replayed members are
+    /// replicas of it).
     ///
     /// # Errors
     ///
     /// Node bounds or kernel traps, as [`Multicomputer::send`].
+    // lint:hot_path
     #[allow(clippy::too_many_arguments)]
     pub fn send_burst(
         &mut self,
@@ -646,37 +594,23 @@ impl Multicomputer {
         count: u64,
     ) -> Result<UdmaXferResult, ShrimpError> {
         self.check_node(i)?;
-        if count == 0 {
-            return Ok(UdmaXferResult::default());
-        }
-        if !self.burst || count < 3 {
-            let mut last = UdmaXferResult::default();
-            for _ in 0..count {
-                last = self.send(i, pid, src_va, dev_page, dev_off, nbytes)?;
-            }
-            return Ok(last);
-        }
-        let r0 = self.send(i, pid, src_va, dev_page, dev_off, nbytes)?;
-        let e0 = self.lanes[i].node.os().machine().now();
-        let r1 = self.send(i, pid, src_va, dev_page, dev_off, nbytes)?;
-        let e1 = self.lanes[i].node.os().machine().now();
-        let mut remaining = count - 2;
-        let stride = e1.saturating_duration_since(e0);
-        let eligible = r0.transfers == 1
-            && r0.retries == 0
-            && r1 == r0
-            && stride == self.steady_stride(i, nbytes)
-            && stride.as_nanos() <= u64::from(u32::MAX);
-        if eligible
-            && self.lanes[i].node.os_mut().machine_mut().udma_replay_messages(remaining, stride)
-        {
-            self.propagate();
-            return Ok(r1);
-        }
-        let mut last = r1;
-        while remaining > 0 {
+        let op = SendOp { pid, src_va, dev_page, dev_off, nbytes, class: PacketClass::User };
+        let mut last = UdmaXferResult::default();
+        let mut left = count;
+        while left > 0 {
             last = self.send(i, pid, src_va, dev_page, dev_off, nbytes)?;
-            remaining -= 1;
+            left -= 1;
+            if left < 2 {
+                continue;
+            }
+            let first = (last, self.lanes[i].node.os().machine().now());
+            last = self.send(i, pid, src_va, dev_page, dev_off, nbytes)?;
+            left -= 1;
+            let fabric = self.fabric.shard_mut();
+            if self.sender.replay(&mut self.lanes[i].node, fabric, &op, first, last, left) {
+                self.propagate();
+                return Ok(last);
+            }
         }
         Ok(last)
     }
@@ -688,6 +622,7 @@ impl Multicomputer {
     /// # Errors
     ///
     /// Node bounds or kernel traps.
+    // lint:hot_path
     pub fn send(
         &mut self,
         i: usize,
@@ -698,8 +633,9 @@ impl Multicomputer {
         nbytes: u64,
     ) -> Result<UdmaXferResult, ShrimpError> {
         self.check_node(i)?;
-        let result =
-            self.lanes[i].node.os_mut().udma_send(pid, src_va, dev_page, dev_off, nbytes)?;
+        let op = SendOp { pid, src_va, dev_page, dev_off, nbytes, class: PacketClass::User };
+        let (tracing, fabric) = (self.core.tracing(), self.fabric.shard_mut());
+        let result = self.sender.send(&mut self.lanes[i].node, fabric, tracing, &op)?;
         self.propagate();
         Ok(result)
     }
@@ -711,7 +647,9 @@ impl Multicomputer {
     /// # Errors
     ///
     /// Node bounds, kernel traps, or a PIO status error surfaced as
-    /// [`Trap::DeviceError`].
+    /// [`Trap::DeviceError`] — including `data` that does not fit the
+    /// destination page from `dev_off`, which the NIC's COMMIT check
+    /// rejects with status 1.
     pub fn send_pio(
         &mut self,
         i: usize,
@@ -721,7 +659,6 @@ impl Multicomputer {
         data: &[u8],
     ) -> Result<(), ShrimpError> {
         self.check_node(i)?;
-        assert!(data.len() as u64 + dev_off <= PAGE_SIZE, "PIO send must fit one page");
         self.ensure_mmio_mapped(i, pid)?;
         let base = shrimp_mem::MMIO_BASE;
         let os = self.lanes[i].node.os_mut();
@@ -767,29 +704,17 @@ impl Multicomputer {
     /// deliveries: receive-side EISA DMA into physical memory.
     pub fn propagate(&mut self) {
         let tracing = self.core.tracing();
-        // Inject, draining every NIC into the persistent scratch queues.
-        let mut outbox = std::mem::take(&mut self.outbox);
-        let mut run_outbox = std::mem::take(&mut self.run_outbox);
+        let fabric = self.fabric.shard_mut();
+        // Flush every NIC (automatic-update and PIO output, or anything a
+        // direct `udma_send` left behind) through the shared send core.
         for lane in &mut self.lanes {
-            lane.node.drain_nic(tracing, &mut outbox);
-            lane.node.drain_nic_runs(&mut run_outbox);
+            self.sender.flush(&mut lane.node, fabric, tracing);
         }
-        for out in outbox.drain(..) {
-            self.fabric.send(out.packet, out.ready_at);
-        }
-        for run in run_outbox.drain(..) {
-            let ready_at = run.ready_at;
-            let run =
-                PacketRun { template: run.packet, count: run.count, stride_ns: run.stride_ns };
-            self.fabric.shard_mut().send_run(run, ready_at);
-        }
-        self.outbox = outbox;
-        self.run_outbox = run_outbox;
         // Deliver everything currently in flight (new sends only happen
         // from CPU activity, which happens between propagate calls). The
         // drain itself is the shared `DeliveryCore`, run with an unbounded
         // horizon: the serial driver is the one-shard instantiation.
-        self.core.commit_due(self.fabric.shard_mut(), self.lanes.as_mut_slice(), None);
+        self.core.commit_due(fabric, self.lanes.as_mut_slice(), None);
     }
 
     /// Advances every node's clock to the global maximum (a barrier) and
@@ -897,6 +822,22 @@ mod tests {
         mc.send_pio(0, s, dev_page, 0x40, b"pio bytes!!!").unwrap();
         let got = mc.read_user(1, r, VirtAddr::new(0x40040), 12).unwrap();
         assert_eq!(got, b"pio bytes!!!");
+    }
+
+    #[test]
+    fn oversize_pio_is_a_device_error_not_a_panic() {
+        let (mut mc, s, r, dev_page) = two_nodes();
+        let too_big = vec![0x5a; PAGE_SIZE as usize + 8];
+        let past_end = (PAGE_SIZE - 8, &[0x5a; 16][..]);
+        for (off, data) in [(0, &too_big[..]), past_end, (u64::MAX, &[0x5a; 8][..])] {
+            let err = mc.send_pio(0, s, dev_page, off, data).unwrap_err();
+            assert_eq!(err, ShrimpError::Trap(Trap::DeviceError { code: 1 }), "offset {off:#x}");
+        }
+        // The rejected commits left nothing behind: a normal send delivers.
+        mc.write_user(0, s, VirtAddr::new(0x10000), b"still works!").unwrap();
+        mc.send(0, s, VirtAddr::new(0x10000), dev_page, 0, 12).unwrap();
+        assert_eq!(mc.read_user(1, r, VirtAddr::new(0x40000), 12).unwrap(), b"still works!");
+        assert_eq!(mc.dropped_packets(), 0);
     }
 
     #[test]

@@ -398,8 +398,8 @@ impl Device for Nic {
             NIC_MMIO::DATA => self.pio_fifo.extend_from_slice(&value.to_le_bytes()),
             NIC_MMIO::COMMIT => {
                 let len = value as usize;
-                let ok =
-                    len <= self.pio_fifo.len() && self.pio_dest_offset + len as u64 <= PAGE_SIZE;
+                let ok = len <= self.pio_fifo.len()
+                    && self.pio_dest_offset.checked_add(len as u64).is_some_and(|e| e <= PAGE_SIZE);
                 if !ok {
                     self.pio_status = 1;
                     self.pio_fifo.clear();

@@ -40,8 +40,8 @@ impl ShrimpNode {
     /// instant the sender's completion status became observable — the
     /// node's clock, already past the status LOAD for everything queued.
     ///
-    /// This is the single send-side drain both engine instantiations use;
-    /// the receive side is `DeliveryCore` (see `engine.rs`).
+    /// Its one caller is `SendCore` (`engine.rs`), the send side both
+    /// engine instantiations share.
     pub(crate) fn drain_nic(&mut self, tracing: bool, outbox: &mut Vec<crate::OutgoingPacket>) {
         let drained_from = outbox.len();
         self.os.machine_mut().device_mut().drain_outgoing_into(outbox);

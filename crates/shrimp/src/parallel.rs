@@ -7,12 +7,14 @@
 //! destination's inbound link at or before `t`, so all traffic at or
 //! before the minimum paused clock is safe to commit.
 //!
-//! There is no separate parallel delivery implementation: each shard owns
-//! a [`FabricShard`] (the staged-packet source) and a `DeliveryCore` (the
-//! receive-side EISA DMA apply), the same two pieces the serial
-//! [`Multicomputer::propagate`] drives for the whole machine. The serial
-//! driver is literally the `threads = 1` instantiation of this engine
-//! minus the epoch machinery: one shard, unbounded horizon, no barriers.
+//! There is no separate parallel send or delivery implementation: each
+//! shard owns a [`FabricShard`] (the staged-packet source), a `SendCore`
+//! (initiation, train replay, staging) and a `DeliveryCore` (the
+//! receive-side EISA DMA apply), the same three pieces the serial
+//! [`Multicomputer::send`] and [`Multicomputer::propagate`] drive for the
+//! whole machine. The serial driver is literally the `threads = 1`
+//! instantiation of this engine minus the epoch machinery: one shard,
+//! unbounded horizon, no barriers.
 //!
 //! Each epoch has two barrier-separated phases:
 //!
@@ -21,9 +23,10 @@
 //!    windows-per-barrier count: `K` lookahead windows' worth of work
 //!    paid for with *one* barrier crossing (see [`WindowSchedule`]).
 //!    Outgoing packets are injected into the shard's [`FabricShard`]
-//!    (routing latency only) and posted to the receiving shard's mailbox
-//!    keyed `(link_ready, transfer id)`. The shard then publishes a
-//!    bound: the minimum clock of its unfinished nodes.
+//!    (routing latency only); those for the shard's own nodes stage
+//!    there directly, the rest are posted to the receiving shard's
+//!    mailbox keyed `(link_ready, transfer id)`. The shard then publishes
+//!    a bound: the minimum clock of its unfinished nodes.
 //! 2. **Commit** — after the barrier, every shard reads the global
 //!    horizon (minimum published bound), drains its mailboxes into its
 //!    fabric's staged queue, and lets its `DeliveryCore` commit every
@@ -41,17 +44,15 @@
 //! receive state, so the simulated timeline and receiver memory are
 //! **bit-identical at any thread count**, including `threads = 1`.
 //! Equivalence with the *serial* [`Multicomputer::send`] driver holds
-//! because both now stage and commit through the same code with the same
-//! `(link_ready, id)` key (see `DESIGN.md` §6b).
+//! because both send, stage and commit through the same code with the
+//! same `(link_ready, id)` key (see `DESIGN.md` §6b).
 
 use shrimp_mem::VirtAddr;
-use shrimp_net::{FabricShard, PacketClass, PacketRun, Staged};
+use shrimp_net::{FabricShard, PacketClass};
 use shrimp_os::{Pid, UdmaXferResult};
-use shrimp_sim::{
-    ExchangeGrid, FlightRecorder, Histogram, SampleRing, SimTime, SpinBarrier, TimeFrontier,
-};
+use shrimp_sim::{ExchangeGrid, FlightRecorder, Histogram, SimTime, SpinBarrier, TimeFrontier};
 
-use crate::engine::{DeliveryCore, Lane, LaneMap};
+use crate::engine::{DeliveryCore, Flit, Lane, LaneMap, SendCore};
 use crate::program::{NullProgram, ProgramPlan, StreamProgram, TrafficProgram};
 use crate::{Multicomputer, ShrimpError};
 
@@ -204,13 +205,6 @@ pub struct ParallelReport {
     pub packets: u64,
 }
 
-/// A cross-shard staged entry: `(link_ready, merge tag, entry)`.
-/// `link_ready` is the instant the (first) packet reaches its
-/// destination's inbound link, before serialization; the tag is the
-/// packet's own transfer id (`source node ‖ per-source sequence`, minted
-/// by the sending NIC — a run's first member for [`Staged::Run`]).
-type Flit = (SimTime, u64, Staged);
-
 /// A node owned by a shard: its [`Lane`] (node + receive-side state),
 /// this run's emitted-so-far send list, and the traffic program that
 /// grows it (absent for nodes that only receive).
@@ -259,7 +253,7 @@ impl LaneMap for RoundRobin<'_> {
 
 /// One worker's slice of the machine: its nodes, its slice of the fabric
 /// (with the deterministic staged queue for traffic addressed to it), and
-/// its instance of the shared delivery core.
+/// its instances of the shared send and delivery cores.
 struct Shard {
     id: usize,
     threads: usize,
@@ -268,16 +262,10 @@ struct Shard {
     /// The receive-side delivery implementation — the same code the
     /// serial driver runs, bounded here by the epoch horizon.
     core: DeliveryCore,
-    /// Scratch: NIC drain target, reused across ops.
-    outbox: Vec<crate::OutgoingPacket>,
-    /// Scratch: NIC burst-descriptor drain target.
-    run_outbox: Vec<crate::OutgoingRun>,
-    /// Whether steady-state message trains may replay as runs (copied
-    /// from [`Multicomputer::burst`] at split time).
-    burst: bool,
-    /// Staged outgoing flits, one batch per destination shard, posted
-    /// once per epoch so mailbox locks are taken O(shards) times.
-    staging: Vec<Vec<Flit>>,
+    /// The send-side implementation — the same code the serial driver
+    /// runs; it stages traffic for this shard's own nodes directly and
+    /// batches the rest per destination shard.
+    sender: SendCore,
     /// Scratch: mailbox drain target.
     incoming: Vec<Flit>,
     /// This shard's clone of the global windows-per-crossing schedule.
@@ -288,19 +276,12 @@ struct Shard {
     /// land behind the horizon. All-static runs publish the legacy
     /// clock-only bound and reproduce the legacy epochs exactly.
     reactive: bool,
-    /// Minimum `link_ready` among flits this shard posted this epoch
-    /// (reset after every bound publication; reactive runs only).
-    posted_min: Option<SimTime>,
     /// Host phase clock (`None` = phase timing off).
     clock: Option<fn() -> u64>,
     /// Host-time samples per epoch phase (empty when `clock` is `None`).
     phases: PhaseBreakdown,
-    /// Per-epoch staged-queue depth timeseries (`None` = sampling off;
-    /// see [`Multicomputer::set_epoch_sampling`]).
-    sampler: Option<SampleRing>,
     epochs: u64,
     messages: u64,
-    packets: u64,
     /// Trapped nodes: `(global index, error)`. A trap finishes that
     /// node's plan; the run keeps going and reports the error at the end.
     errors: Vec<(usize, ShrimpError)>,
@@ -322,11 +303,11 @@ impl Shard {
                 self.execute_chunk(ni, span);
             }
             for dst in 0..self.threads {
-                grid.post_batch(self.id, dst, &mut self.staging[dst]);
+                grid.post_batch(self.id, dst, &mut self.sender.staging[dst]);
             }
             let bound = self.publish_bound();
             frontier.publish(self.id, bound);
-            self.posted_min = None;
+            self.sender.posted_min = None;
             lap(clock, &mut mark, &mut self.phases.execute);
             barrier.wait();
             lap(clock, &mut mark, &mut self.phases.barrier);
@@ -339,10 +320,6 @@ impl Shard {
                 self.fabric.stage(at, tag, pkt);
             }
             lap(clock, &mut mark, &mut self.phases.merge);
-            if let Some(ring) = &mut self.sampler {
-                // Post-merge, pre-commit: the epoch's peak staged depth.
-                ring.record(self.epochs as u32, self.fabric.staged_len() as u64);
-            }
             self.core.commit_due(
                 &mut self.fabric,
                 &mut RoundRobin { nodes: &mut self.nodes, threads: self.threads, id: self.id },
@@ -403,7 +380,8 @@ impl Shard {
     /// programs static): the minimum clock of its unexhausted nodes —
     /// the exact pre-program bound, same epochs, same timeline. Reactive:
     /// additionally capped by the earliest staged entry and the earliest
-    /// flit posted this epoch (each plus one hop of lookahead), because
+    /// entry this shard's sends produced this epoch, staged locally or
+    /// posted (each plus one hop of lookahead), because
     /// a delivery at instant `t` can wake a dormant program whose reply
     /// cannot reach any inbound link before `t + hop` — so committing
     /// through `min + hop` is always safe, wherever in the mesh the
@@ -418,7 +396,7 @@ impl Shard {
             .min();
         if self.reactive {
             let lookahead = self.fabric.lookahead();
-            for t in [self.fabric.next_staged(), self.posted_min].into_iter().flatten() {
+            for t in [self.fabric.next_staged(), self.sender.posted_min].into_iter().flatten() {
                 let capped = t + lookahead;
                 bound = Some(bound.map_or(capped, |b| b.min(capped)));
             }
@@ -429,9 +407,12 @@ impl Shard {
     /// Runs up to `span` sends of node `ni` (the crossing's
     /// `K ·` [`CHUNK`] window), staging its packets. Maximal runs of
     /// identical consecutive ops (length ≥ 3) are burst candidates: two
-    /// literal sends calibrate, the rest replays as one [`Staged::Run`].
-    /// Runs never cross the window, so epoch boundaries — and hence the
-    /// timeline — are the same whether or not batching engages.
+    /// literal sends calibrate, the rest may replay as one run through
+    /// [`SendCore::replay`]; replayed or not, the next op is re-detected
+    /// from the new position. Runs never cross the window, so epoch
+    /// boundaries — and hence the timeline — are the same whether or not
+    /// batching engages.
+    // lint:hot_path
     fn execute_chunk(&mut self, ni: usize, span: usize) {
         let end = (self.nodes[ni].next + span).min(self.nodes[ni].ops.len());
         while self.nodes[ni].next < end {
@@ -441,110 +422,41 @@ impl Shard {
             while sn.next + runlen < end && sn.ops[sn.next + runlen] == op {
                 runlen += 1;
             }
-            if self.burst && runlen >= 3 {
-                // Replayed or not, the calibration sends made progress;
-                // re-detect from the new position either way.
-                self.try_execute_run(ni, op, runlen);
-                if self.nodes[ni].exhausted() {
-                    return;
-                }
-            } else if self.execute_one(ni, op).is_none() {
-                return;
+            let Some(r0) = self.execute_one(ni, &op) else { return };
+            if runlen < 3 {
+                continue;
+            }
+            let first = (r0, self.nodes[ni].lane.node.os().machine().now());
+            let Some(r1) = self.execute_one(ni, &op) else { return };
+            let count = runlen - 2;
+            let sn = &mut self.nodes[ni];
+            if self.sender.replay(&mut sn.lane.node, &mut self.fabric, &op, first, r1, count as u64)
+            {
+                sn.next += count;
+                self.messages += count as u64;
             }
         }
     }
 
-    /// Runs one literal send of `op` on node `ni`, staging its packets.
-    /// Returns `None` after a kernel trap (which finishes the node's
-    /// plan).
-    // lint:hot_path
-    fn execute_one(&mut self, ni: usize, op: SendOp) -> Option<UdmaXferResult> {
+    /// Runs one literal send of `op` on node `ni` through the shared
+    /// [`SendCore::send`]. Returns `None` after a kernel trap (which
+    /// finishes the node's plan).
+    fn execute_one(&mut self, ni: usize, op: &SendOp) -> Option<UdmaXferResult> {
         let tracing = self.core.tracing();
         let sn = &mut self.nodes[ni];
         sn.next += 1;
-        let result = match sn.lane.node.os_mut().udma_send(
-            op.pid,
-            op.src_va,
-            op.dev_page,
-            op.dev_off,
-            op.nbytes,
-        ) {
-            Ok(result) => result,
+        match self.sender.send(&mut sn.lane.node, &mut self.fabric, tracing, op) {
+            Ok(result) => {
+                self.messages += 1;
+                Some(result)
+            }
             Err(trap) => {
                 // lint:allow(A1) -- a trap is terminal for the node's
                 // plan: the cold error path, never the steady state.
                 self.errors.push((sn.index, trap.into()));
                 sn.next = sn.ops.len();
-                return None;
+                None
             }
-        };
-        self.messages += 1;
-        sn.lane.node.drain_nic(tracing, &mut self.outbox);
-        for out in self.outbox.drain(..) {
-            let mut pkt = out.packet;
-            pkt.class = op.class;
-            let link_ready = self.fabric.inject(&mut pkt, out.ready_at);
-            let tag = pkt.merge_tag();
-            if self.reactive {
-                self.posted_min = Some(self.posted_min.map_or(link_ready, |m| m.min(link_ready)));
-            }
-            self.packets += 1;
-            let dst_shard = pkt.dst.raw() as usize % self.threads;
-            // lint:allow(A1) -- staging batches keep their capacity across
-            // epochs (post_batch drains them in place), so steady-state
-            // pushes never reallocate.
-            self.staging[dst_shard].push((link_ready, tag, Staged::One(pkt)));
-        }
-        Some(result)
-    }
-
-    /// Calibrates a train of `runlen` identical ops on node `ni` with two
-    /// literal sends; if they hit the model's steady-state stride, the
-    /// remaining `runlen - 2` replay wholesale and stage as one run.
-    /// Always consumes at least the two calibration ops.
-    // lint:hot_path
-    fn try_execute_run(&mut self, ni: usize, op: SendOp, runlen: usize) {
-        let Some(r0) = self.execute_one(ni, op) else { return };
-        let e0 = self.nodes[ni].lane.node.os().machine().now();
-        let Some(r1) = self.execute_one(ni, op) else { return };
-        let e1 = self.nodes[ni].lane.node.os().machine().now();
-        let stride = e1.saturating_duration_since(e0);
-        let model =
-            crate::engine::steady_stride(self.nodes[ni].lane.node.os().machine().cost(), op.nbytes);
-        let eligible = r0.transfers == 1
-            && r0.retries == 0
-            && r1 == r0
-            && stride == model
-            && stride.as_nanos() <= u64::from(u32::MAX);
-        if !eligible {
-            return;
-        }
-        let count = (runlen - 2) as u64;
-        let sn = &mut self.nodes[ni];
-        if !sn.lane.node.os_mut().machine_mut().udma_replay_messages(count, stride) {
-            return;
-        }
-        sn.next += runlen - 2;
-        self.messages += count;
-        sn.lane.node.drain_nic_runs(&mut self.run_outbox);
-        for out in self.run_outbox.drain(..) {
-            let ready_at = out.ready_at;
-            let mut run =
-                PacketRun { template: out.packet, count: out.count, stride_ns: out.stride_ns };
-            run.template.class = op.class;
-            let link_ready = self.fabric.inject_run(&mut run, ready_at);
-            let tag = run.template.merge_tag();
-            if self.reactive {
-                self.posted_min = Some(self.posted_min.map_or(link_ready, |m| m.min(link_ready)));
-            }
-            self.packets += u64::from(run.count);
-            // lint:checks(F1) -- `% self.threads` clamps the shard index
-            // into range regardless of the packet's destination field.
-            let dst_shard = run.template.dst.raw() as usize % self.threads;
-            // lint:allow(A1) -- staging batches keep their capacity across
-            // epochs (post_batch drains them in place), so steady-state
-            // pushes never reallocate.
-            self.staging[dst_shard].push((link_ready, tag, Staged::Run(run)));
         }
     }
 }
@@ -688,21 +600,15 @@ impl Multicomputer {
                     r.set_enabled(self.core.recorder.is_enabled());
                     r
                 }),
-                outbox: Vec::with_capacity(8),
-                run_outbox: Vec::with_capacity(4),
-                burst: self.burst(),
-                staging: (0..threads).map(|_| Vec::with_capacity(CHUNK * per_shard)).collect(),
+                sender: SendCore::new(id, threads, CHUNK * per_shard),
                 incoming: Vec::with_capacity(CHUNK * n),
                 schedule: schedule.clone(),
                 clock: self.phase_clock,
                 phases: PhaseBreakdown::default(),
-                sampler: self.epoch_sample_capacity.map(SampleRing::with_capacity),
                 epochs: 0,
                 messages: 0,
-                packets: 0,
                 errors: Vec::new(),
                 reactive,
-                posted_min: None,
             })
             .collect();
         for (index, lane) in std::mem::take(&mut self.lanes).into_iter().enumerate() {
@@ -721,7 +627,8 @@ impl Multicomputer {
         let frontier = TimeFrontier::new(threads);
         // Lanes pre-reserve one window's worth of literal sends per
         // owned node; batch posts then reuse capacity in steady state
-        // (runs cross as single entries, so burst mode needs far less).
+        // (runs cross as single entries, so burst mode needs far less,
+        // and traffic between a shard's own nodes never crosses).
         let grid: ExchangeGrid<Flit> = ExchangeGrid::with_lane_capacity(threads, CHUNK * per_shard);
         if threads == 1 {
             // The degenerate serial case: run the one shard inline — the
@@ -751,18 +658,14 @@ impl Multicomputer {
         let mut recorders = Vec::with_capacity(threads);
         let mut first_error: Option<(usize, ShrimpError)> = None;
         self.phases = PhaseBreakdown::default();
-        self.epoch_samples.clear();
         for shard in shards {
             self.phases.merge_from(&shard.phases);
-            if let Some(ring) = shard.sampler {
-                // Shards are consumed in shard order, so the timeseries
-                // land in a stable per-shard sequence.
-                self.epoch_samples.push(ring);
-            }
             recorders.push(shard.core.recorder);
             report.epochs = report.epochs.max(shard.epochs);
             report.messages += shard.messages;
-            report.packets += shard.packets;
+            // A shard's fabric slice counts exactly the packets its own
+            // nodes injected (a run counts every member).
+            report.packets += shard.fabric.counters().packets.get();
             self.core.counters.merge(&shard.core.counters);
             for (index, error) in shard.errors {
                 if first_error.is_none_or(|(lowest, _)| index < lowest) {

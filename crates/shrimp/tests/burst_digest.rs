@@ -6,7 +6,9 @@
 //! steady-state message trains replay as runs or execute
 //! message-at-a-time — at every thread count, for burst sizes on both
 //! sides of the parallel engine's epoch chunk, and for randomized
-//! interleavings of burst and single-message sends.
+//! interleavings of burst and single-message sends. The literal
+//! reference is a plain [`Multicomputer::send`] loop, which never
+//! batches.
 
 use shrimp::{Multicomputer, MulticomputerConfig, NodePlan, PacketClass, SendOp};
 use shrimp_mem::VirtAddr;
@@ -52,11 +54,26 @@ fn off(i: usize) -> u64 {
     (i as u64 % 2) * NBYTES
 }
 
+/// The literal reference: every flow sends each schedule entry as that
+/// many plain [`Multicomputer::send`]s.
+fn literal_fingerprint(schedule: &[u64]) -> (u64, Vec<u8>) {
+    let (mut mc, flows) = build(4);
+    for f in &flows {
+        for (i, &size) in schedule.iter().enumerate() {
+            for _ in 0..size {
+                mc.send(f.node, f.pid, VirtAddr::new(0x10_0000), f.dev_page, off(i), NBYTES)
+                    .unwrap();
+            }
+        }
+    }
+    mc.run_until_quiet();
+    (mc.state_digest(), mc.export_trace_bin())
+}
+
 /// Serial driver: every flow sends each schedule entry as one
 /// [`Multicomputer::send_burst`] train.
-fn serial_fingerprint(burst: bool, schedule: &[u64]) -> (u64, Vec<u8>) {
+fn serial_fingerprint(schedule: &[u64]) -> (u64, Vec<u8>) {
     let (mut mc, flows) = build(4);
-    mc.set_burst(burst);
     for f in &flows {
         for (i, &size) in schedule.iter().enumerate() {
             mc.send_burst(
@@ -77,9 +94,8 @@ fn serial_fingerprint(burst: bool, schedule: &[u64]) -> (u64, Vec<u8>) {
 
 /// Parallel engine: the same schedule as per-node plans — each entry
 /// becomes a train of identical consecutive ops the engine may batch.
-fn parallel_fingerprint(burst: bool, threads: usize, schedule: &[u64]) -> (u64, Vec<u8>) {
+fn parallel_fingerprint(threads: usize, schedule: &[u64]) -> (u64, Vec<u8>) {
     let (mut mc, flows) = build(4);
-    mc.set_burst(burst);
     let plans: Vec<NodePlan> = flows
         .iter()
         .map(|f| {
@@ -104,24 +120,25 @@ fn parallel_fingerprint(burst: bool, threads: usize, schedule: &[u64]) -> (u64, 
 
 #[test]
 fn serial_burst_replay_is_invisible() {
-    let batched = serial_fingerprint(true, &SIZES);
-    let literal = serial_fingerprint(false, &SIZES);
+    let batched = serial_fingerprint(&SIZES);
+    let literal = literal_fingerprint(&SIZES);
     assert_eq!(batched.0, literal.0, "state digest diverged");
     assert_eq!(batched.1, literal.1, "exported trace bytes diverged");
 }
 
 #[test]
 fn burst_sweep_is_invisible_at_every_thread_count() {
-    let reference = parallel_fingerprint(false, 1, &SIZES);
+    let reference = literal_fingerprint(&SIZES);
     for threads in [1usize, 2, 4] {
-        let batched = parallel_fingerprint(true, threads, &SIZES);
+        let batched = parallel_fingerprint(threads, &SIZES);
         assert_eq!(batched.0, reference.0, "digest diverged at {threads} threads");
         assert_eq!(batched.1, reference.1, "trace bytes diverged at {threads} threads");
     }
     // The serial driver runs the identical workload to the identical
     // fingerprint — batching cannot tell the entry points apart either.
-    let serial = serial_fingerprint(true, &SIZES);
-    assert_eq!(serial, reference, "serial driver diverged from the parallel engine");
+    let serial = serial_fingerprint(&SIZES);
+    assert_eq!(serial, parallel_fingerprint(1, &SIZES), "serial driver diverged from the engine");
+    assert_eq!(serial, reference, "serial driver diverged from the literal sends");
 }
 
 #[test]
@@ -132,9 +149,9 @@ fn random_interleavings_of_burst_and_single_sends_are_invisible() {
         let mut rng = SplitMix64::new(0x0B_5EED ^ seed);
         let trains = 4 + rng.next_below(5) as usize;
         let schedule: Vec<u64> = (0..trains).map(|_| 1 + rng.next_below(40)).collect();
-        let reference = parallel_fingerprint(false, 1, &schedule);
+        let reference = literal_fingerprint(&schedule);
         for threads in [1usize, 2, 4] {
-            let batched = parallel_fingerprint(true, threads, &schedule);
+            let batched = parallel_fingerprint(threads, &schedule);
             assert_eq!(
                 batched.0, reference.0,
                 "digest diverged: seed {seed}, {threads} threads, schedule {schedule:?}"
@@ -144,7 +161,7 @@ fn random_interleavings_of_burst_and_single_sends_are_invisible() {
                 "trace diverged: seed {seed}, {threads} threads, schedule {schedule:?}"
             );
         }
-        let serial = serial_fingerprint(true, &schedule);
+        let serial = serial_fingerprint(&schedule);
         assert_eq!(serial, reference, "serial diverged: seed {seed}, schedule {schedule:?}");
     }
 }

@@ -13,10 +13,9 @@
 //! - [`SplitMix64`] — a tiny, dependency-free deterministic RNG,
 //! - [`Counter`] / [`counters!`] / [`Histogram`] — measurement primitives
 //!   embedded in the components that count,
-//! - [`MetricSet`] / [`Gauge`] / [`SampleRing`] — the metrics plane, the
-//!   one registry every counter is harvested into: typed ids with
-//!   deterministic sorted rendering, high-water gauges, and fixed-ring
-//!   gauge timeseries (see `DESIGN.md` §10),
+//! - [`MetricSet`] / [`Gauge`] — the metrics plane, the one registry
+//!   every counter is harvested into: typed ids with deterministic sorted
+//!   rendering and high-water gauges (see `DESIGN.md` §10),
 //! - [`FlightRecorder`] / [`SpanRecord`] / [`XferId`] — the transfer-level
 //!   flight recorder: typed five-stage spans with cross-node correlation
 //!   IDs and a deterministic merge for the parallel engine,
@@ -54,7 +53,7 @@ mod time;
 pub use buf::{BufPool, Payload};
 pub use clock::Clock;
 pub use cost::CostModel;
-pub use metrics::{CounterId, Gauge, GaugeId, HistId, MetricId, MetricSet, SampleRing};
+pub use metrics::{CounterId, Gauge, GaugeId, HistId, MetricId, MetricSet};
 pub use parallel::{merge_tag, ExchangeGrid, MergeQueue, SpinBarrier, TimeFrontier};
 pub use rng::SplitMix64;
 pub use span::{

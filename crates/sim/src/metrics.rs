@@ -17,8 +17,7 @@
 //!
 //! Pre-registered ids ([`CounterId`]/[`GaugeId`]/[`HistId`]) turn updates
 //! into plain indexed stores for callers that want to drive the registry
-//! directly (the engine's per-epoch sampler does); both modes meet in the
-//! same render path.
+//! directly; both modes meet in the same render path.
 
 use crate::stats::Histogram;
 use std::fmt::Write as _;
@@ -409,56 +408,6 @@ impl MetricSet {
     }
 }
 
-/// A fixed-capacity overwrite ring of `(epoch, value)` gauge samples —
-/// queue-depth-over-time without unbounded storage. Recording is a plain
-/// indexed store; the one allocation happens at construction.
-#[derive(Clone, Debug, Default)]
-pub struct SampleRing {
-    samples: Vec<(u32, u64)>,
-    next: usize,
-    len: usize,
-}
-
-impl SampleRing {
-    /// A ring holding the newest `capacity` samples.
-    pub fn with_capacity(capacity: usize) -> Self {
-        SampleRing { samples: vec![(0, 0); capacity.max(1)], next: 0, len: 0 }
-    }
-
-    /// Records one sample, overwriting the oldest when full. Never
-    /// allocates.
-    // lint:hot_path
-    #[inline]
-    pub fn record(&mut self, epoch: u32, value: u64) {
-        self.samples[self.next] = (epoch, value);
-        self.next = (self.next + 1) % self.samples.len();
-        if self.len < self.samples.len() {
-            self.len += 1;
-        }
-    }
-
-    /// Number of retained samples.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Maximum retained samples.
-    pub fn capacity(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Iterates retained samples oldest → newest.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        let start = (self.next + self.samples.len() - self.len) % self.samples.len();
-        (0..self.len).map(move |i| self.samples[(start + i) % self.samples.len()])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -554,18 +503,5 @@ mod tests {
         let z = after.delta(&after);
         assert_eq!(z.get("s", "c", None), Some(0));
         assert_eq!(z.get_hist("s", "h", None).unwrap().count(), 0);
-    }
-
-    #[test]
-    fn sample_ring_overwrites_oldest() {
-        let mut r = SampleRing::with_capacity(3);
-        assert!(r.is_empty());
-        for e in 0..5u32 {
-            r.record(e, u64::from(e) * 10);
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.capacity(), 3);
-        let got: Vec<_> = r.iter().collect();
-        assert_eq!(got, vec![(2, 20), (3, 30), (4, 40)]);
     }
 }

@@ -99,7 +99,7 @@ fn snapshot_delta_isolates_an_interval() {
 
 /// The four committed golden digests (BENCH_throughput.json /
 /// CHANGES.md) must come out of metered runs too: harvesting a snapshot
-/// and enabling the per-epoch sampler are pure observation.
+/// is pure observation.
 #[test]
 fn golden_digests_unchanged_with_metrics_harvested() {
     let cases: [(u16, u64, u32, usize, u64); 4] = [
@@ -158,24 +158,4 @@ fn engine_metrics_expose_wheel_and_phase_figures() {
     assert!(execute.sum() > 0, "execute phase accumulated host time");
     // Buffer pools saw traffic on every sender.
     assert!(em.get_high_water("buf_pool", "in_use", Some(0)).unwrap() > 0);
-}
-
-#[test]
-fn epoch_sampler_records_a_bounded_timeseries() {
-    let (mut mc, plans) = paired_stream(8, 40, 512);
-    mc.set_epoch_sampling(Some(16));
-    mc.run(&plans, 2).unwrap();
-    let rings = mc.epoch_samples();
-    assert_eq!(rings.len(), 2, "one ring per shard");
-    for ring in rings {
-        assert!(!ring.is_empty(), "sampler recorded epochs");
-        assert!(ring.len() <= 16, "ring respects its capacity");
-    }
-    // Sampling is pure observation: digest equals an unsampled run.
-    let (mut plain, plans2) = paired_stream(8, 40, 512);
-    plain.run(&plans2, 2).unwrap();
-    let (mut sampled, plans3) = paired_stream(8, 40, 512);
-    sampled.set_epoch_sampling(Some(16));
-    sampled.run(&plans3, 2).unwrap();
-    assert_eq!(plain.state_digest(), sampled.state_digest());
 }
