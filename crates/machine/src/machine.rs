@@ -329,7 +329,8 @@ impl<D: Device> Machine<D> {
     /// One CPU load from virtual address `va` under page table `pt`.
     ///
     /// Routed by physical region: ordinary memory returns the 8 bytes at
-    /// the address; proxy regions return the packed
+    /// the address (from two frames when they cross a page boundary);
+    /// proxy regions return the packed
     /// [`UdmaStatus`](udma_core::UdmaStatus) word; the MMIO window calls
     /// the device. The clock advances by the reference's calibrated cost.
     ///
@@ -341,15 +342,29 @@ impl<D: Device> Machine<D> {
     /// # Panics
     ///
     /// Panics on a physical bus error (a mapping pointing at no device),
-    /// which indicates a kernel bug, and on loads wider than the mapped
-    /// region's end.
+    /// which indicates a kernel bug.
     pub fn load(&mut self, pt: &mut PageTable, va: VirtAddr, mode: Mode) -> Result<u64, Fault> {
         let (pa, tlb_cost) = self.mmu.translate(pt, va, AccessKind::Read, mode)?;
         match self.layout.region_of_phys(pa) {
             Region::Memory => {
-                self.clock.advance(self.cost.cached_ref + tlb_cost);
+                let tail = self.page_tail(pt, va, AccessKind::Read, mode)?;
+                self.clock.advance(
+                    self.cost.cached_ref + tlb_cost + tail.map_or(SimDuration::ZERO, |t| t.2),
+                );
                 self.refs.mem_loads.incr();
-                Ok(self.mem.read_u64(pa).expect("mapped frame must be in range"))
+                let Some((split, tail_pa, _)) = tail else {
+                    return Ok(self.mem.read_u64(pa).expect("mapped frame must be in range"));
+                };
+                let mut word = [0u8; 8];
+                word[..split].copy_from_slice(
+                    self.mem.read(pa, split as u64).expect("mapped frame must be in range"),
+                );
+                word[split..].copy_from_slice(
+                    self.mem
+                        .read(tail_pa, 8 - split as u64)
+                        .expect("mapped frame must be in range"),
+                );
+                Ok(u64::from_le_bytes(word))
             }
             Region::MemoryProxy | Region::DeviceProxy => {
                 self.clock.advance(self.cost.proxy_load + tlb_cost);
@@ -376,10 +391,38 @@ impl<D: Device> Machine<D> {
         }
     }
 
+    /// The second half of an 8-byte ordinary-memory access at `va` that
+    /// crosses into the next virtual page: `(bytes on the first page,
+    /// the next page's physical address, its translation cost)`, or
+    /// `None` when the access stays on its page. The next page is
+    /// translated with the access's own kind and mode before any byte
+    /// moves, so a fault there leaves memory untouched, and the two
+    /// halves land in the frames their own pages map — never in whatever
+    /// frame happens to sit physically next to the first.
+    // lint:checks(F1) -- the tail address comes from MMU translate (the
+    // protection boundary) and the page-end check bounds `split` below 8.
+    fn page_tail(
+        &mut self,
+        pt: &mut PageTable,
+        va: VirtAddr,
+        access: AccessKind,
+        mode: Mode,
+    ) -> Result<Option<(usize, shrimp_mem::PhysAddr, SimDuration)>, Fault> {
+        let split = va.bytes_to_page_end();
+        if split >= 8 {
+            return Ok(None);
+        }
+        let (pa, cost) = self.mmu.translate(pt, va + split, access, mode)?;
+        debug_assert_eq!(self.layout.region_of_phys(pa), Region::Memory);
+        Ok(Some((split as usize, pa, cost)))
+    }
+
     /// One CPU store of `value` to virtual address `va` under `pt`.
     ///
     /// Stores to proxy regions carry the signed `nbytes` interpretation
-    /// (negative = Inval); stores to ordinary memory write 8 bytes.
+    /// (negative = Inval); stores to ordinary memory write 8 bytes,
+    /// split across two frames when they cross a page boundary (both
+    /// pages are translated before any byte is written).
     ///
     /// # Errors
     ///
@@ -399,12 +442,24 @@ impl<D: Device> Machine<D> {
         let (pa, tlb_cost) = self.mmu.translate(pt, va, AccessKind::Write, mode)?;
         match self.layout.region_of_phys(pa) {
             Region::Memory => {
-                self.clock.advance(self.cost.cached_ref + tlb_cost);
+                let tail = self.page_tail(pt, va, AccessKind::Write, mode)?;
+                self.clock.advance(
+                    self.cost.cached_ref + tlb_cost + tail.map_or(SimDuration::ZERO, |t| t.2),
+                );
                 self.refs.mem_stores.incr();
-                self.mem.write_u64(pa, value as u64).expect("mapped frame must be in range");
-                // The device snoops the memory bus (automatic update).
                 let now = self.clock.now();
-                self.device.snoop_store(pa, value as u64, now);
+                let Some((split, tail_pa, _)) = tail else {
+                    self.mem.write_u64(pa, value as u64).expect("mapped frame must be in range");
+                    // The device snoops the memory bus (automatic update).
+                    self.device.snoop_store(pa, value as u64, now);
+                    return Ok(());
+                };
+                let word = value.to_le_bytes();
+                let (head, rest) = word.split_at(split);
+                self.mem.write(pa, head).expect("mapped frame must be in range");
+                self.mem.write(tail_pa, rest).expect("mapped frame must be in range");
+                self.device.snoop_write(pa, head, now);
+                self.device.snoop_write(tail_pa, rest, now);
                 Ok(())
             }
             Region::MemoryProxy | Region::DeviceProxy => {

@@ -914,6 +914,58 @@ mod tests {
         assert_eq!(err, Trap::SegFault { pid, va: VirtAddr::new(0x10000) });
     }
 
+    /// Processes A and B with one page each, touched in that order so
+    /// they get frames 1 and 2: B's frame sits physically right after A's.
+    fn neighbours(mem_pages: u64) -> (Node<StreamSink>, Pid, Pid) {
+        let config = NodeConfig {
+            machine: MachineConfig { mem_bytes: mem_pages * PAGE_SIZE, ..MachineConfig::default() },
+            user_frames: None,
+        };
+        let mut n = Node::new(config, StreamSink::new("sink"));
+        let (a, b) = (n.spawn(), n.spawn());
+        n.mmap(a, 0x10000, 1, true).unwrap();
+        n.mmap(b, 0x40000, 1, true).unwrap();
+        n.user_store(a, VirtAddr::new(0x10000), 0).unwrap();
+        n.user_store(b, VirtAddr::new(0x40000), 0).unwrap();
+        (n, a, b)
+    }
+
+    #[test]
+    fn page_crossing_access_never_touches_the_adjacent_frame() {
+        let (mut n, a, b) = neighbours(64);
+        let err = n.user_store(a, VirtAddr::new(0x10ffc), -1).unwrap_err();
+        assert_eq!(err, Trap::SegFault { pid: a, va: VirtAddr::new(0x11000) });
+        let err = n.user_load(a, VirtAddr::new(0x10ffc)).unwrap_err();
+        assert_eq!(err, Trap::SegFault { pid: a, va: VirtAddr::new(0x11000) });
+        assert_eq!(n.read_user(b, VirtAddr::new(0x40000), 8).unwrap(), [0; 8], "B's page");
+        assert_eq!(n.read_user(a, VirtAddr::new(0x10ff8), 8).unwrap(), [0; 8], "A's page");
+    }
+
+    #[test]
+    fn page_crossing_access_in_the_top_frame_faults_instead_of_panicking() {
+        // Frames 0 (kernel), 1 (A) and 2 (B): B owns the top frame.
+        let (mut n, a, b) = neighbours(3);
+        let err = n.user_store(b, VirtAddr::new(0x40ffc), -1).unwrap_err();
+        assert_eq!(err, Trap::SegFault { pid: b, va: VirtAddr::new(0x41000) });
+        let err = n.user_load(b, VirtAddr::new(0x40ffc)).unwrap_err();
+        assert_eq!(err, Trap::SegFault { pid: b, va: VirtAddr::new(0x41000) });
+        assert_eq!(n.read_user(b, VirtAddr::new(0x40ff8), 8).unwrap(), [0; 8]);
+        assert_eq!(n.read_user(a, VirtAddr::new(0x10000), 8).unwrap(), [0; 8]);
+    }
+
+    #[test]
+    fn page_crossing_access_splits_across_the_mapped_frames() {
+        // A's second page lands in frame 3, past B's frame 2.
+        let (mut n, a, b) = neighbours(64);
+        n.mmap(a, 0x11000, 1, true).unwrap();
+        n.user_store(a, VirtAddr::new(0x11000), 0).unwrap();
+        let v = 0x1122_3344_5566_7788u64;
+        n.user_store(a, VirtAddr::new(0x10ffc), v as i64).unwrap();
+        assert_eq!(n.user_load(a, VirtAddr::new(0x10ffc)).unwrap(), v);
+        assert_eq!(n.read_user(a, VirtAddr::new(0x10ffc), 8).unwrap(), v.to_le_bytes());
+        assert_eq!(n.read_user(b, VirtAddr::new(0x40000), 8).unwrap(), [0; 8], "B's page");
+    }
+
     #[test]
     fn write_to_readonly_segment_traps() {
         let mut n = node();

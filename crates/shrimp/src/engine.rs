@@ -252,6 +252,54 @@ impl LaneMap for [Lane] {
     }
 }
 
+/// A list of lane indices with room for every lane reserved up front, so
+/// adding never allocates: the engine's wake and active lists. Each index
+/// is on the list at most once, which the owner guarantees; adding past
+/// the reserved room is a broken guarantee and panics.
+#[derive(Debug)]
+pub(crate) struct LaneList {
+    ids: Vec<usize>,
+    len: usize,
+}
+
+impl LaneList {
+    /// An empty list with room for `lanes` indices.
+    pub fn with_room(lanes: usize) -> Self {
+        LaneList { ids: vec![0; lanes], len: 0 }
+    }
+
+    pub fn add(&mut self, id: usize) {
+        self.ids[self.len] = id;
+        self.len += 1;
+    }
+
+    pub fn as_slice(&self) -> &[usize] {
+        &self.ids[..self.len]
+    }
+
+    /// Sorts the list ascending, the order the engine steps lanes in.
+    pub fn sort(&mut self) {
+        self.ids[..self.len].sort_unstable();
+    }
+
+    pub fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// Keeps the indices for which `keep` holds, in order.
+    pub fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        let mut kept = 0;
+        for i in 0..self.len {
+            let id = self.ids[i];
+            if keep(id) {
+                self.ids[kept] = id;
+                kept += 1;
+            }
+        }
+        self.len = kept;
+    }
+}
+
 shrimp_sim::counters! {
     /// Delivery-core counts (metrics subsystem `delivery`).
     pub(crate) struct DeliveryCounters {
@@ -285,11 +333,20 @@ pub(crate) struct DeliveryCore {
     pub counters: DeliveryCounters,
     /// The transfer-level flight recorder this core stamps spans into.
     pub recorder: FlightRecorder,
+    /// The wake list: global indices of collecting lanes whose inbox went
+    /// from empty to non-empty since the owner last cleared it.
+    pub woken: LaneList,
 }
 
 impl DeliveryCore {
-    pub fn new(passive: bool, recorder: FlightRecorder) -> Self {
-        DeliveryCore { passive, counters: DeliveryCounters::default(), recorder }
+    /// A core whose wake list has room for `lanes` lanes.
+    pub fn new(passive: bool, lanes: usize, recorder: FlightRecorder) -> Self {
+        DeliveryCore {
+            passive,
+            counters: DeliveryCounters::default(),
+            recorder,
+            woken: LaneList::with_room(lanes),
+        }
     }
 
     /// Commits every staged entry with `link_ready` at or before
@@ -379,6 +436,9 @@ impl DeliveryCore {
         self.counters.delivered.incr();
         lane.rx.last_delivery = lane.rx.last_delivery.max(done);
         if lane.collect {
+            if lane.inbox.is_empty() {
+                self.woken.add(packet.dst.raw() as usize);
+            }
             // lint:allow(A1) -- the inbox keeps its capacity across epochs
             // (program steps drain it in place) and reactive runs reserve
             // it up front, so steady-state pushes never reallocate.

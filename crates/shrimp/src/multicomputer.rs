@@ -104,6 +104,9 @@ pub struct Multicomputer {
     pub(crate) phases: crate::parallel::PhaseBreakdown,
     /// Epoch count of the most recent parallel run.
     pub(crate) last_epochs: u64,
+    /// Per-node engine work of the most recent parallel run: program
+    /// steps, chunk executions and bound reads.
+    pub(crate) last_node_visits: u64,
 }
 
 impl Multicomputer {
@@ -123,8 +126,10 @@ impl Multicomputer {
         Multicomputer {
             lanes,
             fabric: Interconnect::new(n, config.link),
+            // Serial lanes never collect, so the wake list needs no room.
             core: DeliveryCore::new(
                 config.passive_receivers,
+                0,
                 FlightRecorder::new(Self::TRACE_SPANS),
             ),
             sender: SendCore::new(0, 1, 0),
@@ -132,6 +137,7 @@ impl Multicomputer {
             phase_clock: None,
             phases: crate::parallel::PhaseBreakdown::default(),
             last_epochs: 0,
+            last_node_visits: 0,
         }
     }
 
@@ -286,7 +292,8 @@ impl Multicomputer {
     /// Host- and schedule-variant engine observability, separate from the
     /// pinned [`Multicomputer::metrics_snapshot`]: staged-wheel pressure,
     /// per-destination index spills, per-node buffer-pool demand and TLB
-    /// lookup shortcuts, the last run's epoch count, and (when a phase
+    /// lookup shortcuts, the last run's epoch count and node visits
+    /// (program steps, chunk executions and bound reads), and (when a phase
     /// clock is installed) the host-time epoch-phase histograms. Values
     /// here may legitimately differ across thread counts and hosts.
     pub fn engine_metrics(&self) -> MetricSet {
@@ -305,6 +312,7 @@ impl Multicomputer {
         set.counter(MetricId::scalar("wheel", "depth_high"), depth_high);
         set.counter(MetricId::scalar("dst_index", "lane_spills"), self.fabric.dst_lane_spills());
         set.counter(MetricId::scalar("engine", "epochs"), self.last_epochs);
+        set.counter(MetricId::scalar("engine", "node_visits"), self.last_node_visits);
         let p = &self.phases;
         set.hist(MetricId::scalar("phase", "execute_ns"), p.execute.clone());
         set.hist(MetricId::scalar("phase", "barrier_ns"), p.barrier.clone());

@@ -18,15 +18,17 @@
 //!
 //! Each epoch has two barrier-separated phases:
 //!
-//! 1. **Execute** — every shard runs each of its unfinished nodes for up
-//!    to `K ·` [`CHUNK`] sends, where `K` is the crossing's
-//!    windows-per-barrier count: `K` lookahead windows' worth of work
-//!    paid for with *one* barrier crossing (see [`WindowSchedule`]).
-//!    Outgoing packets are injected into the shard's [`FabricShard`]
-//!    (routing latency only); those for the shard's own nodes stage
-//!    there directly, the rest are posted to the receiving shard's
-//!    mailbox keyed `(link_ready, transfer id)`. The shard then publishes
-//!    a bound: the minimum clock of its unfinished nodes.
+//! 1. **Execute** — every shard steps the programs on its *wake list*
+//!    (nodes whose inbox filled last epoch), then runs each node on its
+//!    *active list* (nodes with ops left) for up to `K ·` [`CHUNK`]
+//!    sends, where `K` is the epoch's windows-per-barrier count: `K`
+//!    lookahead windows' worth of work paid for with *one* barrier
+//!    crossing (see [`WindowSchedule`]). Outgoing packets are injected
+//!    into the shard's [`FabricShard`] (routing latency only); those for
+//!    the shard's own nodes stage there directly, the rest are posted to
+//!    the receiving shard's mailbox keyed `(link_ready, transfer id)`.
+//!    The shard then publishes a bound: the minimum clock of its active
+//!    nodes.
 //! 2. **Commit** — after the barrier, every shard reads the global
 //!    horizon (minimum published bound), drains its mailboxes into its
 //!    fabric's staged queue, and lets its `DeliveryCore` commit every
@@ -34,6 +36,12 @@
 //!    order: inbound-link serialization, receive-side EISA DMA, the
 //!    write into physical memory. A second barrier keeps next-epoch
 //!    bound publications from racing this epoch's horizon reads.
+//!
+//! An epoch therefore costs the nodes it wakes and the nodes with work,
+//! not the machine size: nothing in it walks every node. With one
+//! thread nothing can cross between shards, so the shard runs with no
+//! barrier, frontier or mailbox — its horizon is its own bound — in the
+//! same loop, which merely skips the synchronization steps.
 //!
 //! **Determinism.** The horizon is the minimum over *all* unfinished
 //! node clocks — independent of how nodes are assigned to shards — and
@@ -52,7 +60,7 @@ use shrimp_net::{FabricShard, PacketClass};
 use shrimp_os::{Pid, UdmaXferResult};
 use shrimp_sim::{ExchangeGrid, FlightRecorder, Histogram, SimTime, SpinBarrier, TimeFrontier};
 
-use crate::engine::{DeliveryCore, Flit, Lane, LaneMap, SendCore};
+use crate::engine::{DeliveryCore, Flit, Lane, LaneList, LaneMap, SendCore};
 use crate::program::{NullProgram, ProgramPlan, StreamProgram, TrafficProgram};
 use crate::{Multicomputer, ShrimpError};
 
@@ -81,45 +89,35 @@ pub const MAX_EPOCH_WINDOWS: usize = 64;
 
 /// Deterministic windows-per-crossing schedule.
 ///
-/// Every shard carries a clone and calls [`WindowSchedule::next`]
-/// exactly once per barrier crossing, so all shards agree on the span
-/// without communicating. The schedule is a pure function of the
-/// *initial plan shape* (per-node op counts) and the optional forced
-/// override — never of execution outcomes or the thread count — so the
-/// epoch boundaries, and with them the whole timeline, are identical at
-/// any parallelism. The prediction deliberately ignores traps: a trapped
-/// node finishes its plan early, which only makes a predicted window
-/// partially idle, never incorrect.
-#[derive(Clone, Debug)]
+/// Every shard carries a copy and calls [`WindowSchedule::next`]
+/// exactly once per epoch, so all shards agree on the span without
+/// communicating. The schedule is a pure function of the *initial plan
+/// shape* and the optional forced override — never of execution outcomes
+/// or the thread count — so the epoch boundaries, and with them the whole
+/// timeline, are identical at any parallelism. The prediction
+/// deliberately ignores traps: a trapped node finishes its plan early,
+/// which only makes a predicted window partially idle, never incorrect.
+///
+/// One integer is the whole prediction: every node's predicted remainder
+/// drops by the same `K · CHUNK` per epoch, and
+/// `max(xᵢ ⊖ d) = (max xᵢ) ⊖ d` for saturating subtraction `⊖`, so the
+/// deepest node's remainder is all the window count ever reads.
+#[derive(Clone, Copy, Debug)]
 struct WindowSchedule {
-    /// Predicted sends remaining per node.
-    pred: Vec<usize>,
+    /// Predicted sends remaining on the deepest node: a plan's op count,
+    /// or a program's initial emission plus its
+    /// [`TrafficProgram::planned_hint`].
+    deepest: usize,
     /// Forced window count ([`Multicomputer::set_epoch_windows`]);
     /// `None` selects adaptively from the deepest remaining plan.
     forced: Option<usize>,
 }
 
 impl WindowSchedule {
-    /// `pred` is the per-node predicted send count: a plan's op count,
-    /// or a program's initial emission plus its
-    /// [`TrafficProgram::planned_hint`].
-    fn new(pred: Vec<usize>, forced: Option<usize>) -> Self {
-        WindowSchedule { pred, forced }
-    }
-
-    /// Window count for the next barrier crossing; advances the plan
-    /// prediction.
+    /// Window count for the next epoch; advances the prediction.
     fn next(&mut self) -> usize {
-        let k = match self.forced {
-            Some(k) => k.clamp(1, MAX_EPOCH_WINDOWS),
-            None => {
-                let deepest = self.pred.iter().copied().max().unwrap_or(0);
-                deepest.div_ceil(CHUNK).clamp(1, MAX_EPOCH_WINDOWS)
-            }
-        };
-        for rem in &mut self.pred {
-            *rem = rem.saturating_sub(k * CHUNK);
-        }
+        let k = self.forced.unwrap_or(self.deepest.div_ceil(CHUNK)).clamp(1, MAX_EPOCH_WINDOWS);
+        self.deepest = self.deepest.saturating_sub(k * CHUNK);
         k
     }
 }
@@ -235,6 +233,16 @@ impl ShardNode {
     }
 }
 
+/// The cross-shard synchronization of a multi-threaded run: the epoch
+/// barrier, the published bounds and the mailboxes. A one-shard run has
+/// none of it.
+#[derive(Clone, Copy)]
+struct Crossing<'a> {
+    barrier: &'a SpinBarrier,
+    frontier: &'a TimeFrontier,
+    grid: &'a ExchangeGrid<Flit>,
+}
+
 /// How a round-robin shard finds the [`Lane`] for a global node index:
 /// shard `id` owns nodes `id, id + threads, …` at local slots
 /// `global / threads`.
@@ -258,6 +266,10 @@ struct Shard {
     id: usize,
     threads: usize,
     nodes: Vec<ShardNode>,
+    /// Local indices of the nodes with ops left to execute
+    /// (`!exhausted()`), ascending: the nodes the execute sweep and the
+    /// bound visit.
+    active: LaneList,
     fabric: FabricShard,
     /// The receive-side delivery implementation — the same code the
     /// serial driver runs, bounded here by the epoch horizon.
@@ -282,43 +294,62 @@ struct Shard {
     phases: PhaseBreakdown,
     epochs: u64,
     messages: u64,
+    /// Program steps (and inbox clears), chunk executions and bound
+    /// reads: the per-node work the epochs cost.
+    visits: u64,
     /// Trapped nodes: `(global index, error)`. A trap finishes that
     /// node's plan; the run keeps going and reports the error at the end.
     errors: Vec<(usize, ShrimpError)>,
 }
 
 impl Shard {
-    fn run(&mut self, barrier: &SpinBarrier, frontier: &TimeFrontier, grid: &ExchangeGrid<Flit>) {
+    /// The epoch loop. `crossing` is the synchronization with the other
+    /// shards; a one-shard run passes `None`, and its horizon is then its
+    /// own bound — nothing is posted, drained or waited for.
+    // lint:hot_path
+    fn run(&mut self, crossing: Option<Crossing<'_>>) {
         let clock = self.clock;
         let mut mark = clock.map_or(0, |c| c());
         loop {
             self.epochs += 1;
             // Execute phase: K lookahead windows' worth of sends per
-            // node, all paid for with the one barrier crossing below.
+            // active node, all paid for with the one barrier crossing
+            // below.
             let span = self.schedule.next() * CHUNK;
             if self.reactive {
                 self.pump_programs();
             }
-            for ni in 0..self.nodes.len() {
-                self.execute_chunk(ni, span);
+            for k in 0..self.active.as_slice().len() {
+                self.execute_chunk(self.active.as_slice()[k], span);
             }
-            for dst in 0..self.threads {
-                grid.post_batch(self.id, dst, &mut self.sender.staging[dst]);
-            }
+            let nodes = &self.nodes;
+            self.active.retain(|ni| !nodes[ni].exhausted());
             let bound = self.publish_bound();
-            frontier.publish(self.id, bound);
             self.sender.posted_min = None;
+            if let Some(x) = crossing {
+                for dst in 0..self.threads {
+                    x.grid.post_batch(self.id, dst, &mut self.sender.staging[dst]);
+                }
+                x.frontier.publish(self.id, bound);
+            }
             lap(clock, &mut mark, &mut self.phases.execute);
-            barrier.wait();
+            if let Some(x) = crossing {
+                x.barrier.wait();
+            }
             lap(clock, &mut mark, &mut self.phases.barrier);
 
             // Commit phase. The horizon is only meaningful between the
             // two barriers: every shard has published, none has moved on.
-            let horizon = frontier.horizon();
-            grid.drain_to(self.id, &mut self.incoming);
-            for (at, tag, pkt) in self.incoming.drain(..) {
-                self.fabric.stage(at, tag, pkt);
-            }
+            let horizon = match crossing {
+                Some(x) => {
+                    x.grid.drain_to(self.id, &mut self.incoming);
+                    for (at, tag, pkt) in self.incoming.drain(..) {
+                        self.fabric.stage(at, tag, pkt);
+                    }
+                    x.frontier.horizon()
+                }
+                None => bound,
+            };
             lap(clock, &mut mark, &mut self.phases.merge);
             self.core.commit_due(
                 &mut self.fabric,
@@ -326,7 +357,9 @@ impl Shard {
                 horizon,
             );
             lap(clock, &mut mark, &mut self.phases.commit);
-            barrier.wait();
+            if let Some(x) = crossing {
+                x.barrier.wait();
+            }
             lap(clock, &mut mark, &mut self.phases.barrier);
 
             // A `None` horizon means every shard was exhausted when it
@@ -343,18 +376,21 @@ impl Shard {
 
     /// Steps every reactive-era program whose node received deliveries
     /// last epoch (the inbox its lane collected in commit order), letting
-    /// it append reply sends for this epoch's execute sweep. Programs
-    /// are delivery-driven after their initial step — a node with an
-    /// empty inbox stays dormant, exactly as the bound it was excluded
-    /// from assumed. A trap in a step finishes the node's traffic like a
-    /// mid-plan kernel trap.
+    /// it append reply sends for this epoch's execute sweep. Only the
+    /// wake list is walked, in ascending node order: programs are
+    /// delivery-driven after their initial step — a node with an empty
+    /// inbox stays dormant, exactly as the bound it was excluded from
+    /// assumed. A node whose step emits ops joins the active list. A
+    /// trap in a step finishes the node's traffic like a mid-plan kernel
+    /// trap.
     // lint:hot_path
     fn pump_programs(&mut self) {
-        for ni in 0..self.nodes.len() {
+        self.core.woken.sort();
+        let mut joined = false;
+        for &g in self.core.woken.as_slice() {
+            self.visits += 1;
+            let ni = g / self.threads;
             let sn = &mut self.nodes[ni];
-            if sn.lane.inbox.is_empty() {
-                continue;
-            }
             let Some(program) = sn.program.as_mut() else {
                 sn.lane.inbox.clear();
                 continue;
@@ -363,6 +399,7 @@ impl Shard {
                 sn.lane.inbox.clear();
                 continue;
             }
+            let was_active = sn.next < sn.ops.len();
             let Lane { node, inbox, .. } = &mut sn.lane;
             let result = program.step(node, inbox, &mut sn.ops);
             inbox.clear();
@@ -372,7 +409,14 @@ impl Shard {
                 self.errors.push((sn.index, trap.into()));
                 sn.failed = true;
                 sn.next = sn.ops.len();
+            } else if !was_active && !sn.exhausted() {
+                self.active.add(ni);
+                joined = true;
             }
+        }
+        self.core.woken.clear();
+        if joined {
+            self.active.sort();
         }
     }
 
@@ -385,15 +429,14 @@ impl Shard {
     /// a delivery at instant `t` can wake a dormant program whose reply
     /// cannot reach any inbound link before `t + hop` — so committing
     /// through `min + hop` is always safe, wherever in the mesh the
-    /// waiting node and the pending traffic live.
+    /// waiting node and the pending traffic live. Only the active list is
+    /// read: it holds exactly the unexhausted nodes.
     // lint:hot_path
-    fn publish_bound(&self) -> Option<SimTime> {
-        let mut bound = self
-            .nodes
-            .iter()
-            .filter(|n| !n.exhausted())
-            .map(|n| n.lane.node.os().machine().now())
-            .min();
+    fn publish_bound(&mut self) -> Option<SimTime> {
+        let active = self.active.as_slice();
+        self.visits += active.len() as u64;
+        let mut bound =
+            active.iter().map(|&ni| self.nodes[ni].lane.node.os().machine().now()).min();
         if self.reactive {
             let lookahead = self.fabric.lookahead();
             for t in [self.fabric.next_staged(), self.sender.posted_min].into_iter().flatten() {
@@ -414,6 +457,7 @@ impl Shard {
     /// batching engages.
     // lint:hot_path
     fn execute_chunk(&mut self, ni: usize, span: usize) {
+        self.visits += 1;
         let end = (self.nodes[ni].next + span).min(self.nodes[ni].ops.len());
         while self.nodes[ni].next < end {
             let sn = &self.nodes[ni];
@@ -464,9 +508,12 @@ impl Shard {
 impl Multicomputer {
     /// Runs `plans` to completion across `threads` worker threads using
     /// conservative epoch synchronization. With `threads = 1` the single
-    /// shard runs inline (no thread is spawned) and the run is the serial
-    /// driver under another name: same fabric, same delivery core, same
-    /// timeline. The simulated timeline, receiver memory, per-node clocks
+    /// shard runs inline with no thread, barrier, frontier or mailbox —
+    /// its horizon is its own bound — and the run is the serial driver
+    /// under another name: same fabric, same delivery core, same
+    /// timeline. Each epoch visits only the nodes deliveries woke and the
+    /// nodes with sends left, so its host cost follows the traffic, not
+    /// the node count. The simulated timeline, receiver memory, per-node clocks
     /// and fabric statistics are identical at any thread count (the count
     /// is clamped to `[1, node_count]`).
     ///
@@ -547,7 +594,7 @@ impl Multicomputer {
         let mut progs: Vec<Option<Box<dyn TrafficProgram>>> = (0..n).map(|_| None).collect();
         let mut plan_slot: Vec<Option<usize>> = vec![None; n];
         let mut init_errors: Vec<(usize, ShrimpError)> = Vec::new();
-        let mut pred: Vec<usize> = vec![0; n];
+        let mut deepest = 0;
         for (slot, pp) in programs.iter_mut().enumerate() {
             let node = pp.node;
             assert!(plan_slot[node].is_none(), "node {node} has more than one traffic program");
@@ -557,7 +604,7 @@ impl Multicomputer {
             let hint = program.planned_hint();
             let lane = &mut self.lanes[node];
             match program.step(&mut lane.node, &[], &mut ops[node]) {
-                Ok(()) => pred[node] = ops[node].len() + hint,
+                Ok(()) => deepest = deepest.max(ops[node].len() + hint),
                 Err(trap) => {
                     init_errors.push((node, trap.into()));
                     ops[node].clear();
@@ -571,8 +618,8 @@ impl Multicomputer {
         let threads = threads.clamp(1, n);
         // The windows-per-crossing schedule is fixed by the initial
         // emissions before the machine disassembles; every shard gets a
-        // clone.
-        let schedule = WindowSchedule::new(pred, self.epoch_windows);
+        // copy.
+        let schedule = WindowSchedule { deepest, forced: self.epoch_windows };
 
         // Disassemble: lanes (nodes + receive-side state) move to their
         // shards (round-robin: shard `s` owns nodes `s, s+threads, …`),
@@ -590,8 +637,9 @@ impl Multicomputer {
                 id,
                 threads,
                 nodes: Vec::new(),
+                active: LaneList::with_room(per_shard),
                 fabric,
-                core: DeliveryCore::new(self.core.passive, {
+                core: DeliveryCore::new(self.core.passive, per_shard, {
                     // Full global capacity per shard: each shard's retained
                     // tail is then a superset of its contribution to the
                     // merged newest-capacity window, so the merge result is
@@ -602,18 +650,23 @@ impl Multicomputer {
                 }),
                 sender: SendCore::new(id, threads, CHUNK * per_shard),
                 incoming: Vec::with_capacity(CHUNK * n),
-                schedule: schedule.clone(),
+                schedule,
                 clock: self.phase_clock,
                 phases: PhaseBreakdown::default(),
                 epochs: 0,
                 messages: 0,
+                visits: 0,
                 errors: Vec::new(),
                 reactive,
             })
             .collect();
         for (index, lane) in std::mem::take(&mut self.lanes).into_iter().enumerate() {
             let failed = init_errors.iter().any(|&(node, _)| node == index);
-            shards[index % threads].nodes.push(ShardNode {
+            let shard = &mut shards[index % threads];
+            if !ops[index].is_empty() {
+                shard.active.add(shard.nodes.len());
+            }
+            shard.nodes.push(ShardNode {
                 index,
                 lane,
                 ops: std::mem::take(&mut ops[index]),
@@ -623,33 +676,35 @@ impl Multicomputer {
             });
         }
 
-        let barrier = SpinBarrier::new(threads);
-        let frontier = TimeFrontier::new(threads);
-        // Lanes pre-reserve one window's worth of literal sends per
-        // owned node; batch posts then reuse capacity in steady state
-        // (runs cross as single entries, so burst mode needs far less,
-        // and traffic between a shard's own nodes never crosses).
-        let grid: ExchangeGrid<Flit> = ExchangeGrid::with_lane_capacity(threads, CHUNK * per_shard);
         if threads == 1 {
-            // The degenerate serial case: run the one shard inline — the
-            // barriers and frontier are trivially uncontended and no
-            // thread is spawned.
-            shards[0].run(&barrier, &frontier, &grid);
+            // The one shard runs inline with no crossing: no thread, no
+            // barrier, no frontier, no mailboxes — nothing can cross.
+            shards[0].run(None);
         } else {
-            let (barrier, frontier, grid) = (&barrier, &frontier, &grid);
+            // Lanes pre-reserve one window's worth of literal sends per
+            // owned node; batch posts then reuse capacity in steady state
+            // (runs cross as single entries, so burst mode needs far
+            // less, and traffic between a shard's own nodes never
+            // crosses).
+            let grid = ExchangeGrid::with_lane_capacity(threads, CHUNK * per_shard);
+            let crossing = Crossing {
+                barrier: &SpinBarrier::new(threads),
+                frontier: &TimeFrontier::new(threads),
+                grid: &grid,
+            };
             let (first, rest) = shards.split_at_mut(1);
             std::thread::scope(|s| {
                 let handles: Vec<_> = rest
                     .iter_mut()
-                    .map(|shard| s.spawn(move || shard.run(barrier, frontier, grid)))
+                    .map(|shard| s.spawn(move || shard.run(Some(crossing))))
                     .collect();
-                first[0].run(barrier, frontier, grid);
+                first[0].run(Some(crossing));
                 for h in handles {
                     h.join().expect("shard thread panicked");
                 }
             });
+            debug_assert!(grid.is_empty(), "all exchanged packets must be committed");
         }
-        debug_assert!(grid.is_empty(), "all exchanged packets must be committed");
 
         // Reassemble.
         let mut report = ParallelReport::default();
@@ -658,11 +713,13 @@ impl Multicomputer {
         let mut recorders = Vec::with_capacity(threads);
         let mut first_error: Option<(usize, ShrimpError)> = None;
         self.phases = PhaseBreakdown::default();
+        self.last_node_visits = 0;
         for shard in shards {
             self.phases.merge_from(&shard.phases);
             recorders.push(shard.core.recorder);
             report.epochs = report.epochs.max(shard.epochs);
             report.messages += shard.messages;
+            self.last_node_visits += shard.visits;
             // A shard's fabric slice counts exactly the packets its own
             // nodes injected (a run counts every member).
             report.packets += shard.fabric.counters().packets.get();
@@ -865,64 +922,65 @@ mod tests {
         }
     }
 
-    #[test]
-    fn rpc_ping_pong_is_thread_count_invariant() {
+    /// An `n`-node machine whose first `pairs` node pairs `(2p, 2p + 1)`
+    /// run a closed-loop RPC client and its server for `requests`
+    /// requests; every other node idles.
+    fn rpc_rig(n: u16, pairs: usize, requests: usize) -> (Multicomputer, Vec<ProgramPlan>) {
         use crate::program::{RpcClientProgram, RpcServerProgram};
 
-        let build = || {
-            let mut mc = Multicomputer::new(4, MulticomputerConfig::default());
-            let mut programs = Vec::new();
-            for p in 0..2usize {
-                let (c, s) = (2 * p, 2 * p + 1);
-                let cpid = mc.spawn_process(c);
-                let spid = mc.spawn_process(s);
-                mc.map_user_buffer(c, cpid, 0x10_0000, 2).unwrap();
-                mc.map_user_buffer(s, spid, 0x40_0000, 2).unwrap();
-                // Client's request buffer maps into the server; the
-                // server's reply buffer maps back into the client.
-                let req_dev = mc.export(s, spid, VirtAddr::new(0x40_0000), 1, c, cpid).unwrap();
-                let rep_dev = mc.export(c, cpid, VirtAddr::new(0x10_1000), 1, s, spid).unwrap();
-                let fill: Vec<u8> = (0..256).map(|i| i as u8 ^ c as u8).collect();
-                mc.write_user(c, cpid, VirtAddr::new(0x10_0000), &fill).unwrap();
-                mc.write_user(s, spid, VirtAddr::new(0x40_1000), &fill).unwrap();
-                let req_paddr = mc.user_paddr(s, spid, VirtAddr::new(0x40_0000)).unwrap();
-                let rep_paddr = mc.user_paddr(c, cpid, VirtAddr::new(0x10_1000)).unwrap();
-                let request = SendOp {
-                    pid: cpid,
-                    src_va: VirtAddr::new(0x10_0000),
-                    dev_page: req_dev,
-                    dev_off: 0,
-                    nbytes: 256,
-                    class: PacketClass::User,
-                };
-                let reply = SendOp {
-                    pid: spid,
-                    src_va: VirtAddr::new(0x40_1000),
-                    dev_page: rep_dev,
-                    dev_off: 0,
-                    nbytes: 256,
-                    class: PacketClass::User,
-                };
-                programs.push(ProgramPlan {
-                    node: c,
-                    program: Box::new(RpcClientProgram::closed_loop(request, 6, rep_paddr, 256)),
-                });
-                programs.push(ProgramPlan {
-                    node: s,
-                    program: Box::new(RpcServerProgram::new(
-                        req_paddr,
-                        256,
-                        vec![(req_paddr, reply)],
-                        6,
-                    )),
-                });
-            }
-            (mc, programs)
-        };
+        let mut mc = Multicomputer::new(n, MulticomputerConfig::default());
+        let mut programs = Vec::new();
+        for p in 0..pairs {
+            let (c, s) = (2 * p, 2 * p + 1);
+            let cpid = mc.spawn_process(c);
+            let spid = mc.spawn_process(s);
+            mc.map_user_buffer(c, cpid, 0x10_0000, 2).unwrap();
+            mc.map_user_buffer(s, spid, 0x40_0000, 2).unwrap();
+            // Client's request buffer maps into the server; the server's
+            // reply buffer maps back into the client.
+            let req_dev = mc.export(s, spid, VirtAddr::new(0x40_0000), 1, c, cpid).unwrap();
+            let rep_dev = mc.export(c, cpid, VirtAddr::new(0x10_1000), 1, s, spid).unwrap();
+            let fill: Vec<u8> = (0..256).map(|i| i as u8 ^ c as u8).collect();
+            mc.write_user(c, cpid, VirtAddr::new(0x10_0000), &fill).unwrap();
+            mc.write_user(s, spid, VirtAddr::new(0x40_1000), &fill).unwrap();
+            let req_paddr = mc.user_paddr(s, spid, VirtAddr::new(0x40_0000)).unwrap();
+            let rep_paddr = mc.user_paddr(c, cpid, VirtAddr::new(0x10_1000)).unwrap();
+            let request = SendOp {
+                pid: cpid,
+                src_va: VirtAddr::new(0x10_0000),
+                dev_page: req_dev,
+                dev_off: 0,
+                nbytes: 256,
+                class: PacketClass::User,
+            };
+            let reply = SendOp {
+                pid: spid,
+                src_va: VirtAddr::new(0x40_1000),
+                dev_page: rep_dev,
+                ..request
+            };
+            programs.push(ProgramPlan {
+                node: c,
+                program: Box::new(RpcClientProgram::closed_loop(request, requests, rep_paddr, 256)),
+            });
+            programs.push(ProgramPlan {
+                node: s,
+                program: Box::new(RpcServerProgram::new(
+                    req_paddr,
+                    256,
+                    vec![(req_paddr, reply)],
+                    requests,
+                )),
+            });
+        }
+        (mc, programs)
+    }
 
+    #[test]
+    fn rpc_ping_pong_is_thread_count_invariant() {
         let mut prints = Vec::new();
         for threads in [1usize, 2, 4] {
-            let (mut mc, mut programs) = build();
+            let (mut mc, mut programs) = rpc_rig(4, 2, 6);
             let report = mc.run_programs(&mut programs, threads).unwrap();
             for pp in &programs {
                 assert!(pp.program.finished(), "node {} program stalled", pp.node);
@@ -931,6 +989,151 @@ mod tests {
         }
         for p in &prints[1..] {
             assert_eq!(p, &prints[0], "RPC timeline must be thread-count independent");
+        }
+    }
+
+    /// Asserts the last run's per-node engine work stayed within
+    /// `per_epoch` node visits per epoch.
+    fn assert_visits_within(mc: &Multicomputer, per_epoch: u64) {
+        let metrics = mc.engine_metrics();
+        let epochs = metrics.get("engine", "epochs", None).unwrap();
+        let visits = metrics.get("engine", "node_visits", None).expect("node visits are reported");
+        assert!(visits > 0, "the counter must count");
+        assert!(visits <= per_epoch * epochs, "{visits} node visits over {epochs} epochs");
+    }
+
+    #[test]
+    fn epochs_visit_only_woken_and_active_nodes() {
+        // One ping-pong pair on 64 nodes: a sweep over every node would
+        // cost at least 3 · 64 visits per epoch; the wake and active
+        // lists cost the pair's step, chunk and bound.
+        for threads in [1usize, 2] {
+            let (mut mc, mut programs) = rpc_rig(64, 1, 8);
+            mc.run_programs(&mut programs, threads).unwrap();
+            assert_visits_within(&mc, 4);
+        }
+    }
+
+    /// Wraps a program and traps on its `k`-th step (the initial step is
+    /// the first).
+    struct TrapOnStep {
+        inner: Box<dyn TrafficProgram>,
+        left: usize,
+    }
+
+    impl TrafficProgram for TrapOnStep {
+        fn step(
+            &mut self,
+            node: &mut crate::ShrimpNode,
+            inbox: &[crate::DeliveryEvent],
+            out: &mut Vec<SendOp>,
+        ) -> Result<(), Trap> {
+            self.left -= 1;
+            if self.left == 0 {
+                return Err(Trap::DeviceError { code: 7 });
+            }
+            self.inner.step(node, inbox, out)
+        }
+
+        fn finished(&self) -> bool {
+            self.inner.finished()
+        }
+
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn a_trapping_step_surfaces_and_the_rest_finishes() {
+        let mut prints = Vec::new();
+        for threads in [1usize, 2, 4] {
+            let (mut mc, mut programs) = rpc_rig(8, 3, 6);
+            // Pair 1's server traps on its third step.
+            let inner = std::mem::replace(&mut programs[3].program, Box::new(NullProgram));
+            programs[3].program = Box::new(TrapOnStep { inner, left: 3 });
+            let err = mc.run_programs(&mut programs, threads).unwrap_err();
+            assert_eq!(err, ShrimpError::Trap(Trap::DeviceError { code: 7 }));
+            // At most a step, a chunk and a bound read per program node.
+            assert_visits_within(&mc, 3 * 6);
+            for pp in programs.iter().filter(|pp| pp.node / 2 != 1) {
+                assert!(pp.program.finished(), "node {} program stalled", pp.node);
+            }
+            prints.push((fingerprint(&mc), mc.state_digest()));
+        }
+        for p in &prints[1..] {
+            assert_eq!(p, &prints[0], "trap timeline must be thread-count independent");
+        }
+    }
+
+    #[test]
+    fn deliveries_to_nodes_without_work_wake_nothing() {
+        // Node 6 has no program and node 7 a finished one; a static
+        // stream from node 4 feeds both while pair 0 ping-pongs, so the
+        // run is reactive and both receivers' lanes see deliveries.
+        let mut prints = Vec::new();
+        for threads in [1usize, 2, 4] {
+            let (mut mc, mut programs) = rpc_rig(8, 1, 6);
+            let spid = mc.spawn_process(4);
+            mc.map_user_buffer(4, spid, 0x10_0000, 1).unwrap();
+            mc.write_user(4, spid, VirtAddr::new(0x10_0000), &[0x5a; 128]).unwrap();
+            let mut ops = Vec::new();
+            for r in [6, 7] {
+                let rpid = mc.spawn_process(r);
+                mc.map_user_buffer(r, rpid, 0x40_0000, 1).unwrap();
+                let dev = mc.export(r, rpid, VirtAddr::new(0x40_0000), 1, 4, spid).unwrap();
+                let op = SendOp {
+                    pid: spid,
+                    src_va: VirtAddr::new(0x10_0000),
+                    dev_page: dev,
+                    dev_off: 0,
+                    nbytes: 128,
+                    class: PacketClass::User,
+                };
+                ops.extend([op; 5]);
+            }
+            programs.push(ProgramPlan { node: 4, program: Box::new(StreamProgram::new(ops)) });
+            programs
+                .push(ProgramPlan { node: 7, program: Box::new(StreamProgram::new(Vec::new())) });
+            let report = mc.run_programs(&mut programs, threads).unwrap();
+            // Nodes 6 and 7 never execute or bound: the pair, the
+            // stream and node 7's wake-ups cost at most 3 visits each.
+            assert_visits_within(&mc, 3 * 4);
+            for r in [6usize, 7] {
+                let got = mc.read_user(r, Pid::new(1), VirtAddr::new(0x40_0000), 128).unwrap();
+                assert_eq!(got, vec![0x5a; 128], "node {r} missed its deliveries");
+                assert!(mc.lanes[r].inbox.is_empty(), "node {r} kept an inbox");
+            }
+            prints.push((fingerprint(&mc), mc.state_digest(), report));
+        }
+        for p in &prints[1..] {
+            assert_eq!(p, &prints[0], "timeline must be thread-count independent");
+        }
+    }
+
+    #[test]
+    fn back_to_back_runs_carry_no_engine_state() {
+        // The second run on a machine matches at every pairing of thread
+        // counts, and the first matches a fresh machine's only run.
+        let (mut fresh, mut programs) = rpc_rig(8, 2, 5);
+        fresh.run_programs(&mut programs, 1).unwrap();
+        let first = fresh.state_digest();
+        let mut prints = Vec::new();
+        for (ta, tb) in [(1usize, 1usize), (1, 2), (2, 4), (4, 1), (4, 4)] {
+            let (mut mc, mut programs) = rpc_rig(8, 2, 5);
+            mc.run_programs(&mut programs, ta).unwrap();
+            assert_eq!(mc.state_digest(), first, "first run at {ta} threads");
+            // A fresh set of the rig's programs for the same machine.
+            let mut again = rpc_rig(8, 2, 5).1;
+            let report = mc.run_programs(&mut again, tb).unwrap();
+            assert_visits_within(&mc, 3 * 4);
+            for pp in &again {
+                assert!(pp.program.finished(), "node {} program stalled", pp.node);
+            }
+            prints.push((fingerprint(&mc), mc.state_digest(), report));
+        }
+        for p in &prints[1..] {
+            assert_eq!(p, &prints[0], "second run must not depend on the first run's threads");
         }
     }
 }

@@ -101,19 +101,33 @@ impl NiptDirectory {
                 return Ok(dev_page);
             }
         }
-        // lint:allow(A1) -- reload is the NIPT miss path: steady-state
-        // ensure() returns above at lookup_expect, and a miss already pays
-        // an import/evict round trip that dwarfs any allocation.
+        // lint:allow(A1) -- the miss path's one allocating callee is the
+        // `grants.push` in `Node::grant_device_proxy`; a re-grant reuses the
+        // capacity its revoke's `retain` kept, so only a first import allocates.
         self.reload(handle, node)
     }
 
-    /// The cold path: (re)imports `handle`'s mapping, evicting a victim
-    /// when the NIPT is full.
+    /// The miss path: (re)imports `handle`'s mapping, evicting a victim
+    /// when the NIPT is full. The mapping's frame list is lent to the
+    /// import and put back, so a reload allocates nothing.
     fn reload(&mut self, handle: usize, node: &mut ShrimpNode) -> Result<u64, Trap> {
         self.slots[handle].resident = false;
+        let frames = std::mem::take(&mut self.slots[handle].frames);
+        let result = self.install(handle, &frames, node);
+        self.slots[handle].frames = frames;
+        result
+    }
+
+    /// Installs `frames` for `handle`, whose own slot holds no frames
+    /// while they are lent out (the victim scan skips it).
+    fn install(
+        &mut self,
+        handle: usize,
+        frames: &[Pfn],
+        node: &mut ShrimpNode,
+    ) -> Result<u64, Trap> {
         let (pid, dst) = (self.slots[handle].pid, self.slots[handle].dst);
-        let frames = self.slots[handle].frames.clone();
-        match node.import_mapping(pid, dst, &frames, 0) {
+        match node.import_mapping(pid, dst, frames, 0) {
             Ok(start) => {
                 self.slots[handle].dev_page = Some(start);
                 self.slots[handle].resident = true;
@@ -142,7 +156,7 @@ impl NiptDirectory {
                     node.os_mut().revoke_device_proxy(vpid, start, vpages)?;
                     self.slots[v].resident = false;
                     self.hand = (v + 1) % n;
-                    let got = node.import_mapping_over(pid, dst, &frames, start)?;
+                    let got = node.import_mapping_over(pid, dst, frames, start)?;
                     self.slots[handle].dev_page = Some(got);
                     self.slots[handle].resident = true;
                     return Ok(got);
