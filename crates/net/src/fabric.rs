@@ -11,11 +11,11 @@
 //!    serializes it on the destination's inbound link, yielding its
 //!    arrival instant.
 //!
-//! [`Interconnect`] is a thin wrapper over one full-machine shard: the
-//! serial driver is the degenerate one-shard instantiation, and the
-//! parallel engine splits the same state into per-shard copies with
-//! [`Interconnect::split`] / [`Interconnect::merge`]. Both drain packets
-//! through the same `commit_next` — there is no second delivery loop.
+//! [`Interconnect`] is a thin wrapper over one full-machine shard, which
+//! is shard 0 of every run: a multi-threaded run splits off copies for
+//! the other shards with [`Interconnect::split`] and folds them back with
+//! [`Interconnect::merge`]. Every shard drains packets through the same
+//! `commit_next` — there is no second delivery loop.
 
 use shrimp_sim::{MergeQueue, SimDuration, SimTime, XferId};
 
@@ -148,11 +148,11 @@ shrimp_sim::counters! {
         packets,
         /// Payload bytes injected.
         payload_bytes,
-        /// Packets the fabric itself discarded (an out-of-fabric
-        /// destination reaching the ejection router).
-        /// [`FabricShard::inject`] asserts both endpoints, so this stays 0
-        /// unless a header is corrupted in flight; it is distinct from the
-        /// delivery layer's bad-address drops so conservation can
+        /// Packets the fabric itself discarded because they name a
+        /// destination outside it: a NIPT entry pointing past the last
+        /// node ([`FabricShard::inject`] counts such a packet as injected,
+        /// then drops it), or a header corrupted in flight. Distinct from
+        /// the delivery layer's bad-address drops so conservation can
         /// attribute every undelivered packet.
         drops,
     }
@@ -252,26 +252,23 @@ impl Interconnect {
         self.shard.staged_wheel_metrics()
     }
 
-    /// Splits the fabric into `shards` independent shards for conservative
-    /// parallel execution. Each shard can compute routes for any pair (the
-    /// topology is immutable) and carries a copy of the per-destination
-    /// inbound-link state; a parallel engine must ensure each destination
-    /// node's link is driven by exactly one shard, then give the state back
-    /// with [`Interconnect::merge`].
+    /// Splits off `shards` copies for the shards after the fabric's own
+    /// (shard 0) in a parallel run. Each carries the inbound-link state;
+    /// the engine drives each node's link from exactly one shard, then
+    /// gives the copies back with [`Interconnect::merge`].
     ///
     /// # Panics
     ///
     /// Panics with packets in flight (the engine must start from a
-    /// quiet fabric) or a zero shard count.
+    /// quiet fabric).
     pub fn split(&mut self, shards: usize) -> Vec<FabricShard> {
-        assert!(shards > 0, "need at least one shard");
         assert!(self.shard.staged.is_empty(), "cannot split a fabric with packets in flight");
         (0..shards)
             .map(|_| FabricShard {
                 nodes: self.shard.nodes,
                 cols: self.shard.cols,
                 params: self.shard.params,
-                // Shards inherit link occupancy but start their byte
+                // Copies inherit link occupancy but start their byte
                 // tallies at zero: merge() sums the per-shard columns.
                 links: self
                     .shard
@@ -286,30 +283,29 @@ impl Interconnect {
             .collect()
     }
 
-    /// Reabsorbs shard state after a parallel run: node `i`'s inbound-link
-    /// occupancy is taken from shard `owner[i]`, and shard traffic counters
-    /// fold into the fabric's, so [`Interconnect::counters`] reports the
-    /// same totals a serial run would.
+    /// Reabsorbs the copies [`Interconnect::split`] handed out to a run of
+    /// blocks of `per_shard` nodes: `shards[k]` is shard `k + 1`, whose
+    /// block's link occupancy it holds. Traffic counters fold into the
+    /// fabric's, so [`Interconnect::counters`] reports one-shard totals.
     ///
     /// # Panics
     ///
-    /// Panics if `owner` names a missing shard, is the wrong length, or a
-    /// shard still holds staged packets (the engine must drain every shard
-    /// before reassembly).
-    pub fn merge(&mut self, shards: Vec<FabricShard>, owner: &[usize]) {
-        assert_eq!(owner.len(), self.shard.nodes as usize, "one owner per node");
-        for (node, &shard) in owner.iter().enumerate() {
-            self.shard.links[node].busy_until = shards[shard].links[node].busy_until;
-        }
-        for shard in shards {
+    /// Panics if a copy still holds staged packets (the engine must drain
+    /// every shard before reassembly).
+    pub fn merge(&mut self, shards: Vec<FabricShard>, per_shard: usize) {
+        for (k, shard) in shards.into_iter().enumerate() {
             assert!(shard.staged.is_empty(), "cannot merge a shard with staged packets");
             self.shard.counters.merge(&shard.counters);
             self.shard.dst_keys.spills += shard.dst_keys.spills;
             self.shard.staged.absorb_metrics(&shard.staged);
             // Each node's inbound link is driven by exactly one shard, so
-            // summing every shard's per-link column folds in the owner's
+            // summing every copy's per-link column folds in the owner's
             // traffic and zeros from everyone else.
-            for (total, part) in self.shard.links.iter_mut().zip(&shard.links) {
+            let owned = (k + 1) * per_shard..(k + 2) * per_shard;
+            for (d, (total, part)) in self.shard.links.iter_mut().zip(&shard.links).enumerate() {
+                if owned.contains(&d) {
+                    total.busy_until = part.busy_until;
+                }
                 total.wire_bytes += part.wire_bytes;
             }
         }
@@ -486,21 +482,34 @@ impl FabricShard {
 
     /// Sender side: stamps `packet` as sent at `now`, counts it, and
     /// returns the instant it reaches the destination's inbound link
-    /// (`now` + routing latency, **before** link serialization).
+    /// (`now` + routing latency, **before** link serialization). A
+    /// destination outside the fabric — a NIPT entry naming a node the
+    /// machine does not have — is counted as injected and as a fabric
+    /// drop, and yields `None`: the packet goes nowhere.
     ///
     /// # Panics
     ///
-    /// Panics if either endpoint is outside the fabric.
+    /// Panics if the source is outside the fabric.
     // lint:hot_path
-    pub fn inject(&mut self, packet: &mut Packet, now: SimTime) -> SimTime {
+    pub fn inject(&mut self, packet: &mut Packet, now: SimTime) -> Option<SimTime> {
         assert!(packet.src.raw() < self.nodes, "source {} not in fabric", packet.src);
-        assert!(packet.dst.raw() < self.nodes, "destination {} not in fabric", packet.dst);
-        packet.sent_at = now;
-        self.counters.packets.incr();
-        self.counters.payload_bytes.add(packet.payload.len() as u64);
-        let link_ready = now + self.params.hop_latency * self.hops(packet.src, packet.dst);
-        packet.meta.link_ready = link_ready;
-        link_ready
+        self.route(packet, now, 1)
+    }
+
+    /// Stamps and counts `members` packets shaped like `p` (a run's
+    /// members follow the template at its stride) and routes the first;
+    /// `None` when the destination is outside the fabric.
+    fn route(&mut self, p: &mut Packet, now: SimTime, members: u32) -> Option<SimTime> {
+        p.sent_at = now;
+        self.counters.packets.add(u64::from(members));
+        self.counters.payload_bytes.add(p.payload.len() as u64 * u64::from(members));
+        if p.dst.raw() >= self.nodes {
+            self.counters.drops.add(u64::from(members));
+            return None;
+        }
+        let link_ready = now + self.params.hop_latency * self.hops(p.src, p.dst);
+        p.meta.link_ready = link_ready;
+        Some(link_ready)
     }
 
     /// Stages an entry that reaches its destination's inbound link at
@@ -525,10 +534,13 @@ impl FabricShard {
 
     /// [`FabricShard::inject`] + [`FabricShard::stage`] in one step, keyed
     /// by the packet's own correlation ID: the whole sender side of a
-    /// transfer. Returns the `link_ready` instant.
+    /// transfer. Returns the `link_ready` instant; panics if either
+    /// endpoint is outside the fabric.
     // lint:hot_path
     pub fn send(&mut self, mut packet: Packet, now: SimTime) -> SimTime {
-        let link_ready = self.inject(&mut packet, now);
+        assert!(packet.dst.raw() < self.nodes, "destination {} not in fabric", packet.dst);
+        // INVARIANT: the destination was checked just above, so it routes.
+        let link_ready = self.inject(&mut packet, now).expect("destination in fabric");
         let tag = packet.merge_tag();
         self.stage(link_ready, tag, Staged::One(packet));
         link_ready
@@ -538,32 +550,30 @@ impl FabricShard {
     /// (member `k` follows at `now + stride·k`), counts every member, and
     /// returns the instant member 0 reaches the destination's inbound
     /// link. One routing computation covers the run — later members add
-    /// the delta-encoded stride instead of re-deriving hop latency.
+    /// the delta-encoded stride instead of re-deriving hop latency. A
+    /// destination outside the fabric drops every member, as
+    /// [`FabricShard::inject`] drops a packet.
     ///
     /// # Panics
     ///
-    /// Panics if either endpoint is outside the fabric or the run is
-    /// empty.
+    /// Panics if the source is outside the fabric or the run is empty.
     // lint:hot_path
-    pub fn inject_run(&mut self, run: &mut PacketRun, now: SimTime) -> SimTime {
+    pub fn inject_run(&mut self, run: &mut PacketRun, now: SimTime) -> Option<SimTime> {
         assert!(run.count > 0, "a run needs at least one member");
-        let p = &mut run.template;
-        assert!(p.src.raw() < self.nodes, "source {} not in fabric", p.src);
-        assert!(p.dst.raw() < self.nodes, "destination {} not in fabric", p.dst);
-        p.sent_at = now;
-        self.counters.packets.add(u64::from(run.count));
-        self.counters.payload_bytes.add(p.payload.len() as u64 * u64::from(run.count));
-        let link_ready = now + self.params.hop_latency * self.hops(p.src, p.dst);
-        p.meta.link_ready = link_ready;
-        link_ready
+        assert!(run.template.src.raw() < self.nodes, "source {} not in fabric", run.template.src);
+        self.route(&mut run.template, now, run.count)
     }
 
     /// [`FabricShard::inject_run`] + staging in one step: the whole
     /// sender side of a message train as one queue entry. Returns member
-    /// 0's `link_ready` instant.
+    /// 0's `link_ready` instant; panics as [`FabricShard::send`] does, or
+    /// on an empty run.
     // lint:hot_path
     pub fn send_run(&mut self, mut run: PacketRun, now: SimTime) -> SimTime {
-        let link_ready = self.inject_run(&mut run, now);
+        let dst = run.template.dst;
+        assert!(dst.raw() < self.nodes, "destination {dst} not in fabric");
+        // INVARIANT: the destination was checked just above, so it routes.
+        let link_ready = self.inject_run(&mut run, now).expect("destination in fabric");
         let tag = run.template.merge_tag();
         self.stage(link_ready, tag, Staged::Run(run));
         link_ready
@@ -655,11 +665,11 @@ impl FabricShard {
         let wire = SimDuration::from_bytes_at_rate(bytes, self.params.mb_per_s);
         let d = packet.dst.raw() as usize;
         let Some(link) = self.links.get_mut(d) else {
-            // Defensive: inject() asserts both endpoints, so only a header
-            // corrupted after injection can land here. Count the discard
-            // (the conservation check attributes it) instead of panicking
-            // mid-drain; the bogus instant is never observed because the
-            // packet is gone.
+            // Defensive: inject() drops out-of-fabric destinations, so
+            // only a header corrupted after injection can land here. Count
+            // the discard (the conservation check attributes it) instead
+            // of panicking mid-drain; the bogus instant is never observed
+            // because the packet is gone.
             self.counters.drops.incr();
             return link_ready;
         };
@@ -1025,14 +1035,30 @@ mod tests {
 
     #[test]
     fn corrupted_destination_is_dropped_not_panicked() {
-        // `inject` asserts endpoints, so only a header corrupted after
-        // injection can reach `admit` out of range; the fabric counts the
-        // discard instead of unwinding mid-drain.
+        // `inject` drops out-of-fabric destinations, so only a header
+        // corrupted after injection can reach `admit` out of range; the
+        // fabric counts the discard instead of unwinding mid-drain.
         let mut net = Interconnect::new(2, LinkParams::default());
         let shard = net.shard_mut();
         shard.admit(&pkt(0, 7, 16, 0), SimTime::ZERO);
         assert_eq!(shard.counters().drops.get(), 1);
         assert_eq!(shard.wire_bytes_per_link().collect::<Vec<u64>>(), [0, 0]);
+    }
+
+    #[test]
+    fn out_of_fabric_destination_is_injected_then_dropped() {
+        // A NIPT entry may name a node the machine does not have: the
+        // packet counts as injected and as a fabric drop, and routes
+        // nowhere — packets and runs alike.
+        let mut net = Interconnect::new(2, LinkParams::default());
+        let shard = net.shard_mut();
+        assert_eq!(shard.inject(&mut pkt(0, 9, 16, 0), SimTime::ZERO), None);
+        let mut run = PacketRun { template: pkt(0, 9, 16, 1), count: 3, stride_ns: 10 };
+        assert_eq!(shard.inject_run(&mut run, SimTime::ZERO), None);
+        assert_eq!(shard.counters().packets.get(), 4);
+        assert_eq!(shard.counters().payload_bytes.get(), 4 * 16);
+        assert_eq!(shard.counters().drops.get(), 4);
+        assert_eq!(net.in_flight_count(), 0);
     }
 
     #[test]
@@ -1121,30 +1147,35 @@ mod tests {
         .collect();
 
         let mut net = Interconnect::new(4, LinkParams::default());
-        // Nodes 0..2 on shard 0, nodes 2..4 on shard 1.
-        let owner = [0usize, 0, 1, 1];
-        let mut shards = net.split(2);
-        for (i, &(s, d, bytes, at)) in sequence.iter().enumerate() {
-            let mut p = pkt(s, d, bytes, i as u64);
-            let ready = shards[owner[s as usize]].inject(&mut p, SimTime::from_nanos(at));
-            let tag = p.merge_tag();
-            shards[owner[d as usize]].stage(ready, tag, Staged::One(p));
-        }
+        // Nodes 0..2 on the fabric's own shard (shard 0), nodes 2..4 on
+        // the one split-off copy (shard 1).
+        let per_shard = 2;
+        let mut copies = net.split(1);
         let mut shard_times = Vec::new();
-        for shard in &mut shards {
-            loop {
-                let batch = commit_flat(shard, None);
-                if batch.is_empty() {
-                    break;
+        {
+            let mut shards = [net.shard_mut(), &mut copies[0]];
+            for (i, &(s, d, bytes, at)) in sequence.iter().enumerate() {
+                let mut p = pkt(s, d, bytes, i as u64);
+                let owner = |node: u16| usize::from(node) / per_shard;
+                let ready = shards[owner(s)].inject(&mut p, SimTime::from_nanos(at)).unwrap();
+                let tag = p.merge_tag();
+                shards[owner(d)].stage(ready, tag, Staged::One(p));
+            }
+            for shard in &mut shards {
+                loop {
+                    let batch = commit_flat(shard, None);
+                    if batch.is_empty() {
+                        break;
+                    }
+                    shard_times.extend(batch.into_iter().map(|(at, _, _)| at));
                 }
-                shard_times.extend(batch.into_iter().map(|(at, _, _)| at));
             }
         }
         shard_times.sort_unstable();
         let mut sorted_serial = serial_times.clone();
         sorted_serial.sort_unstable();
         assert_eq!(shard_times, sorted_serial);
-        net.merge(shards, &owner);
+        net.merge(copies, per_shard);
 
         assert_eq!(net.counters().packets.get(), serial.counters().packets.get());
         assert_eq!(net.counters().payload_bytes.get(), serial.counters().payload_bytes.get());

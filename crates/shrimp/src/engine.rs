@@ -2,19 +2,19 @@
 //! SHRIMP's fast path — proxy reference → packetize → wire →
 //! receive-side EISA DMA → status word. [`SendCore`] is the send half
 //! (literal send, message-train replay, NIC flush, staging);
-//! [`DeliveryCore`] is the receive half. Both engine instantiations drive
-//! the same two cores:
+//! [`DeliveryCore`] is the receive half. The machine owns one of each
+//! over its one [`FabricShard`]:
 //!
 //! - the serial driver ([`Multicomputer::send`], [`Multicomputer::propagate`])
-//!   runs one of each over one machine-wide [`FabricShard`] with an
-//!   unbounded horizon — the `threads = 1` case,
-//! - the parallel engine ([`Multicomputer::run`]) runs one of each per
-//!   shard over that shard's fabric slice, bounded by the epoch horizon.
+//!   drives them over every lane with an unbounded horizon,
+//! - a run ([`Multicomputer::run`]) lends them to its shard 0, bounded by
+//!   the epoch horizon; only the other shards of a multi-threaded run
+//!   build copies of their own.
 //!
 //! A [`Lane`] is a node plus the receive-side state ([`RxState`]) that
-//! must live wherever deliveries to that node are applied; [`LaneMap`]
-//! abstracts how an engine finds the lane for a global node index
-//! (identity for the serial driver, round-robin for a shard).
+//! must live wherever deliveries to that node are applied. Shards own
+//! contiguous blocks of lanes, so an engine finds the lane for a global
+//! node index by subtracting its block's base (0 for the serial driver).
 //!
 //! [`Multicomputer::send`]: crate::Multicomputer::send
 //! [`Multicomputer::propagate`]: crate::Multicomputer::propagate
@@ -48,16 +48,16 @@ pub(crate) type Flit = (SimTime, u64, Staged);
 
 /// The send-side engine, twin of [`DeliveryCore`]: one per execution
 /// context. Every staged entry leaves through one sink with one routing
-/// rule — stage straight into the caller's [`FabricShard`] when the
-/// destination lane is local (`dst % threads == id`), else post to
-/// `staging[dst % threads]` for the owning shard. The serial driver is
-/// the `threads = 1` case. The staged queue pops by key, never by
-/// insertion order, so where an entry is staged from cannot change the
-/// timeline.
+/// rule — node `dst` belongs to shard `dst / per_shard`; stage straight
+/// into the caller's [`FabricShard`] when that is this shard, else post
+/// to `staging[dst / per_shard]` for the owning shard. The machine's own
+/// core is shard 0 with every node in its block (`per_shard` = node
+/// count). The staged queue pops by key, never by insertion order, so
+/// where an entry is staged from cannot change the timeline.
 #[derive(Debug)]
 pub(crate) struct SendCore {
     id: usize,
-    threads: usize,
+    per_shard: usize,
     /// Cross-shard flits per destination shard (this shard's slot stays
     /// empty), posted once per epoch.
     pub staging: Vec<Vec<Flit>>,
@@ -70,18 +70,34 @@ pub(crate) struct SendCore {
 }
 
 impl SendCore {
-    /// Shard `id` of `threads`, with room for `batch` flits per other shard.
-    pub fn new(id: usize, threads: usize, batch: usize) -> Self {
-        SendCore {
+    /// Shard `id` of a run whose shards own blocks of `per_shard` nodes,
+    /// with room for `batch` flits per other shard.
+    pub fn new(id: usize, per_shard: usize, shards: usize, batch: usize) -> Self {
+        let mut core = SendCore {
             id,
-            threads,
-            staging: (0..threads)
-                .map(|s| Vec::with_capacity(if s == id { 0 } else { batch }))
-                .collect(),
+            per_shard,
+            staging: Vec::new(),
             posted_min: None,
             outbox: Vec::with_capacity(8),
             run_outbox: Vec::with_capacity(4),
-        }
+        };
+        core.reshard(per_shard, shards, batch);
+        core
+    }
+
+    /// Re-blocks the routing rule for a run of `shards` shards of
+    /// `per_shard` nodes each (the other shards' batches get room for
+    /// `batch` flits), and forgets the posted minimum. Allocates only
+    /// when the shard count grows.
+    pub fn reshard(&mut self, per_shard: usize, shards: usize, batch: usize) {
+        self.per_shard = per_shard;
+        self.staging.truncate(shards);
+        let id = self.id;
+        self.staging.extend(
+            (self.staging.len()..shards)
+                .map(|s| Vec::with_capacity(if s == id { 0 } else { batch })),
+        );
+        self.posted_min = None;
     }
 
     /// The literal send: `op` through the node's UDMA initiation, then
@@ -161,7 +177,7 @@ impl SendCore {
         for out in outbox.drain(..) {
             let mut pkt = out.packet;
             pkt.class = class;
-            let link_ready = fabric.inject(&mut pkt, out.ready_at);
+            let Some(link_ready) = fabric.inject(&mut pkt, out.ready_at) else { continue };
             let (tag, dst) = (pkt.merge_tag(), pkt.dst);
             self.sink(fabric, link_ready, tag, dst, Staged::One(pkt));
         }
@@ -175,7 +191,7 @@ impl SendCore {
             let mut run =
                 PacketRun { template: out.packet, count: out.count, stride_ns: out.stride_ns };
             run.template.class = class;
-            let link_ready = fabric.inject_run(&mut run, out.ready_at);
+            let Some(link_ready) = fabric.inject_run(&mut run, out.ready_at) else { continue };
             let (tag, dst) = (run.template.merge_tag(), run.template.dst);
             self.sink(fabric, link_ready, tag, dst, Staged::Run(run));
         }
@@ -184,9 +200,10 @@ impl SendCore {
 
     fn sink(&mut self, fabric: &mut FabricShard, at: SimTime, tag: u64, dst: NodeId, e: Staged) {
         self.posted_min = Some(self.posted_min.map_or(at, |m| m.min(at)));
-        // lint:checks(F1) -- `% self.threads` clamps the shard index
-        // into range regardless of the packet's destination field.
-        let shard = dst.raw() as usize % self.threads;
+        // lint:checks(F1) -- the inject before every sink drops a
+        // destination outside the fabric, so `dst < nodes ≤ per_shard ·
+        // shards`; the `min` keeps the block index in range regardless.
+        let shard = (dst.raw() as usize / self.per_shard).min(self.staging.len() - 1);
         if shard == self.id {
             fabric.stage(at, tag, e);
         } else {
@@ -201,7 +218,7 @@ impl SendCore {
 /// Receive-side per-node state: it must be owned by whichever engine
 /// currently applies deliveries to the node, so it travels with the node
 /// inside a [`Lane`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct RxState {
     /// When the node's EISA bus frees up (receive-side DMA serializes on
     /// it).
@@ -210,15 +227,8 @@ pub(crate) struct RxState {
     pub last_delivery: SimTime,
 }
 
-impl Default for RxState {
-    fn default() -> Self {
-        RxState { eisa_busy: SimTime::ZERO, last_delivery: SimTime::ZERO }
-    }
-}
-
-/// One node plus its receive-side state: the unit of ownership both
-/// engine instantiations shard (the serial driver owns every lane; a
-/// parallel shard owns every `threads`-th).
+/// One node plus its receive-side state: the unit a run's shards own in
+/// contiguous blocks (the serial driver owns every lane).
 #[derive(Debug)]
 pub(crate) struct Lane {
     pub node: ShrimpNode,
@@ -236,19 +246,6 @@ pub(crate) struct Lane {
 impl Lane {
     pub fn new(node: ShrimpNode) -> Self {
         Lane { node, rx: RxState::default(), inbox: Vec::new(), collect: false }
-    }
-}
-
-/// How an engine finds the [`Lane`] for a global node index: identity for
-/// the serial driver (which owns all lanes), `global / threads` for a
-/// round-robin shard (which owns lanes `id, id + threads, …`).
-pub(crate) trait LaneMap {
-    fn lane_mut(&mut self, node: usize) -> &mut Lane;
-}
-
-impl LaneMap for [Lane] {
-    fn lane_mut(&mut self, node: usize) -> &mut Lane {
-        &mut self[node]
     }
 }
 
@@ -322,8 +319,9 @@ shrimp_sim::counters! {
 /// The receive-side delivery engine: EISA DMA apply, clock and
 /// `last_delivery` advance, passive-receiver wakeup, and `SpanRecord`
 /// stamping. There is exactly one of these per execution context (the
-/// whole machine when serial, one per shard when parallel) and exactly
-/// one implementation of its logic in the codebase.
+/// machine's own, which serial calls and shard 0 of a run drive, plus one
+/// per other shard of a multi-threaded run) and exactly one
+/// implementation of its logic in the codebase.
 #[derive(Debug)]
 pub(crate) struct DeliveryCore {
     /// Passive-receiver clock model: applying a delivery advances an idle
@@ -352,44 +350,48 @@ impl DeliveryCore {
     /// Commits every staged entry with `link_ready` at or before
     /// `horizon` (`None` = drain everything), in the fabric's
     /// deterministic per-destination `(link_ready, id)` order (see
-    /// [`FabricShard::commit_next`]): **the** delivery drain loop. A single packet delivers one at a time; a run's committed
-    /// prefix delivers under one dispatch — one horizon check and one
-    /// lane lookup cover the whole prefix. Allocation-free.
+    /// [`FabricShard::commit_next`]): **the** delivery drain loop. Node
+    /// `d`'s lane is `lanes[d - base]`: the caller owns the block of
+    /// lanes starting at global index `base`, and the fabric only holds
+    /// entries bound for it. A single packet delivers one at a time; a
+    /// run's committed prefix delivers under one dispatch — one horizon
+    /// check and one lane lookup cover the whole prefix. Allocation-free.
     // lint:hot_path
-    pub fn commit_due<L: LaneMap + ?Sized>(
+    pub fn commit_due(
         &mut self,
         fabric: &mut FabricShard,
-        lanes: &mut L,
+        lanes: &mut [Lane],
+        base: usize,
         horizon: Option<SimTime>,
     ) {
         while let Some(commit) = fabric.commit_next(horizon) {
             match commit {
                 Commit::One { link_ready, arrival, packet } => {
-                    let dst = packet.dst.raw() as usize;
-                    self.deliver(lanes.lane_mut(dst), link_ready, arrival, &packet);
+                    let lane = &mut lanes[packet.dst.raw() as usize - base];
+                    self.deliver(lane, link_ready, arrival, &packet);
                 }
                 Commit::Run { link_ready: _, run, take } => {
-                    self.deliver_run(fabric, lanes, run, take);
+                    let lane = &mut lanes[run.template.dst.raw() as usize - base];
+                    self.deliver_run(fabric, lane, run, take);
                 }
             }
         }
     }
 
-    /// Applies the committed prefix of a run: the lane is looked up once,
-    /// each member is admitted on the inbound link and delivered through
-    /// the same [`DeliveryCore::deliver`] as the single-packet path (the
-    /// template walks forward by one stride per member, so every span and
+    /// Applies the committed prefix of a run to its lane: each member is
+    /// admitted on the inbound link and delivered through the same
+    /// [`DeliveryCore::deliver`] as the single-packet path (the template
+    /// walks forward by one stride per member, so every span and
     /// timestamp is bit-identical to the unbatched drain), and any
     /// remainder re-stages into the fabric without cloning the payload.
     // lint:hot_path
-    fn deliver_run<L: LaneMap + ?Sized>(
+    fn deliver_run(
         &mut self,
         fabric: &mut FabricShard,
-        lanes: &mut L,
+        lane: &mut Lane,
         mut run: PacketRun,
         take: u32,
     ) {
-        let lane = lanes.lane_mut(run.template.dst.raw() as usize);
         self.counters.runs_committed.incr();
         if take < run.count {
             self.counters.run_splits.incr();

@@ -6,7 +6,7 @@ use std::fmt;
 
 use shrimp_machine::MachineConfig;
 use shrimp_mem::{PhysAddr, VirtAddr, PAGE_SIZE};
-use shrimp_net::{Interconnect, LinkParams, NodeId, PacketClass};
+use shrimp_net::{FabricShard, Interconnect, LinkParams, NodeId, PacketClass};
 use shrimp_os::{NodeConfig, Pid, Trap, UdmaXferResult};
 use shrimp_sim::{FlightRecorder, MetricId, MetricSet, SimTime};
 
@@ -81,18 +81,19 @@ impl From<Trap> for ShrimpError {
 /// earlier than it (a node busy past that instant is unaffected).
 ///
 /// Both halves of the fast path live in one place — the crate-internal
-/// `SendCore` and `DeliveryCore` (`engine.rs`) — which this serial driver
-/// runs over the whole machine and [`Multicomputer::run`] runs once per
-/// shard. The serial driver *is* the one-shard instantiation of the
-/// parallel engine.
+/// `SendCore` and `DeliveryCore` (`engine.rs`). The machine owns one of
+/// each plus the fabric's shard; the serial driver runs them over every
+/// lane, and [`Multicomputer::run`] lends them, with the lanes in place,
+/// to its shard 0. The machine *is* shard 0: a one-thread run splits,
+/// copies and merges nothing.
 #[derive(Debug)]
 pub struct Multicomputer {
     /// Every node with its receive-side state (`engine::Lane`).
     pub(crate) lanes: Vec<Lane>,
     pub(crate) fabric: Interconnect,
-    /// The single receive-side delivery implementation, serial instance.
+    /// The machine's receive-side delivery core (shard 0's in a run).
     pub(crate) core: DeliveryCore,
-    /// The single send-side implementation, serial (one-shard) instance.
+    /// The machine's send-side core (shard 0's in a run).
     sender: SendCore,
     /// Forced windows-per-barrier count for parallel runs (`None` =
     /// adaptive from plan depth; see [`Multicomputer::set_epoch_windows`]).
@@ -113,26 +114,28 @@ impl Multicomputer {
     /// Builds an `n`-node machine.
     pub fn new(n: u16, config: MulticomputerConfig) -> Self {
         let header = config.node.machine.cost.packet_header;
-        let lanes = (0..n)
+        let nodes: Vec<ShrimpNode> = (0..n)
             .map(|i| {
                 let id = NodeId::new(i);
-                Lane::new(ShrimpNode::new(
-                    id,
-                    config.node.clone(),
-                    Nic::new(id, config.nipt_entries, header),
-                ))
+                ShrimpNode::new(id, config.node.clone(), Nic::new(id, config.nipt_entries, header))
             })
             .collect();
+        // The lane table is allocated after the nodes' memory: freed last
+        // when the machine drops, it keeps the allocator from returning
+        // that memory to the OS, so the next machine built reuses it
+        // instead of faulting in fresh pages.
+        let lanes = nodes.into_iter().map(Lane::new).collect();
         Multicomputer {
             lanes,
             fabric: Interconnect::new(n, config.link),
-            // Serial lanes never collect, so the wake list needs no room.
+            // Room for every lane on the wake list: shard 0 of a run
+            // collects here.
             core: DeliveryCore::new(
                 config.passive_receivers,
-                0,
+                n.into(),
                 FlightRecorder::new(Self::TRACE_SPANS),
             ),
-            sender: SendCore::new(0, 1, 0),
+            sender: SendCore::new(0, n.into(), 1, 0),
             epoch_windows: None,
             phase_clock: None,
             phases: crate::parallel::PhaseBreakdown::default(),
@@ -327,11 +330,12 @@ impl Multicomputer {
     /// 64-byte record per span in merge-key order `(link_ready, id)`, the
     /// engine's packet commit order.
     ///
-    /// The output is a deterministic function of the recorded spans: the
-    /// same workload exports byte-identical traces at any thread count —
-    /// **and** from either entry point, since the serial driver (which
-    /// records per-`propagate`, source-major) and the parallel engine
-    /// (whose shard rings merge pre-sorted) meet in the export sort.
+    /// The same workload exports byte-identical traces at any thread
+    /// count, and from the serial driver too **while the ring holds every
+    /// span** ([`Multicomputer::TRACE_SPANS`]): past that, the engine
+    /// keeps the newest spans by merge key, the serial driver (which
+    /// records per `propagate`, in commit order) its newest by commit
+    /// order, and the two may differ.
     /// Convert to Perfetto JSON with [`crate::trace_bin_to_json`]; analyze
     /// with the `shrimp_trace` binary. Export is off the hot path.
     pub fn export_trace_bin(&self) -> Vec<u8> {
@@ -722,7 +726,7 @@ impl Multicomputer {
         // from CPU activity, which happens between propagate calls). The
         // drain itself is the shared `DeliveryCore`, run with an unbounded
         // horizon: the serial driver is the one-shard instantiation.
-        self.core.commit_due(fabric, self.lanes.as_mut_slice(), None);
+        self.core.commit_due(fabric, &mut self.lanes, 0, None);
     }
 
     /// Advances every node's clock to the global maximum (a barrier) and
@@ -756,6 +760,19 @@ impl Multicomputer {
                 return;
             }
         }
+    }
+
+    /// Lends every lane, the fabric's own shard and both cores to shard 0
+    /// of a run of `shards` blocks of `per_shard` lanes (`SendCore::reshard`);
+    /// lending with `(node_count, 1, 0)` restores the serial routing.
+    pub(crate) fn lend(
+        &mut self,
+        per_shard: usize,
+        shards: usize,
+        batch: usize,
+    ) -> (&mut [Lane], &mut FabricShard, &mut DeliveryCore, &mut SendCore) {
+        self.sender.reshard(per_shard, shards, batch);
+        (&mut self.lanes, self.fabric.shard_mut(), &mut self.core, &mut self.sender)
     }
 
     pub(crate) fn check_node(&self, i: usize) -> Result<(), ShrimpError> {
@@ -991,6 +1008,29 @@ mod tests {
         assert!(trace_bin_to_json(&bin[..bin.len() - 1]).is_none(), "truncated");
         assert!(trace_bin_to_json(&[bin.as_slice(), &[0]].concat()).is_none(), "trailing byte");
         assert!(trace_bin_to_json(b"NOTATRACE").is_none(), "bad magic");
+    }
+
+    #[test]
+    fn a_nipt_entry_outside_the_machine_drops_the_packet() {
+        // Node 0 holds a mapping to node 9 of a 2-node machine: the send
+        // completes, its packet counts as injected and as a fabric drop
+        // (so conservation still closes), and the next valid send
+        // delivers.
+        let (mut mc, s, r, dev_page) = two_nodes();
+        mc.map_user_buffer(1, r, 0x80000, 1).unwrap();
+        let frames = mc.node_mut(1).export_pages(r, VirtAddr::new(0x80000), 1).unwrap();
+        let stray = mc.node_mut(0).import_mapping(s, NodeId::new(9), &frames, 0).unwrap();
+        mc.write_user(0, s, VirtAddr::new(0x10000), b"lost").unwrap();
+        mc.send(0, s, VirtAddr::new(0x10000), stray, 0, 4).unwrap();
+        mc.write_user(0, s, VirtAddr::new(0x10000), b"kept").unwrap();
+        mc.send(0, s, VirtAddr::new(0x10000), dev_page, 0, 4).unwrap();
+        assert_eq!(mc.read_user(1, r, VirtAddr::new(0x40000), 4).unwrap(), b"kept");
+        let snap = mc.metrics_snapshot();
+        let get = |sub, name| snap.get(sub, name, None).unwrap();
+        assert_eq!(get("fabric", "packets"), 2);
+        assert_eq!(get("fabric", "drops"), 1);
+        assert_eq!(get("delivery", "delivered"), 1);
+        assert_eq!(get("delivery", "drops"), 0);
     }
 
     #[test]

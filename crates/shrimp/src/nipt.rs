@@ -33,7 +33,9 @@ pub struct NiptEntry {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Nipt {
+    /// Slots up to the highest index ever installed; the rest are invalid.
     entries: Vec<Option<NiptEntry>>,
+    capacity: usize,
     /// Valid-entry count with a high-water mark (metrics plane: how close
     /// the workload gets to the 32K board capacity).
     occupancy: Gauge,
@@ -57,7 +59,8 @@ impl Nipt {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "NIPT needs at least one entry");
         Nipt {
-            entries: vec![None; capacity],
+            entries: Vec::new(),
+            capacity,
             occupancy: Gauge::new(),
             evictions: Counter::new(),
             refaults: Counter::new(),
@@ -66,7 +69,7 @@ impl Nipt {
 
     /// Number of entries (valid or not).
     pub fn capacity(&self) -> usize {
-        self.entries.len()
+        self.capacity
     }
 
     /// Installs an entry (kernel-only operation on the real board).
@@ -75,10 +78,12 @@ impl Nipt {
     ///
     /// Panics if `index` exceeds capacity.
     pub fn set(&mut self, index: u64, entry: NiptEntry) {
-        let slot = self
-            .entries
-            .get_mut(index as usize)
-            .unwrap_or_else(|| panic!("NIPT index {index} out of range"));
+        let i = index as usize;
+        assert!(i < self.capacity, "NIPT index {index} out of range");
+        if i >= self.entries.len() {
+            self.entries.resize(i + 1, None);
+        }
+        let slot = &mut self.entries[i];
         if slot.is_some() {
             self.evictions.incr();
         } else {
@@ -133,7 +138,7 @@ impl Nipt {
 
     /// First invalid index at or after `from`, for allocation.
     pub fn first_free(&self, from: u64) -> Option<u64> {
-        (from as usize..self.entries.len()).find(|&i| self.entries[i].is_none()).map(|i| i as u64)
+        (from..self.capacity as u64).find(|&i| self.get(i).is_none())
     }
 
     /// Number of valid entries.

@@ -1,66 +1,50 @@
 //! Conservative parallel execution of deliberate-update workloads.
 //!
 //! [`Multicomputer::run`] runs a *plan* — per-node lists of UDMA sends —
-//! with every node sharded across worker threads, advancing in bounded
-//! **epochs** synchronized by the fabric's lookahead (one router hop): a
-//! node paused at simulated instant `t` cannot make any packet reach a
-//! destination's inbound link at or before `t`, so all traffic at or
-//! before the minimum paused clock is safe to commit.
+//! with the nodes split into contiguous blocks, one per shard, advancing
+//! in bounded **epochs** synchronized by the fabric's lookahead (one
+//! router hop): a node paused at simulated instant `t` cannot make any
+//! packet reach a destination's inbound link at or before `t`, so all
+//! traffic at or before the minimum paused clock is safe to commit.
 //!
-//! There is no separate parallel send or delivery implementation: each
-//! shard owns a [`FabricShard`] (the staged-packet source), a `SendCore`
-//! (initiation, train replay, staging) and a `DeliveryCore` (the
-//! receive-side EISA DMA apply), the same three pieces the serial
-//! [`Multicomputer::send`] and [`Multicomputer::propagate`] drive for the
-//! whole machine. The serial driver is literally the `threads = 1`
-//! instantiation of this engine minus the epoch machinery: one shard,
-//! unbounded horizon, no barriers.
+//! **The machine is shard 0.** There is no separate parallel send or
+//! delivery implementation and, at one thread, no separate state: shard 0
+//! borrows the machine's own [`FabricShard`], `SendCore` and
+//! `DeliveryCore` (flight recorder included) — the pieces the serial
+//! [`Multicomputer::send`] and [`Multicomputer::propagate`] drive — and
+//! every shard borrows its block of lanes in place. Only the other shards
+//! of a multi-threaded run get copies, split off before the run and
+//! folded back after it.
 //!
-//! Each epoch has two barrier-separated phases:
-//!
-//! 1. **Execute** — every shard steps the programs on its *wake list*
-//!    (nodes whose inbox filled last epoch), then runs each node on its
-//!    *active list* (nodes with ops left) for up to `K ·` [`CHUNK`]
-//!    sends, where `K` is the epoch's windows-per-barrier count: `K`
-//!    lookahead windows' worth of work paid for with *one* barrier
-//!    crossing (see [`WindowSchedule`]). Outgoing packets are injected
-//!    into the shard's [`FabricShard`] (routing latency only); those for
-//!    the shard's own nodes stage there directly, the rest are posted to
-//!    the receiving shard's mailbox keyed `(link_ready, transfer id)`.
-//!    The shard then publishes a bound: the minimum clock of its active
-//!    nodes.
-//! 2. **Commit** — after the barrier, every shard reads the global
-//!    horizon (minimum published bound), drains its mailboxes into its
-//!    fabric's staged queue, and lets its `DeliveryCore` commit every
-//!    packet at or before the horizon in `(link_ready, transfer id)`
-//!    order: inbound-link serialization, receive-side EISA DMA, the
-//!    write into physical memory. A second barrier keeps next-epoch
-//!    bound publications from racing this epoch's horizon reads.
-//!
-//! An epoch therefore costs the nodes it wakes and the nodes with work,
-//! not the machine size: nothing in it walks every node. With one
-//! thread nothing can cross between shards, so the shard runs with no
-//! barrier, frontier or mailbox — its horizon is its own bound — in the
-//! same loop, which merely skips the synchronization steps.
+//! Each epoch has two phases. **Execute:** every shard steps the programs
+//! on its *wake list* (nodes whose inbox filled last epoch), runs each
+//! node on its *active list* for up to `K ·` [`CHUNK`] sends (`K`
+//! lookahead windows per barrier crossing, see [`WindowSchedule`]),
+//! stages traffic for its own nodes, posts the rest to the owning shard's
+//! mailbox, and publishes a bound: the minimum clock of its active nodes.
+//! **Commit:** after a barrier, every shard drains its mailboxes and
+//! commits every packet at or before the horizon (the minimum bound) in
+//! `(link_ready, transfer id)` order; a second barrier keeps next-epoch
+//! publications from racing this epoch's horizon reads. An epoch costs
+//! the nodes it wakes and the nodes with work, not the machine size. With
+//! one thread nothing can cross, so the same loop skips the barriers,
+//! frontier and mailboxes: its horizon is its own bound.
 //!
 //! **Determinism.** The horizon is the minimum over *all* unfinished
 //! node clocks — independent of how nodes are assigned to shards — and
-//! per-epoch node progress is a fixed span (`K · CHUNK` sends, with `K`
-//! itself a pure function of the plan shape), so the sequence of
-//! horizons is a pure function of the plan. Each destination's packets
-//! are committed in `(link_ready, id)` order with per-destination
-//! receive state, so the simulated timeline and receiver memory are
-//! **bit-identical at any thread count**, including `threads = 1`.
-//! Equivalence with the *serial* [`Multicomputer::send`] driver holds
-//! because both send, stage and commit through the same code with the
-//! same `(link_ready, id)` key (see `DESIGN.md` §6b).
+//! per-epoch node progress is a fixed span, so the sequence of horizons
+//! is a pure function of the plan. Each destination's packets commit in
+//! `(link_ready, id)` order with per-destination receive state, so the
+//! simulated timeline, receiver memory and trace are **bit-identical at
+//! any thread count**, and equal to the serial driver's, which sends,
+//! stages and commits through the same code (see `DESIGN.md` §6b).
 
 use shrimp_mem::VirtAddr;
 use shrimp_net::{FabricShard, PacketClass};
 use shrimp_os::{Pid, UdmaXferResult};
 use shrimp_sim::{ExchangeGrid, FlightRecorder, Histogram, SimTime, SpinBarrier, TimeFrontier};
 
-use crate::engine::{DeliveryCore, Flit, Lane, LaneList, LaneMap, SendCore};
+use crate::engine::{DeliveryCore, Flit, Lane, LaneList, SendCore};
 use crate::program::{NullProgram, ProgramPlan, StreamProgram, TrafficProgram};
 use crate::{Multicomputer, ShrimpError};
 
@@ -77,14 +61,9 @@ const CHUNK: usize = 16;
 /// Upper bound on windows executed per barrier crossing. Deep plans run
 /// `MAX_EPOCH_WINDOWS · CHUNK` sends between barriers, cutting
 /// barrier/frontier traffic (and run-calibration overhead — longer
-/// windows mean longer replayed trains) by up to this factor. On a
-/// big mesh the execute phase sweeps every owned node's machine state
-/// once per crossing, so the span bound directly sets how often that
-/// sweep re-fills the cache: 64 windows (1024 sends per node between
-/// barriers) measured best on the 64–1024-node `host_throughput` rows.
-/// Payload footprint no longer argues for a small span — steady-state
-/// trains stage as [`PacketRun`]s, one payload per train regardless of
-/// the window count.
+/// windows mean longer replayed trains) by up to this factor: 64 windows
+/// (1024 sends per node between barriers) measured best on the
+/// 64–1024-node `host_throughput` rows.
 pub const MAX_EPOCH_WINDOWS: usize = 64;
 
 /// Deterministic windows-per-crossing schedule.
@@ -203,13 +182,11 @@ pub struct ParallelReport {
     pub packets: u64,
 }
 
-/// A node owned by a shard: its [`Lane`] (node + receive-side state),
-/// this run's emitted-so-far send list, and the traffic program that
-/// grows it (absent for nodes that only receive).
-struct ShardNode {
-    /// Global node index.
-    index: usize,
-    lane: Lane,
+/// A node's state for one run, kept beside its [`Lane`]: the
+/// emitted-so-far send list and the traffic program that grows it
+/// (absent for nodes that only receive).
+#[derive(Default)]
+struct NodeRun {
     /// Sends emitted so far: the whole plan up front for a stream, a
     /// growing log for a reactive program (`next` walks it; emitted ops
     /// are never revisited, so the log doubles as the run's op history).
@@ -223,7 +200,7 @@ struct ShardNode {
     failed: bool,
 }
 
-impl ShardNode {
+impl NodeRun {
     /// No ops left to execute *right now* — the node cannot advance its
     /// own clock, so it is excluded from the published bound. A reactive
     /// program may still revive it (deliveries wake it at the next epoch
@@ -243,42 +220,24 @@ struct Crossing<'a> {
     grid: &'a ExchangeGrid<Flit>,
 }
 
-/// How a round-robin shard finds the [`Lane`] for a global node index:
-/// shard `id` owns nodes `id, id + threads, …` at local slots
-/// `global / threads`.
-struct RoundRobin<'a> {
-    nodes: &'a mut [ShardNode],
-    threads: usize,
+/// One worker's block of the machine: its lanes and their run state, the
+/// fabric shard that stages the traffic addressed to them, and the send
+/// and delivery cores. Shard 0 borrows the machine's own fabric shard and
+/// cores; the other shards of a multi-threaded run own copies.
+struct Shard<'a> {
     id: usize,
-}
-
-impl LaneMap for RoundRobin<'_> {
-    fn lane_mut(&mut self, node: usize) -> &mut Lane {
-        debug_assert_eq!(node % self.threads, self.id, "packet routed to the wrong shard");
-        &mut self.nodes[node / self.threads].lane
-    }
-}
-
-/// One worker's slice of the machine: its nodes, its slice of the fabric
-/// (with the deterministic staged queue for traffic addressed to it), and
-/// its instances of the shared send and delivery cores.
-struct Shard {
-    id: usize,
-    threads: usize,
-    nodes: Vec<ShardNode>,
+    /// Global index of `lanes[0]`: node `g` is local index `g - base`.
+    base: usize,
+    lanes: &'a mut [Lane],
+    nodes: &'a mut [NodeRun],
     /// Local indices of the nodes with ops left to execute
     /// (`!exhausted()`), ascending: the nodes the execute sweep and the
     /// bound visit.
     active: LaneList,
-    fabric: FabricShard,
-    /// The receive-side delivery implementation — the same code the
-    /// serial driver runs, bounded here by the epoch horizon.
-    core: DeliveryCore,
-    /// The send-side implementation — the same code the serial driver
-    /// runs; it stages traffic for this shard's own nodes directly and
-    /// batches the rest per destination shard.
-    sender: SendCore,
-    /// Scratch: mailbox drain target.
+    fabric: &'a mut FabricShard,
+    core: &'a mut DeliveryCore,
+    sender: &'a mut SendCore,
+    /// Scratch: mailbox drain target (unused, and empty, at one thread).
     incoming: Vec<Flit>,
     /// This shard's clone of the global windows-per-crossing schedule.
     schedule: WindowSchedule,
@@ -302,7 +261,7 @@ struct Shard {
     errors: Vec<(usize, ShrimpError)>,
 }
 
-impl Shard {
+impl Shard<'_> {
     /// The epoch loop. `crossing` is the synchronization with the other
     /// shards; a one-shard run passes `None`, and its horizon is then its
     /// own bound — nothing is posted, drained or waited for.
@@ -327,8 +286,8 @@ impl Shard {
             let bound = self.publish_bound();
             self.sender.posted_min = None;
             if let Some(x) = crossing {
-                for dst in 0..self.threads {
-                    x.grid.post_batch(self.id, dst, &mut self.sender.staging[dst]);
+                for (dst, batch) in self.sender.staging.iter_mut().enumerate() {
+                    x.grid.post_batch(self.id, dst, batch);
                 }
                 x.frontier.publish(self.id, bound);
             }
@@ -351,11 +310,13 @@ impl Shard {
                 None => bound,
             };
             lap(clock, &mut mark, &mut self.phases.merge);
-            self.core.commit_due(
-                &mut self.fabric,
-                &mut RoundRobin { nodes: &mut self.nodes, threads: self.threads, id: self.id },
-                horizon,
-            );
+            let recorded = self.core.recorder.total_recorded();
+            self.core.commit_due(self.fabric, self.lanes, self.base, horizon);
+            // An epoch commits exactly the packets due by its horizon, the
+            // same set at any sharding; keyed in place, the ring's spans
+            // then stay in merge-key order and its newest spans are the
+            // newest by key, whichever shard recorded them.
+            self.core.recorder.sort_since(recorded);
             lap(clock, &mut mark, &mut self.phases.commit);
             if let Some(x) = crossing {
                 x.barrier.wait();
@@ -389,24 +350,23 @@ impl Shard {
         let mut joined = false;
         for &g in self.core.woken.as_slice() {
             self.visits += 1;
-            let ni = g / self.threads;
-            let sn = &mut self.nodes[ni];
+            let ni = g - self.base;
+            let (sn, lane) = (&mut self.nodes[ni], &mut self.lanes[ni]);
             let Some(program) = sn.program.as_mut() else {
-                sn.lane.inbox.clear();
+                lane.inbox.clear();
                 continue;
             };
             if sn.failed || program.finished() {
-                sn.lane.inbox.clear();
+                lane.inbox.clear();
                 continue;
             }
             let was_active = sn.next < sn.ops.len();
-            let Lane { node, inbox, .. } = &mut sn.lane;
-            let result = program.step(node, inbox, &mut sn.ops);
-            inbox.clear();
+            let result = program.step(&mut lane.node, &lane.inbox, &mut sn.ops);
+            lane.inbox.clear();
             if let Err(trap) = result {
                 // lint:allow(A1) -- a trap is terminal for the node's
                 // traffic: the cold error path, never the steady state.
-                self.errors.push((sn.index, trap.into()));
+                self.errors.push((g, trap.into()));
                 sn.failed = true;
                 sn.next = sn.ops.len();
             } else if !was_active && !sn.exhausted() {
@@ -435,8 +395,7 @@ impl Shard {
     fn publish_bound(&mut self) -> Option<SimTime> {
         let active = self.active.as_slice();
         self.visits += active.len() as u64;
-        let mut bound =
-            active.iter().map(|&ni| self.nodes[ni].lane.node.os().machine().now()).min();
+        let mut bound = active.iter().map(|&ni| self.lanes[ni].node.os().machine().now()).min();
         if self.reactive {
             let lookahead = self.fabric.lookahead();
             for t in [self.fabric.next_staged(), self.sender.posted_min].into_iter().flatten() {
@@ -470,13 +429,12 @@ impl Shard {
             if runlen < 3 {
                 continue;
             }
-            let first = (r0, self.nodes[ni].lane.node.os().machine().now());
+            let first = (r0, self.lanes[ni].node.os().machine().now());
             let Some(r1) = self.execute_one(ni, &op) else { return };
             let count = runlen - 2;
-            let sn = &mut self.nodes[ni];
-            if self.sender.replay(&mut sn.lane.node, &mut self.fabric, &op, first, r1, count as u64)
-            {
-                sn.next += count;
+            let node = &mut self.lanes[ni].node;
+            if self.sender.replay(node, self.fabric, &op, first, r1, count as u64) {
+                self.nodes[ni].next += count;
                 self.messages += count as u64;
             }
         }
@@ -489,7 +447,7 @@ impl Shard {
         let tracing = self.core.tracing();
         let sn = &mut self.nodes[ni];
         sn.next += 1;
-        match self.sender.send(&mut sn.lane.node, &mut self.fabric, tracing, op) {
+        match self.sender.send(&mut self.lanes[ni].node, self.fabric, tracing, op) {
             Ok(result) => {
                 self.messages += 1;
                 Some(result)
@@ -497,7 +455,7 @@ impl Shard {
             Err(trap) => {
                 // lint:allow(A1) -- a trap is terminal for the node's
                 // plan: the cold error path, never the steady state.
-                self.errors.push((sn.index, trap.into()));
+                self.errors.push((self.base + ni, trap.into()));
                 sn.next = sn.ops.len();
                 None
             }
@@ -508,14 +466,13 @@ impl Shard {
 impl Multicomputer {
     /// Runs `plans` to completion across `threads` worker threads using
     /// conservative epoch synchronization. With `threads = 1` the single
-    /// shard runs inline with no thread, barrier, frontier or mailbox —
-    /// its horizon is its own bound — and the run is the serial driver
-    /// under another name: same fabric, same delivery core, same
-    /// timeline. Each epoch visits only the nodes deliveries woke and the
-    /// nodes with sends left, so its host cost follows the traffic, not
-    /// the node count. The simulated timeline, receiver memory, per-node clocks
-    /// and fabric statistics are identical at any thread count (the count
-    /// is clamped to `[1, node_count]`).
+    /// shard is the machine itself, run inline with no thread, barrier,
+    /// frontier or mailbox, and nothing is split or merged. Each epoch
+    /// visits only the nodes deliveries woke and the nodes with sends
+    /// left, so its host cost follows the traffic, not the node count.
+    /// The simulated timeline, receiver memory, per-node clocks and
+    /// fabric statistics are identical at any thread count (clamped to
+    /// the number of equal node blocks, at most `node_count`).
     ///
     /// Quiesces in-flight traffic first; plans for the same node
     /// concatenate in argument order. Empty `plans` are exactly the
@@ -525,8 +482,8 @@ impl Multicomputer {
     ///
     /// A bad node index fails up front. A kernel trap mid-plan finishes
     /// that node's plan early; the rest of the machine runs to
-    /// completion, state is reassembled, and the trap of the
-    /// lowest-indexed trapped node is returned.
+    /// completion and the trap of the lowest-indexed trapped node is
+    /// returned.
     pub fn run(
         &mut self,
         plans: &[NodePlan],
@@ -572,8 +529,8 @@ impl Multicomputer {
     ///
     /// A bad node index fails up front. A kernel trap in a program step
     /// or mid-plan finishes that node's traffic; the rest of the machine
-    /// runs to completion, state is reassembled, and the trap of the
-    /// lowest-indexed trapped node is returned.
+    /// runs to completion and the trap of the lowest-indexed trapped node
+    /// is returned.
     pub fn run_programs(
         &mut self,
         programs: &mut [ProgramPlan],
@@ -586,28 +543,27 @@ impl Multicomputer {
         self.run_until_quiet();
         let reactive = programs.iter().any(|pp| pp.program.reactive());
 
-        // Take ownership of the programs (a placeholder keeps each
+        // Borrow the programs for the run (a placeholder keeps each
         // `ProgramPlan` intact) and run every initial step against an
-        // empty inbox while the machine is still assembled: opening
-        // emissions seed the schedule exactly as plan depths would.
-        let mut ops: Vec<Vec<SendOp>> = vec![Vec::new(); n];
-        let mut progs: Vec<Option<Box<dyn TrafficProgram>>> = (0..n).map(|_| None).collect();
-        let mut plan_slot: Vec<Option<usize>> = vec![None; n];
-        let mut init_errors: Vec<(usize, ShrimpError)> = Vec::new();
+        // empty inbox: opening emissions seed the schedule exactly as
+        // plan depths would.
+        let mut nodes: Vec<NodeRun> = std::iter::repeat_with(NodeRun::default).take(n).collect();
+        let mut errors: Vec<(usize, ShrimpError)> = Vec::new();
         let mut deepest = 0;
-        for (slot, pp) in programs.iter_mut().enumerate() {
+        for pp in programs.iter_mut() {
             let node = pp.node;
-            assert!(plan_slot[node].is_none(), "node {node} has more than one traffic program");
-            plan_slot[node] = Some(slot);
+            let nr = &mut nodes[node];
+            assert!(nr.program.is_none(), "node {node} has more than one traffic program");
             let program =
-                progs[node].insert(std::mem::replace(&mut pp.program, Box::new(NullProgram)));
+                nr.program.insert(std::mem::replace(&mut pp.program, Box::new(NullProgram)));
             let hint = program.planned_hint();
             let lane = &mut self.lanes[node];
-            match program.step(&mut lane.node, &[], &mut ops[node]) {
-                Ok(()) => deepest = deepest.max(ops[node].len() + hint),
+            match program.step(&mut lane.node, &[], &mut nr.ops) {
+                Ok(()) => deepest = deepest.max(nr.ops.len() + hint),
                 Err(trap) => {
-                    init_errors.push((node, trap.into()));
-                    ops[node].clear();
+                    errors.push((node, trap.into()));
+                    nr.ops.clear();
+                    nr.failed = true;
                 }
             }
             if reactive {
@@ -615,66 +571,72 @@ impl Multicomputer {
                 lane.inbox.reserve(2 * CHUNK);
             }
         }
-        let threads = threads.clamp(1, n);
-        // The windows-per-crossing schedule is fixed by the initial
-        // emissions before the machine disassembles; every shard gets a
-        // copy.
-        let schedule = WindowSchedule { deepest, forced: self.epoch_windows };
+        // Shards own contiguous blocks of `per_shard` nodes (the last may
+        // be short); block 0 is the machine's own.
+        let per_shard = n.div_ceil(threads.clamp(1, n));
+        let threads = n.div_ceil(per_shard);
+        // Scratch queues are sized for a full epoch up front so the epoch
+        // loop never grows them; at one thread nothing crosses.
+        let batch = if threads > 1 { CHUNK * per_shard } else { 0 };
+        let since = self.core.recorder.total_recorded();
+        let packets_before = self.fabric.counters().packets.get();
+        let mut copies: Vec<(FabricShard, DeliveryCore, SendCore)> = Vec::new();
+        if threads > 1 {
+            copies = self
+                .fabric
+                .split(threads - 1)
+                .into_iter()
+                .zip(1..)
+                .map(|(fabric, id)| {
+                    // Full global capacity per copy: a ring kept in key order
+                    // then retains a superset of its share of the merged
+                    // newest-capacity window, whatever the sharding.
+                    let mut recorder = FlightRecorder::new(self.core.recorder.capacity());
+                    recorder.set_enabled(self.core.recorder.is_enabled());
+                    let core = DeliveryCore::new(self.core.passive, per_shard, recorder);
+                    (fabric, core, SendCore::new(id, per_shard, threads, batch))
+                })
+                .collect();
+        }
 
-        // Disassemble: lanes (nodes + receive-side state) move to their
-        // shards (round-robin: shard `s` owns nodes `s, s+threads, …`),
-        // the fabric splits into per-shard link state, and each shard
-        // gets its own instance of the delivery core. Scratch queues are
-        // sized for a full epoch up front so the epoch loop never grows
-        // them.
-        let per_shard = n.div_ceil(threads);
-        let mut shards: Vec<Shard> = self
-            .fabric
-            .split(threads)
-            .into_iter()
+        // The windows-per-crossing schedule is fixed by the initial
+        // emissions; every shard gets a copy.
+        let schedule = WindowSchedule { deepest, forced: self.epoch_windows };
+        let clock = self.phase_clock;
+        let (lanes, fabric, core, sender) = self.lend(per_shard, threads, batch);
+        let cores = std::iter::once((fabric, core, sender))
+            .chain(copies.iter_mut().map(|(f, c, s)| (f, c, s)));
+        let mut shards: Vec<Shard<'_>> = lanes
+            .chunks_mut(per_shard)
+            .zip(nodes.chunks_mut(per_shard))
+            .zip(cores)
             .enumerate()
-            .map(|(id, fabric)| Shard {
-                id,
-                threads,
-                nodes: Vec::new(),
-                active: LaneList::with_room(per_shard),
-                fabric,
-                core: DeliveryCore::new(self.core.passive, per_shard, {
-                    // Full global capacity per shard: each shard's retained
-                    // tail is then a superset of its contribution to the
-                    // merged newest-capacity window, so the merge result is
-                    // independent of the sharding.
-                    let mut r = FlightRecorder::new(self.core.recorder.capacity());
-                    r.set_enabled(self.core.recorder.is_enabled());
-                    r
-                }),
-                sender: SendCore::new(id, threads, CHUNK * per_shard),
-                incoming: Vec::with_capacity(CHUNK * n),
-                schedule,
-                clock: self.phase_clock,
-                phases: PhaseBreakdown::default(),
-                epochs: 0,
-                messages: 0,
-                visits: 0,
-                errors: Vec::new(),
-                reactive,
+            .map(|(id, ((lanes, nodes), (fabric, core, sender)))| {
+                let mut active = LaneList::with_room(lanes.len());
+                for (ni, _) in nodes.iter().enumerate().filter(|(_, nr)| !nr.exhausted()) {
+                    active.add(ni);
+                }
+                Shard {
+                    id,
+                    base: id * per_shard,
+                    lanes,
+                    nodes,
+                    active,
+                    fabric,
+                    core,
+                    sender,
+                    incoming: Vec::with_capacity(if threads > 1 { CHUNK * n } else { 0 }),
+                    schedule,
+                    reactive,
+                    clock,
+                    phases: PhaseBreakdown::default(),
+                    epochs: 0,
+                    messages: 0,
+                    visits: 0,
+                    errors: Vec::new(),
+                }
             })
             .collect();
-        for (index, lane) in std::mem::take(&mut self.lanes).into_iter().enumerate() {
-            let failed = init_errors.iter().any(|&(node, _)| node == index);
-            let shard = &mut shards[index % threads];
-            if !ops[index].is_empty() {
-                shard.active.add(shard.nodes.len());
-            }
-            shard.nodes.push(ShardNode {
-                index,
-                lane,
-                ops: std::mem::take(&mut ops[index]),
-                next: 0,
-                program: progs[index].take(),
-                failed,
-            });
-        }
 
         if threads == 1 {
             // The one shard runs inline with no crossing: no thread, no
@@ -686,7 +648,7 @@ impl Multicomputer {
             // (runs cross as single entries, so burst mode needs far
             // less, and traffic between a shard's own nodes never
             // crosses).
-            let grid = ExchangeGrid::with_lane_capacity(threads, CHUNK * per_shard);
+            let grid = ExchangeGrid::with_lane_capacity(threads, batch);
             let crossing = Crossing {
                 barrier: &SpinBarrier::new(threads),
                 frontier: &TimeFrontier::new(threads),
@@ -706,56 +668,44 @@ impl Multicomputer {
             debug_assert!(grid.is_empty(), "all exchanged packets must be committed");
         }
 
-        // Reassemble.
         let mut report = ParallelReport::default();
-        let mut slots: Vec<Option<Lane>> = (0..n).map(|_| None).collect();
-        let mut fabric_shards = Vec::with_capacity(threads);
-        let mut recorders = Vec::with_capacity(threads);
-        let mut first_error: Option<(usize, ShrimpError)> = None;
-        self.phases = PhaseBreakdown::default();
-        self.last_node_visits = 0;
+        let (mut phases, mut visits) = (PhaseBreakdown::default(), 0);
         for shard in shards {
-            self.phases.merge_from(&shard.phases);
-            recorders.push(shard.core.recorder);
+            phases.merge_from(&shard.phases);
             report.epochs = report.epochs.max(shard.epochs);
             report.messages += shard.messages;
-            self.last_node_visits += shard.visits;
-            // A shard's fabric slice counts exactly the packets its own
-            // nodes injected (a run counts every member).
-            report.packets += shard.fabric.counters().packets.get();
-            self.core.counters.merge(&shard.core.counters);
-            for (index, error) in shard.errors {
-                if first_error.is_none_or(|(lowest, _)| index < lowest) {
-                    first_error = Some((index, error));
-                }
-            }
-            for sn in shard.nodes {
-                if let Some(program) = sn.program {
-                    let slot = plan_slot[sn.index].expect("program nodes have a plan slot");
-                    programs[slot].program = program;
-                }
-                slots[sn.index] = Some(sn.lane);
-            }
-            fabric_shards.push(shard.fabric);
+            visits += shard.visits;
+            errors.extend(shard.errors);
         }
-        self.lanes = slots.into_iter().map(|s| s.expect("every node comes back")).collect();
+        (self.phases, self.last_node_visits) = (phases, visits);
+        // Fold the other shards back in; at one thread there are none,
+        // and shard 0's spans already sit in merge-key order in the
+        // machine's recorder.
+        if threads > 1 {
+            let (fabrics, cores): (Vec<_>, Vec<_>) =
+                copies.into_iter().map(|(fabric, core, _)| (fabric, core)).unzip();
+            for core in &cores {
+                self.core.counters.merge(&core.counters);
+            }
+            self.fabric.merge(fabrics, per_shard);
+            self.core.recorder.absorb(since, cores.into_iter().map(|c| c.recorder).collect());
+        }
+        self.lend(n, 1, 0);
+        self.core.woken.clear();
         for lane in &mut self.lanes {
             lane.collect = false;
             lane.inbox.clear();
         }
-        for (index, error) in init_errors {
-            if first_error.is_none_or(|(lowest, _)| index < lowest) {
-                first_error = Some((index, error));
+        for pp in programs.iter_mut() {
+            if let Some(program) = nodes[pp.node].program.take() {
+                pp.program = program;
             }
         }
-        let owner: Vec<usize> = (0..n).map(|i| i % threads).collect();
-        self.fabric.merge(fabric_shards, &owner);
-        // Deterministic trace merge: spans re-sort into the same
-        // `(link_ready, id)` order the commit loops applied them in, so
-        // the merged recorder is bit-identical at any thread count.
-        self.core.recorder.absorb(recorders);
+        // Every member of a run counts, as do packets dropped for naming
+        // a node outside the machine.
+        report.packets = self.fabric.counters().packets.get() - packets_before;
         self.last_epochs = report.epochs;
-        match first_error {
+        match errors.into_iter().min_by_key(|&(node, _)| node) {
             Some((_, error)) => Err(error),
             None => Ok(report),
         }
@@ -869,6 +819,40 @@ mod tests {
         let (mut mc, _) = paired_stream(2, 1, 64);
         let err = mc.run(&[NodePlan { node: 9, ops: Vec::new() }], 1).unwrap_err();
         assert_eq!(err, ShrimpError::NoSuchNode(9));
+    }
+
+    #[test]
+    fn a_nipt_entry_outside_the_machine_drops_at_any_thread_count() {
+        // Node 2 of a 4-node machine also maps node 9, which the machine
+        // does not have: under the block rule a packet for it would route
+        // past the last shard. Each stray send's packet counts as
+        // injected and as a fabric drop; the valid sends around it still
+        // deliver, identically at every thread count.
+        let mut prints = Vec::new();
+        for threads in [1usize, 2, 4] {
+            let (mut mc, mut plans) = paired_stream(4, 3, 64);
+            let (rpid, spid) = (Pid::new(1), plans[1].ops[0].pid);
+            mc.map_user_buffer(3, rpid, 0x80_0000, 1).unwrap();
+            let frames = mc.node_mut(3).export_pages(rpid, VirtAddr::new(0x80_0000), 1).unwrap();
+            let stray = mc
+                .node_mut(2)
+                .import_mapping(spid, shrimp_net::NodeId::new(9), &frames, 0)
+                .unwrap();
+            let op = SendOp { dev_page: stray, ..plans[1].ops[0] };
+            plans[1].ops.splice(1..1, [op, op]);
+            let report = mc.run(&plans, threads).unwrap();
+            assert_eq!(report.messages, 8);
+            let snap = mc.metrics_snapshot();
+            let get = |sub, name| snap.get(sub, name, None).unwrap();
+            assert_eq!((get("fabric", "packets"), get("fabric", "drops")), (8, 2));
+            assert_eq!(get("delivery", "delivered"), 6);
+            let got = mc.read_user(3, rpid, VirtAddr::new(0x40_0000), 64).unwrap();
+            assert_eq!(got, (0..64).map(|i| i as u8 ^ 2).collect::<Vec<u8>>());
+            prints.push((fingerprint(&mc), mc.state_digest(), report));
+        }
+        for p in &prints[1..] {
+            assert_eq!(p, &prints[0], "timeline must be thread-count independent");
+        }
     }
 
     #[test]

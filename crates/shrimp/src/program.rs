@@ -17,10 +17,10 @@
 //! so their behavior must be a pure function of the simulated timeline:
 //!
 //! 1. **The initial step.** Every program is stepped once with an empty
-//!    inbox before the machine disassembles into shards. Open-loop
-//!    traffic (streams, fire-and-forget bursts) is emitted here, and
-//!    the emission count seeds the deterministic windows-per-crossing
-//!    schedule exactly as a [`NodePlan`] of the same depth would.
+//!    inbox before the epoch loop starts. Open-loop traffic (streams,
+//!    fire-and-forget bursts) is emitted here, and the emission count
+//!    seeds the deterministic windows-per-crossing schedule exactly as
+//!    a [`NodePlan`] of the same depth would.
 //! 2. **Delivery-driven after that.** A program is stepped again only at
 //!    an epoch boundary at which its node received deliveries — the
 //!    inbox passed to [`TrafficProgram::step`] is never empty after the

@@ -13,15 +13,15 @@
 //!   `Copy` records (the hot path never touches the heap once the ring's
 //!   storage is reserved),
 //! - [`FlightRecorder`] — a span ring plus per-stage latency
-//!   [`Histogram`]s, with a deterministic merge for the sharded parallel
-//!   engine,
+//!   [`Histogram`]s, kept in merge-key order and merged deterministically
+//!   by the sharded parallel engine,
 //! - [`MachineEvent`] / [`MachineEventKind`] — typed machine/OS events;
 //!   `Display` renders the human-readable text on demand, off the hot
 //!   path.
 //!
-//! Determinism contract: per-shard recorders merge in the same
-//! `(link_ready, src‖seq)` order the parallel engine commits packets, so
-//! the merged trace is bit-identical at any thread count.
+//! Determinism contract: the parallel engine keeps every shard's ring in
+//! `(link_ready, src‖seq)` order epoch by epoch and merges the rings in
+//! that order, so the merged trace is bit-identical at any thread count.
 
 use std::fmt;
 
@@ -264,13 +264,6 @@ impl<T: Copy> EventRing<T> {
         }
     }
 
-    /// Accounts for `n` records dropped elsewhere (e.g. overwritten in a
-    /// per-shard ring before a merge): they raise `total` — and therefore
-    /// [`EventRing::dropped`] — without storing anything.
-    pub fn note_external_drops(&mut self, n: u64) {
-        self.total = self.total.saturating_add(n);
-    }
-
     /// Records currently held (≤ capacity).
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -301,11 +294,20 @@ impl<T: Copy> EventRing<T> {
         self.buf[self.head..].iter().chain(self.buf[..self.head].iter())
     }
 
-    /// Empties the ring and resets the drop accounting.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-        self.head = 0;
-        self.total = 0;
+    /// The newest `n` held records as one slice, which the ring keeps as
+    /// its newest records in slice order — for callers that reorder it:
+    /// as the whole ring, the slice starts in storage order. Storage
+    /// moves only when a strict suffix wraps past its end.
+    fn newest_mut(&mut self, n: usize) -> &mut [T] {
+        let len = self.buf.len();
+        if n == len {
+            self.head = 0;
+        } else if n > self.head && self.head > 0 {
+            self.buf.rotate_left(self.head);
+            self.head = 0;
+        }
+        let end = if self.head == 0 { len } else { self.head };
+        &mut self.buf[end - n..end]
     }
 }
 
@@ -350,26 +352,42 @@ impl FlightRecorder {
         self.ring.push(span);
     }
 
-    /// Deterministically merges per-shard recorders into this one.
-    ///
-    /// Span records are concatenated and sorted by [`SpanRecord::merge_key`]
-    /// — the parallel engine's packet commit order — so the result is
-    /// bit-identical regardless of how work was sharded. Stage histograms
-    /// are summed (not re-recorded), so summary statistics stay exact even
-    /// when a shard's ring overflowed.
-    pub fn absorb(&mut self, parts: Vec<FlightRecorder>) {
-        let mut records: Vec<SpanRecord> = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
-        let mut shed = 0u64;
+    /// Sorts the held spans recorded since [`FlightRecorder::total_recorded`]
+    /// read `since` by [`SpanRecord::merge_key`], in place. The parallel
+    /// engine does this after every epoch's commit, so its rings stay in
+    /// key order and retain the newest spans by key, even on overflow.
+    pub fn sort_since(&mut self, since: u64) {
+        let run = self.held_since(since);
+        self.ring.newest_mut(run).sort_unstable_by_key(SpanRecord::merge_key);
+    }
+
+    /// Held spans recorded since the total read `since`: the newest ones.
+    fn held_since(&self, since: u64) -> usize {
+        self.ring.total().saturating_sub(since).min(self.ring.len() as u64) as usize
+    }
+
+    /// Deterministically merges other shards' recorders into the spans
+    /// this one recorded since its total read `since`: all of them sort by
+    /// [`SpanRecord::merge_key`] after the earlier spans, so the result
+    /// does not depend on the sharding as long as every ring holds its
+    /// newest spans by key ([`FlightRecorder::sort_since`]). Stage
+    /// histograms are summed, so they stay exact past ring overflow.
+    pub fn absorb(&mut self, since: u64, parts: Vec<FlightRecorder>) {
+        let own = self.held_since(since);
+        let mut records = self.ring.newest_mut(own).to_vec();
         for part in &parts {
             for (i, h) in part.stages.iter().enumerate() {
                 self.stages[i].merge(h);
             }
-            shed += part.ring.dropped();
+            // Spans a part overwrote count as offered here, and dropped.
+            self.ring.total += part.ring.dropped();
             records.extend(part.iter().copied());
         }
         records.sort_unstable_by_key(SpanRecord::merge_key);
-        self.ring.note_external_drops(shed);
-        for record in records {
+        // The earliest go back into this ring's own slots, the rest after.
+        let (mine, theirs) = records.split_at(own);
+        self.ring.newest_mut(own).copy_from_slice(mine);
+        for &record in theirs {
             self.ring.push(record);
         }
     }
@@ -407,12 +425,6 @@ impl FlightRecorder {
     /// Iterates held spans, oldest → newest (commit order).
     pub fn iter(&self) -> impl Iterator<Item = &SpanRecord> {
         self.ring.iter()
-    }
-
-    /// Empties the ring and zeroes the histograms.
-    pub fn clear(&mut self) {
-        self.ring.clear();
-        self.stages = Default::default();
     }
 }
 
@@ -641,11 +653,87 @@ mod tests {
         b.record(span(1, 30));
 
         let mut merged = FlightRecorder::new(8);
-        merged.absorb(vec![a, b]);
+        merged.absorb(0, vec![a, b]);
         let seqs: Vec<u64> = merged.iter().map(|s| s.id.seq()).collect();
         assert_eq!(seqs, vec![1, 2, 0]);
         assert_eq!(merged.total_recorded(), 3);
         assert_eq!(merged.stage_histogram(Stage::Wire).count(), 3);
+    }
+
+    /// What a run leaves in `machine` when every shard records into a
+    /// recorder of its own and the merge concatenates, sorts and appends
+    /// their retained spans: the model [`FlightRecorder::sort_since`] and
+    /// [`FlightRecorder::absorb`] must reproduce.
+    fn model_merge(machine: &FlightRecorder, shards: &[Vec<SpanRecord>]) -> (Vec<u64>, u64) {
+        let cap = machine.capacity();
+        let mut ring = EventRing::new(cap);
+        ring.set_enabled(true);
+        ring.total = machine.total_recorded();
+        let mut retained = Vec::new();
+        for spans in shards {
+            ring.total += spans.len().saturating_sub(cap) as u64;
+            retained.extend_from_slice(&spans[spans.len().saturating_sub(cap)..]);
+        }
+        retained.sort_unstable_by_key(SpanRecord::merge_key);
+        let earlier: Vec<SpanRecord> = machine.iter().copied().collect();
+        ring.total -= earlier.len() as u64;
+        for s in earlier.into_iter().chain(retained) {
+            ring.push(s);
+        }
+        (ring.iter().map(|s| s.id.raw()).collect(), ring.dropped())
+    }
+
+    #[test]
+    fn shard_zero_recording_in_place_matches_the_merge_model() {
+        // Spans in commit order that is not merge-key order (link_ready
+        // runs backwards within each group of three), on an 8-span ring:
+        // runs below, at and past its capacity, after 0, 5, 11 and 14
+        // earlier spans (an empty, a partly full and a wrapped ring; 14
+        // makes a 3-span run wrap past the end of storage), at 1, 2 and
+        // 3 shards.
+        let spans = |shard: u16, n: u64| -> Vec<SpanRecord> {
+            (0..n)
+                .map(|i| {
+                    let mut s = span(i, 1000 + 10 * (i / 3) + 3 * (2 - i % 3) + u64::from(shard));
+                    s.id = XferId::new(shard, i);
+                    s
+                })
+                .collect()
+        };
+        for earlier in [0u64, 5, 11, 14] {
+            for run in [3u64, 8, 13, 20] {
+                for shards in 1u16..=3 {
+                    let mut machine = FlightRecorder::new(8);
+                    machine.set_enabled(true);
+                    for i in 0..earlier {
+                        machine.record(span(1 << 40 | i, 10 + i));
+                    }
+                    let parts: Vec<Vec<SpanRecord>> =
+                        (0..shards).map(|k| spans(k, run + u64::from(k))).collect();
+                    let want = model_merge(&machine, &parts);
+                    let since = machine.total_recorded();
+                    for &s in &parts[0] {
+                        machine.record(s);
+                    }
+                    if shards == 1 {
+                        machine.sort_since(since);
+                    } else {
+                        let others = parts[1..]
+                            .iter()
+                            .map(|p| {
+                                let mut r = FlightRecorder::new(8);
+                                r.set_enabled(true);
+                                p.iter().for_each(|&s| r.record(s));
+                                r
+                            })
+                            .collect();
+                        machine.absorb(since, others);
+                    }
+                    let got = (machine.iter().map(|s| s.id.raw()).collect(), machine.dropped());
+                    assert_eq!(got, want, "{earlier} earlier, {run} run, {shards} shards");
+                }
+            }
+        }
     }
 
     #[test]

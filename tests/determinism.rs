@@ -182,6 +182,61 @@ fn traces_and_stats_are_bit_identical_across_thread_counts() {
 }
 
 #[test]
+fn a_run_that_overflows_the_span_ring_is_thread_count_independent() {
+    // 4 pairs × 20,000 sends of 64 B record 80,000 spans into a ring of
+    // `TRACE_SPANS` (65,536): which spans the ring keeps, their order and
+    // the dropped count must not depend on how the run was sharded.
+    let mut prints = Vec::new();
+    for threads in [1usize, 2, 4] {
+        let (mut mc, plans) = paired_stream(8, 20_000, 64);
+        mc.set_tracing(true);
+        mc.run(&plans, threads).unwrap();
+        let recorder = mc.recorder();
+        assert_eq!(recorder.len(), Multicomputer::TRACE_SPANS);
+        assert_eq!(recorder.dropped(), 80_000 - Multicomputer::TRACE_SPANS as u64);
+        let order: Vec<_> = recorder.iter().map(|s| (s.link_ready, s.id)).collect();
+        prints.push((mc.export_trace_bin(), order, recorder.dropped()));
+    }
+    assert!(prints[1] == prints[0], "overflowed ring: 1 vs 2 threads");
+    assert!(prints[2] == prints[0], "overflowed ring: 1 vs 4 threads");
+}
+
+#[test]
+fn serial_calls_between_runs_are_thread_count_independent() {
+    // Serial sends and runs share the machine's fabric, delivery core and
+    // recorder: literal sends, a run, more sends in reverse node order, a
+    // second run and a final quiesce must leave the same digest, trace
+    // bytes and snapshot whatever the runs' thread count.
+    let mut prints = Vec::new();
+    for threads in [1usize, 2, 3, 4] {
+        let (mut mc, plans) = paired_stream(8, 12, 512);
+        mc.set_tracing(true);
+        let send = |mc: &mut Multicomputer, plan: &NodePlan, k: usize| {
+            for op in &plan.ops[..k] {
+                mc.send(plan.node, op.pid, op.src_va, op.dev_page, op.dev_off, op.nbytes).unwrap();
+            }
+        };
+        for plan in &plans {
+            send(&mut mc, plan, 3);
+        }
+        mc.run(&plans, threads).unwrap();
+        for plan in plans.iter().rev() {
+            send(&mut mc, plan, 5);
+        }
+        mc.run(&plans[1..], threads).unwrap();
+        mc.run_until_quiet();
+        prints.push((
+            mc.state_digest(),
+            mc.export_trace_bin(),
+            mc.metrics_snapshot().render_text(),
+        ));
+    }
+    for (i, p) in prints.iter().enumerate().skip(1) {
+        assert!(*p == prints[0], "serial calls between runs: 1 vs {} threads", i + 1);
+    }
+}
+
+#[test]
 fn merged_parallel_stats_equal_serial_stats() {
     // The metrics snapshot after a parallel run must merge the per-shard
     // counters (fabric, delivery core) and carry the per-node component
