@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the simulator's hot primitives.
 //!
 //! These measure *host* performance of the building blocks (state machine,
-//! proxy math, MMU, TLB, event queue) — engineering benchmarks that keep
+//! proxy math, MMU, TLB, fabric staging) — engineering benchmarks that keep
 //! the simulator fast, as opposed to the `src/bin/*` experiment harnesses
 //! that reproduce the paper's *simulated* results.
 //!
@@ -15,7 +15,8 @@ use std::time::Instant;
 use shrimp_dma::{DmaTiming, LoopbackPort};
 use shrimp_mem::{Layout, Pfn, PhysAddr, PhysMemory, VirtAddr, Vpn, PAGE_SIZE};
 use shrimp_mmu::{AccessKind, Mmu, Mode, PageTable, Pte, PteFlags};
-use shrimp_sim::{merge_tag, MergeQueue, SimTime, SplitMix64};
+use shrimp_net::{Commit, FabricShard, Interconnect, LinkParams, NodeId, Packet};
+use shrimp_sim::{SimTime, SplitMix64, XferId};
 use udma_core::{plan::plan_transfer, state, UdmaController, UdmaStatus};
 
 /// Runs `f` for ~100 ms after a short warm-up and prints mean ns/iter.
@@ -123,15 +124,30 @@ fn bench_controller_initiation() {
     });
 }
 
-fn bench_merge_queue() {
-    let mut q: MergeQueue<u64> = MergeQueue::new();
+fn bench_fabric_stage_commit() {
+    const NODES: u16 = 64;
+    let mut net = Interconnect::new(NODES, LinkParams::default());
+    let shard = net.shard_mut();
     let mut rng = SplitMix64::new(1);
     let mut seq = 0u64;
-    bench("merge_queue_push_pop", || {
-        let t = SimTime::from_nanos(rng.next_below(1_000_000));
-        q.push(t, merge_tag(0, seq), 1);
+    let mut send = |shard: &mut FabricShard, mut p: Packet| {
+        p.dst = NodeId::new(rng.next_below(u64::from(NODES)) as u16);
+        p.meta.id = XferId::new(0, seq);
         seq += 1;
-        q.pop_within(None)
+        shard.send(p, SimTime::from_nanos(rng.next_below(1_000_000)));
+    };
+    // A standing backlog spread over every destination, so each commit
+    // pops from populated queues; the committed packet is sent again.
+    let template = Packet::new(NodeId::new(0), NodeId::new(0), PhysAddr::new(0), vec![0; 64]);
+    for _ in 0..256 {
+        send(shard, template.clone());
+    }
+    let mut hand = Some(template);
+    bench("fabric_send_commit_next", || {
+        send(shard, hand.take().expect("a packet in hand"));
+        if let Some(Commit::One { packet, .. }) = shard.commit_next(None) {
+            hand = Some(packet);
+        }
     });
 }
 
@@ -149,6 +165,6 @@ fn main() {
     bench_status_word();
     bench_mmu();
     bench_controller_initiation();
-    bench_merge_queue();
+    bench_fabric_stage_commit();
     bench_phys_memory();
 }

@@ -85,9 +85,9 @@ fn parallel_stream_amortizes_to_zero_allocs_per_message() {
     // run() setup (shard assembly, thread spawn, first-epoch scratch),
     // which a steady-state stream must amortize below the bench table's
     // 0.00 rendering — at every shard count the bench sweeps. A per-epoch
-    // allocation anywhere in the engine (the calendar wheel, the exchange
-    // grid, the per-destination index) would scale with the message count
-    // and blow far past this bound.
+    // allocation anywhere in the engine (the per-destination staging
+    // queues, the key heap, the exchange grid) would scale with the
+    // message count and blow far past this bound.
     for threads in [1usize, 2, 4] {
         let par = host_perf::stream_pairs(8, 4096, 25_000, threads);
         let allocs = par.allocs_per_msg.expect("counting allocator active");
@@ -104,8 +104,8 @@ fn big_mesh_parallel_stream_amortizes_to_zero_allocs_per_message() {
     assert!(alloc_count::is_active(), "counting allocator not registered");
 
     // A 256-node mesh multiplies the one-time per-run scratch (per-node
-    // packet pools, per-destination index lanes, wheel slabs, exchange
-    // lanes) by the node count — ~600 setup allocations for this run —
+    // packet pools, per-destination staging queues, exchange lanes) by
+    // the node count — ~600 setup allocations for this run —
     // but the epoch loop itself must stay allocation-free, so a few
     // thousand sends per flow amortize setup below the rendering
     // threshold. A per-epoch or per-message allocation anywhere in the

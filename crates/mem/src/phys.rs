@@ -1,6 +1,18 @@
 //! Simulated physical memory: a flat byte array with bounds-checked access.
 
+use std::cell::RefCell;
+
 use crate::{MemError, Pfn, PhysAddr, PAGE_SIZE};
+
+thread_local! {
+    /// Storage of the memories dropped on this thread, all of one size.
+    /// A machine built after another of the same shape takes its nodes'
+    /// memory from here, pages already resident, instead of asking the
+    /// allocator again — which may have handed the dropped machine's
+    /// pages back to the OS, depending on where unrelated allocations sit
+    /// in its heap, so that the new machine faults every page in afresh.
+    static SPARE: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+}
 
 /// The installed physical memory of one simulated node.
 ///
@@ -20,14 +32,23 @@ pub struct PhysMemory {
 }
 
 impl PhysMemory {
-    /// Installs `size` bytes of zeroed memory.
+    /// Installs `size` bytes of zeroed memory, reusing the storage of a
+    /// memory of the same size dropped earlier on this thread.
     ///
     /// # Panics
     ///
     /// Panics if `size` is not page-aligned.
     pub fn new(size: u64) -> Self {
         assert_eq!(size % PAGE_SIZE, 0, "memory size must be page-aligned");
-        PhysMemory { bytes: vec![0; size as usize] }
+        let len = size as usize;
+        let bytes = match SPARE.with_borrow_mut(|spare| spare.pop_if(|b| b.len() == len)) {
+            Some(mut bytes) => {
+                bytes.fill(0);
+                bytes
+            }
+            None => vec![0; len],
+        };
+        PhysMemory { bytes }
     }
 
     /// Installed bytes.
@@ -175,6 +196,24 @@ impl PhysMemory {
     }
 }
 
+impl Drop for PhysMemory {
+    /// Keeps the storage for the next memory of the same size built on
+    /// this thread; spares of another size are freed.
+    fn drop(&mut self) {
+        let bytes = std::mem::take(&mut self.bytes);
+        // During thread teardown the spares may already be gone: the
+        // storage is then simply freed.
+        let _ = SPARE.try_with(|spare| {
+            if let Ok(mut spare) = spare.try_borrow_mut() {
+                if spare.last().is_some_and(|b| b.len() != bytes.len()) {
+                    spare.clear();
+                }
+                spare.push(bytes);
+            }
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,6 +229,19 @@ mod tests {
     fn zero_initialized() {
         let m = PhysMemory::new(PAGE_SIZE);
         assert!(m.read(PhysAddr::new(0), PAGE_SIZE).unwrap().iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn a_dropped_memory_backs_the_next_of_its_size_zeroed() {
+        let mut old = PhysMemory::new(2 * PAGE_SIZE);
+        old.fill(PhysAddr::new(0), 2 * PAGE_SIZE, 0xa5).unwrap();
+        let storage = old.read(PhysAddr::new(0), 1).unwrap().as_ptr();
+        drop(old);
+        let other = PhysMemory::new(PAGE_SIZE);
+        let new = PhysMemory::new(2 * PAGE_SIZE);
+        assert_eq!(new.read(PhysAddr::new(0), 1).unwrap().as_ptr(), storage);
+        assert!(new.read(PhysAddr::new(0), 2 * PAGE_SIZE).unwrap().iter().all(|&b| b == 0));
+        assert_eq!(other.size(), PAGE_SIZE);
     }
 
     #[test]

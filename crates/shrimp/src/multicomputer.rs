@@ -269,7 +269,7 @@ impl Multicomputer {
     /// and a batched run of the same timeline differ there (and only
     /// there).
     ///
-    /// Host- and schedule-variant observability (wheel spills, buffer-pool
+    /// Host- and schedule-variant observability (peak staged depth, buffer-pool
     /// high water, phase timings) deliberately lives in the separate
     /// [`Multicomputer::engine_metrics`] set, outside this guarantee.
     pub fn metrics_snapshot(&self) -> MetricSet {
@@ -293,14 +293,14 @@ impl Multicomputer {
     }
 
     /// Host- and schedule-variant engine observability, separate from the
-    /// pinned [`Multicomputer::metrics_snapshot`]: staged-wheel pressure,
-    /// per-destination index spills, per-node buffer-pool demand and TLB
-    /// lookup shortcuts, the last run's epoch count and node visits
-    /// (program steps, chunk executions and bound reads), and (when a phase
-    /// clock is installed) the host-time epoch-phase histograms. Values
-    /// here may legitimately differ across thread counts and hosts.
+    /// pinned [`Multicomputer::metrics_snapshot`]: peak staged depth,
+    /// per-node buffer-pool demand and TLB lookup shortcuts, the last
+    /// run's epoch count and node visits (program steps, chunk executions
+    /// and bound reads), and (when a phase clock is installed) the
+    /// host-time epoch-phase histograms. Values here may legitimately
+    /// differ across thread counts and hosts.
     pub fn engine_metrics(&self) -> MetricSet {
-        let mut set = MetricSet::with_capacity(3 * self.lanes.len() + 12);
+        let mut set = MetricSet::with_capacity(3 * self.lanes.len() + 9);
         for (i, lane) in self.lanes.iter().enumerate() {
             let i = i as u32;
             let machine = lane.node.os().machine();
@@ -309,11 +309,10 @@ impl Multicomputer {
             set.counter(MetricId::indexed("buf_pool", "exhaustion", i), pool.exhaustion_stalls());
             set.counter(MetricId::indexed("tlb", "last_hits", i), machine.mmu().tlb().last_hits());
         }
-        let (spills, reseeds, depth_high) = self.fabric.staged_wheel_metrics();
-        set.counter(MetricId::scalar("wheel", "spills"), spills);
-        set.counter(MetricId::scalar("wheel", "reseeds"), reseeds);
-        set.counter(MetricId::scalar("wheel", "depth_high"), depth_high);
-        set.counter(MetricId::scalar("dst_index", "lane_spills"), self.fabric.dst_lane_spills());
+        // Peak staged entries. The id predates staging by destination: it
+        // named the calendar wheel the fabric once staged into, and
+        // benchmark reports read it under that name.
+        set.counter(MetricId::scalar("wheel", "depth_high"), self.fabric.staged_depth_high());
         set.counter(MetricId::scalar("engine", "epochs"), self.last_epochs);
         set.counter(MetricId::scalar("engine", "node_visits"), self.last_node_visits);
         let p = &self.phases;

@@ -8,8 +8,7 @@
 //!   allocation-free data plane,
 //! - [`Clock`] — a monotonically advancing per-node clock,
 //! - [`parallel`] — conservative parallel-execution primitives (epoch
-//!   barrier, sharded exchange, the deterministic [`MergeQueue`] every
-//!   engine drains its events from, commit horizon),
+//!   barrier, sharded exchange, commit horizon),
 //! - [`SplitMix64`] — a tiny, dependency-free deterministic RNG,
 //! - [`Counter`] / [`counters!`] / [`Histogram`] — measurement primitives
 //!   embedded in the components that count,
@@ -27,14 +26,18 @@
 //! # Example
 //!
 //! ```
-//! use shrimp_sim::{merge_tag, Clock, MergeQueue, SimDuration, SimTime};
+//! use shrimp_sim::{Clock, SimDuration, SimTime, TimeFrontier, XferId};
 //!
 //! let mut clock = Clock::new();
-//! let mut queue: MergeQueue<&str> = MergeQueue::new();
-//! queue.push(SimTime::ZERO + SimDuration::from_us(5.0), merge_tag(0, 0), "dma-done");
 //! clock.advance(SimDuration::from_us(10.0));
-//! let fired: Vec<_> = std::iter::from_fn(|| queue.pop_within(Some(clock.now()))).collect();
-//! assert_eq!(fired, [(SimTime::from_nanos(5000), "dma-done")]);
+//! // Two shards publish lower bounds on their next events; the earlier
+//! // one is the horizon up to which either may commit.
+//! let frontier = TimeFrontier::new(2);
+//! frontier.publish(0, Some(clock.now()));
+//! frontier.publish(1, Some(SimTime::from_nanos(25_000)));
+//! assert_eq!(frontier.horizon(), Some(SimTime::from_nanos(10_000)));
+//! // Equal-time events commit in transfer-ID order: source, then sequence.
+//! assert!(XferId::new(0, 7).raw() < XferId::new(1, 0).raw());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -54,7 +57,7 @@ pub use buf::{BufPool, Payload};
 pub use clock::Clock;
 pub use cost::CostModel;
 pub use metrics::{CounterId, Gauge, GaugeId, HistId, MetricId, MetricSet};
-pub use parallel::{merge_tag, ExchangeGrid, MergeQueue, SpinBarrier, TimeFrontier};
+pub use parallel::{ExchangeGrid, SpinBarrier, TimeFrontier};
 pub use rng::SplitMix64;
 pub use span::{
     EventRing, FlightRecorder, MachineEvent, MachineEventKind, SpanRecord, Stage, XferId, XferMeta,

@@ -152,7 +152,7 @@ fn engine_metrics_expose_wheel_and_phase_figures() {
     mc.run(&plans, 2).unwrap();
     let em = mc.engine_metrics();
     assert!(em.get("engine", "epochs", None).unwrap() > 0);
-    assert!(em.get("wheel", "depth_high", None).unwrap() > 0, "staging wheel saw entries");
+    assert!(em.get("wheel", "depth_high", None).unwrap() > 0, "staging saw entries");
     let execute = em.get_hist("phase", "execute_ns", None).unwrap();
     assert!(execute.count() > 0, "phase clock recorded execute samples");
     assert!(execute.sum() > 0, "execute phase accumulated host time");
