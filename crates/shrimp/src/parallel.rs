@@ -764,6 +764,39 @@ mod tests {
         v
     }
 
+    /// The commit phase's merge queue is the shard's staged fabric, gated
+    /// by the frontier horizon: a packet past the minimum published bound
+    /// stays staged until every shard is exhausted.
+    #[test]
+    fn merge_queue_respects_horizon() {
+        use shrimp_mem::PhysAddr;
+        use shrimp_net::{Commit, Interconnect, LinkParams, NodeId, Packet, Staged};
+        use shrimp_sim::XferId;
+
+        let mut net = Interconnect::new(2, LinkParams::default());
+        let shard = net.shard_mut();
+        for (seq, at) in [(0u64, 5u64), (1, 15)] {
+            let mut p = Packet::new(NodeId::new(0), NodeId::new(1), PhysAddr::new(0), vec![0; 8]);
+            p.meta.id = XferId::new(0, seq);
+            shard.stage(SimTime::from_nanos(at), p.merge_tag(), Staged::One(p));
+        }
+        let committed = |shard: &mut FabricShard, horizon| match shard.commit_next(horizon)? {
+            Commit::One { packet, .. } => Some(packet.meta.id.seq()),
+            Commit::Run { .. } => None,
+        };
+
+        let frontier = TimeFrontier::new(2);
+        frontier.publish(0, Some(SimTime::from_nanos(20)));
+        frontier.publish(1, Some(SimTime::from_nanos(10)));
+        assert_eq!(committed(shard, frontier.horizon()), Some(0), "early packet commits");
+        assert_eq!(committed(shard, frontier.horizon()), None, "late packet is beyond");
+        assert_eq!(shard.next_staged(), Some(SimTime::from_nanos(15)));
+        frontier.publish(0, None);
+        frontier.publish(1, None);
+        assert_eq!(committed(shard, frontier.horizon()), Some(1));
+        assert_eq!(shard.staged_len(), 0);
+    }
+
     #[test]
     fn thread_counts_cannot_change_the_timeline() {
         let mut prints = Vec::new();
