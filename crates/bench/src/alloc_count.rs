@@ -14,8 +14,8 @@
 //! ```
 //!
 //! Counting is always compiled in here; the `count-allocs` feature only
-//! controls whether `host_throughput` registers the wrapper (so the
-//! default build measures undisturbed wall-clock).
+//! controls whether `host_throughput` registers the wrapper (without it,
+//! every `allocs_per_msg` renders as `null`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

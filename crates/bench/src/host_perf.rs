@@ -1,23 +1,17 @@
-//! Host wall-clock throughput of the simulator's data plane.
+//! Deterministic artifacts of the simulator's streaming data plane.
 //!
-//! Unlike the `fig8`/`hippi`/... experiments, which report *simulated*
-//! time, this module measures how fast the simulator itself executes the
-//! send → packetize → fabric → deliver pipeline on the host — the number
-//! that bounds every large-scale experiment the ROADMAP asks for. The
-//! `host_throughput` binary drives these workloads and emits
-//! `BENCH_throughput.json` so each perf PR has a measured baseline.
+//! The `host_throughput` binary drives these workloads and writes
+//! `BENCH_throughput.json`: per workload, the FNV digest of the final
+//! machine state, the steady-state heap allocations per message, and
+//! (traced rows) per-stage simulated-latency percentiles. None of it
+//! reads the host clock, so a row reproduces on any host; host time is
+//! measured by `perfbench` alone.
 //!
-//! Workloads run either through the serial driver loop (`threads == 0`)
-//! or through [`Multicomputer::run`] (`threads >= 1`) — since the
-//! single-engine refactor these are the same delivery core. Each
-//! entry records the thread count, the FNV digest of the final machine
-//! state, and the commit hash, so a result can be traced to the exact
-//! code and cross-checked for determinism: the digest of a stream must
-//! not depend on the thread count.
-
-use std::process::Command;
-use std::sync::OnceLock;
-use std::time::Instant;
+//! Workloads run either through the serial driver (`threads == 0`: a
+//! literal [`Multicomputer::send`] loop) or through
+//! [`Multicomputer::run`] (`threads >= 1`). Both drive the same send and
+//! delivery cores, so the digest of a stream must not depend on the
+//! thread count.
 
 use shrimp::{Multicomputer, NodePlan, PacketClass, SendOp};
 use shrimp_machine::MachineConfig;
@@ -32,36 +26,10 @@ use crate::alloc_count;
 /// the digest, not the engine.
 const SMALL_NODE_THRESHOLD: u16 = 16;
 
-/// Monotonic host nanoseconds since the first call, for injection as the
-/// engine's phase clock ([`Multicomputer::set_phase_clock`]). The
-/// simulator core never reads host time itself; this lives in the bench
-/// layer and is handed in as a plain `fn` pointer.
-pub fn host_nanos() -> u64 {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
-}
-
-/// Host-time epoch-phase totals of a parallel run as read back from the
-/// engine-metrics plane (`None` on serial rows), in fixed order:
-/// `[crossings, execute_ns, barrier_ns, merge_ns, commit_ns]`. A large
-/// `barrier_ns` share means shard imbalance, not engine cost.
-pub type PhaseTotals = [u64; 5];
-
 /// Per-stage simulated-time latency percentiles `[p50, p90, p99]` in
 /// nanoseconds, indexed by [`Stage::ALL`] order (`None` on untraced
 /// rows — the flight recorder is the source).
 pub type StageLatencies = [[u64; 3]; STAGE_COUNT];
-
-fn phases_to_json(p: PhaseTotals) -> String {
-    let [crossings, execute_ns, barrier_ns, merge_ns, commit_ns] = p;
-    format!(
-        concat!(
-            "{{\"crossings\":{},\"execute_ns\":{},\"barrier_ns\":{},",
-            "\"merge_ns\":{},\"commit_ns\":{}}}"
-        ),
-        crossings, execute_ns, barrier_ns, merge_ns, commit_ns,
-    )
-}
 
 fn stages_to_json(s: &StageLatencies) -> String {
     let body: Vec<String> = Stage::ALL
@@ -72,7 +40,7 @@ fn stages_to_json(s: &StageLatencies) -> String {
     format!("{{{}}}", body.join(","))
 }
 
-/// One measured workload.
+/// One workload's deterministic outcome.
 #[derive(Clone, Debug)]
 pub struct ThroughputResult {
     /// Workload name (`stream_<size>_<n>node[_t<threads>]`).
@@ -85,27 +53,13 @@ pub struct ThroughputResult {
     pub messages: u64,
     /// Worker threads (`0` = serial driver loop, `>=1` = parallel engine).
     pub threads: usize,
-    /// Host wall-clock seconds for the steady-state loop.
-    pub wall_s: f64,
-    /// Messages per host wall-clock second.
-    pub msgs_per_sec: f64,
-    /// Payload megabytes per host wall-clock second.
-    pub mb_per_sec: f64,
     /// FNV-1a digest of final machine state (clocks, deliveries, memory).
     /// Identical workloads must digest identically at every thread count.
     pub digest: u64,
-    /// `git rev-parse --short HEAD` at measurement time (or `unknown`).
-    pub commit: String,
-    /// Logical cores the host exposed to this process — a thread-sweep
-    /// speedup claim from a 1-core container should say so itself.
-    pub host_cores: usize,
     /// Steady-state heap allocations per message (`None` unless the
     /// counting allocator is registered — build with `count-allocs` and
     /// the `host_throughput` binary registers it).
     pub allocs_per_msg: Option<f64>,
-    /// Epoch-phase breakdown in host nanoseconds (parallel rows only),
-    /// harvested from [`Multicomputer::engine_metrics`].
-    pub phases: Option<PhaseTotals>,
     /// Per-stage `[p50, p90, p99]` simulated latency in nanoseconds
     /// (traced rows only), from the flight recorder's stage histograms.
     pub stage_ns: Option<StageLatencies>,
@@ -126,10 +80,6 @@ impl ThroughputResult {
             Some(a) => format!("{a:.3}"),
             None => "null".to_string(),
         };
-        let phases = match self.phases {
-            Some(p) => phases_to_json(p),
-            None => "null".to_string(),
-        };
         let stage_ns = match &self.stage_ns {
             Some(s) => stages_to_json(s),
             None => "null".to_string(),
@@ -145,9 +95,8 @@ impl ThroughputResult {
         format!(
             concat!(
                 "{{\"name\":\"{}\",\"nodes\":{},\"msg_bytes\":{},\"messages\":{},",
-                "\"threads\":{},\"wall_s\":{:.4},\"msgs_per_sec\":{:.1},\"mb_per_sec\":{:.2},",
-                "\"digest\":\"{:#018x}\",\"commit\":\"{}\",\"host_cores\":{},",
-                "\"allocs_per_msg\":{},\"phases\":{},\"stage_p50_p90_p99_ns\":{},",
+                "\"threads\":{},\"digest\":\"{:#018x}\",",
+                "\"allocs_per_msg\":{},\"stage_p50_p90_p99_ns\":{},",
                 "\"request_p50_p90_p99_ns\":{},\"nipt_evictions_refaults\":{}}}"
             ),
             self.name,
@@ -155,19 +104,33 @@ impl ThroughputResult {
             self.msg_bytes,
             self.messages,
             self.threads,
-            self.wall_s,
-            self.msgs_per_sec,
-            self.mb_per_sec,
             self.digest,
-            self.commit,
-            self.host_cores,
             allocs,
-            phases,
             stage_ns,
             request_ns,
             nipt_churn,
         )
     }
+}
+
+/// Every pair of rows that ran the same workload — equal node count,
+/// message size and message count — yet digest differently. Thread
+/// count and tracing must never move a digest, so a non-empty result is
+/// a determinism failure.
+pub fn digest_divergences(
+    runs: &[ThroughputResult],
+) -> Vec<(&ThroughputResult, &ThroughputResult)> {
+    let mut out = Vec::new();
+    for (i, a) in runs.iter().enumerate() {
+        for b in &runs[i + 1..] {
+            if (a.nodes, a.msg_bytes, a.messages) == (b.nodes, b.msg_bytes, b.messages)
+                && a.digest != b.digest
+            {
+                out.push((a, b));
+            }
+        }
+    }
+    out
 }
 
 /// Renders a run list as a JSON array.
@@ -176,34 +139,15 @@ pub fn runs_to_json(runs: &[ThroughputResult]) -> String {
     format!("[\n{}\n  ]", body.join(",\n"))
 }
 
-/// Logical cores the host exposes to this process (`1` when the OS will
-/// not say). Every [`ThroughputResult`] records it: a parallel-speedup
-/// claim measured inside a 1-core container must label itself as such.
-pub fn host_logical_cores() -> usize {
-    std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
-}
-
-/// The current commit's short hash, or `unknown` outside a git checkout.
-pub fn commit_hash() -> String {
-    Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 /// Streams `messages_per_pair` messages of `msg_bytes` down `nodes / 2`
-/// disjoint sender→receiver pairs and reports host throughput.
+/// disjoint sender→receiver pairs and reports the final state digest.
 ///
-/// With `threads == 0` the senders are driven round-robin through the
-/// serial driver (`Multicomputer::send` + `run_until_quiet`) — the
-/// call-per-message baseline. With `threads >= 1` every sender's
+/// With `threads == 0` each sender in turn issues its messages through
+/// the serial driver (`Multicomputer::send` + `run_until_quiet`), one
+/// literal send per message. With `threads >= 1` every sender's
 /// messages become a [`NodePlan`] executed by [`Multicomputer::run`] on
 /// that many worker threads. Either way the simulated timeline — and
-/// therefore the state digest — is identical; only the host clock moves.
+/// therefore the state digest — is identical.
 ///
 /// # Panics
 ///
@@ -241,8 +185,8 @@ pub fn stream_pairs_traced(
 /// [`stream_pairs`] with metrics harvesting: after the measured window
 /// the machine-wide snapshot ([`Multicomputer::metrics_snapshot`]) is
 /// rendered to its stable text form and returned alongside the result.
-/// Harvesting happens outside the timed region and must not disturb the
-/// digest or the steady-state allocation count.
+/// Harvesting happens outside the measured window and must not disturb
+/// the digest or the steady-state allocation count.
 ///
 /// # Panics
 ///
@@ -345,51 +289,23 @@ fn stream_pairs_impl(
             })
             .collect()
     };
-    if threads > 0 {
-        // Warm the clock's epoch outside the measured region, then hand
-        // it to the engine so parallel rows report a phase breakdown.
-        let _ = host_nanos();
-        mc.set_phase_clock(Some(host_nanos));
-    }
     let alloc_mark = alloc_count::allocation_count();
-    let wall_s = if threads == 0 {
-        // Each flow is a §7 message train: the serial driver batches its
-        // steady-state tail through `send_burst` (flows are disjoint
-        // pairs, so per-flow order and round-robin order share one
-        // timeline — the digest check below would catch any drift).
-        let t0 = Instant::now();
+    if threads == 0 {
         for &(send_node, sender, dev_page) in &flows {
-            mc.send_burst(
-                send_node,
-                sender,
-                VirtAddr::new(0x10_0000),
-                dev_page,
-                0,
-                msg_bytes,
-                u64::from(messages_per_pair),
-            )
-            .expect("steady-state burst");
+            for _ in 0..messages_per_pair {
+                mc.send(send_node, sender, VirtAddr::new(0x10_0000), dev_page, 0, msg_bytes)
+                    .expect("steady-state send");
+            }
         }
         mc.run_until_quiet();
-        t0.elapsed().as_secs_f64()
     } else {
-        let t0 = Instant::now();
         mc.run(&plans, threads).expect("steady-state parallel run");
-        t0.elapsed().as_secs_f64()
-    };
+    }
     let allocs = alloc_count::delta_since(alloc_mark);
 
     assert_eq!(mc.dropped_packets(), 0, "workload must not drop packets");
     let trace = traced.then(|| mc.export_trace_bin());
     let metrics = metered.then(|| mc.metrics_snapshot().render_text());
-    let phases = (threads > 0).then(|| {
-        let em = mc.engine_metrics();
-        let ns =
-            |name: &str| em.get_hist("phase", name, None).map_or(0, shrimp_sim::Histogram::sum);
-        let crossings =
-            em.get_hist("phase", "execute_ns", None).map_or(0, shrimp_sim::Histogram::count);
-        [crossings, ns("execute_ns"), ns("barrier_ns"), ns("merge_ns"), ns("commit_ns")]
-    });
     let stage_ns = traced.then(|| {
         let mut out = [[0u64; 3]; STAGE_COUNT];
         for (slot, stage) in out.iter_mut().zip(Stage::ALL) {
@@ -408,18 +324,12 @@ fn stream_pairs_impl(
         msg_bytes,
         messages: total,
         threads,
-        wall_s,
-        msgs_per_sec: total as f64 / wall_s,
-        mb_per_sec: (total * msg_bytes) as f64 / wall_s / (1024.0 * 1024.0),
         digest: mc.state_digest(),
-        commit: commit_hash(),
-        host_cores: host_logical_cores(),
         allocs_per_msg: if alloc_count::is_active() {
             Some(allocs as f64 / total as f64)
         } else {
             None
         },
-        phases,
         stage_ns,
         request_ns: None,
         nipt_churn: None,
@@ -436,10 +346,9 @@ mod tests {
         let r = stream_pairs(2, 4096, 16, 0);
         assert_eq!(r.messages, 16);
         assert_eq!(r.threads, 0);
-        assert!(r.msgs_per_sec > 0.0);
-        assert!(r.mb_per_sec > 0.0);
-        assert!(r.wall_s > 0.0);
+        assert_eq!(r.allocs_per_msg, None, "no counting allocator in unit tests");
         assert_ne!(r.digest, 0);
+        assert_ne!(r.digest, stream_pairs(2, 4096, 17, 0).digest, "one more message moves state");
     }
 
     #[test]
@@ -453,31 +362,30 @@ mod tests {
     }
 
     #[test]
+    fn divergent_digests_of_one_workload_are_reported() {
+        let t1 = stream_pairs(4, 512, 8, 1);
+        let other = stream_pairs(4, 512, 9, 1);
+        let runs = vec![stream_pairs(4, 512, 8, 0), t1.clone(), other];
+        assert!(digest_divergences(&runs).is_empty(), "agreeing rows and other workloads pass");
+        let mut broken = t1;
+        broken.digest ^= 1;
+        let runs = vec![runs[0].clone(), broken];
+        let divergent = digest_divergences(&runs);
+        assert_eq!(divergent.len(), 1);
+        assert_eq!(divergent[0].1.name, "stream_512b_4node_t1");
+    }
+
+    #[test]
     fn json_shape_is_stable() {
         let r = stream_pairs(2, 256, 4, 0);
         let j = r.to_json();
         assert!(j.contains("\"name\":\"stream_256b_2node\""), "{j}");
-        assert!(j.contains("\"msgs_per_sec\":"), "{j}");
         assert!(j.contains("\"threads\":0"), "{j}");
         assert!(j.contains("\"digest\":\"0x"), "{j}");
-        assert!(j.contains("\"commit\":"), "{j}");
-        assert!(j.contains("\"host_cores\":"), "{j}");
         assert!(j.contains("\"allocs_per_msg\":"), "{j}");
-        assert!(j.contains("\"phases\":null"), "serial row has no phases: {j}");
         assert!(j.contains("\"stage_p50_p90_p99_ns\":null"), "untraced row has no stages: {j}");
         assert!(j.contains("\"request_p50_p90_p99_ns\":null"), "stream row: {j}");
         assert!(j.contains("\"nipt_evictions_refaults\":null"), "stream row: {j}");
-    }
-
-    #[test]
-    fn parallel_phases_come_from_engine_metrics() {
-        let r = stream_pairs(4, 512, 8, 2);
-        let [crossings, execute_ns, ..] = r.phases.expect("parallel row has phases");
-        assert!(crossings > 0, "phase clock sampled at least one crossing");
-        assert!(execute_ns > 0, "execute phase accumulated host time");
-        let j = r.to_json();
-        assert!(j.contains("\"crossings\":"), "{j}");
-        assert!(j.contains("\"commit_ns\":"), "{j}");
     }
 
     #[test]

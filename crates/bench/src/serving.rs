@@ -27,8 +27,6 @@
 //! figures of the modelled serving path, not host noise — which is what
 //! lets CI gate on them.
 
-use std::time::Instant;
-
 use shrimp::{
     DeliveryEvent, Multicomputer, MulticomputerConfig, NiptDirectory, PacketClass, ProgramPlan,
     SendOp, ShrimpNode, TrafficProgram,
@@ -39,7 +37,7 @@ use shrimp_net::NodeId;
 use shrimp_os::{NodeConfig, Pid, Trap};
 use shrimp_sim::{Histogram, SimTime};
 
-use crate::host_perf::{commit_hash, host_logical_cores, ThroughputResult};
+use crate::host_perf::ThroughputResult;
 
 /// Per-tenant virtual layout (each tenant is its own process, so the
 /// addresses repeat per tenant): the outbound payload page and the
@@ -401,9 +399,7 @@ fn serving_impl(
     if traced {
         mc.set_tracing(true);
     }
-    let t0 = Instant::now();
     let report = mc.run_programs(&mut programs, threads).expect("serving run");
-    let wall_s = t0.elapsed().as_secs_f64();
     assert_eq!(mc.dropped_packets(), 0, "serving must not drop packets");
 
     // Harvest the per-client latency histograms out of the returned
@@ -446,14 +442,8 @@ fn serving_impl(
         msg_bytes: SERVING_MSG_BYTES,
         messages: report.messages,
         threads,
-        wall_s,
-        msgs_per_sec: report.messages as f64 / wall_s,
-        mb_per_sec: (report.messages * SERVING_MSG_BYTES) as f64 / wall_s / (1024.0 * 1024.0),
         digest: mc.state_digest(),
-        commit: commit_hash(),
-        host_cores: host_logical_cores(),
         allocs_per_msg: None,
-        phases: None,
         stage_ns,
         request_ns: Some([q(0.50), q(0.90), q(0.99)]),
         nipt_churn: Some([evictions, refaults]),

@@ -3,6 +3,10 @@
 //! is enabled (before the measured window), so recording a span is a plain
 //! array write; this test registers the counting allocator and holds the
 //! harness to 0.00 heap allocations per message on the 4 KB stream.
+//!
+//! The serial cases (`threads == 0`) drive one literal
+//! `Multicomputer::send` per message, each followed by its `propagate`:
+//! the per-message path `scatter` runs, with no message-train replay.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 

@@ -570,62 +570,6 @@ impl Multicomputer {
         &self.phases
     }
 
-    /// Sends the same message `count` times back to back — the §7 message
-    /// train — batching the steady-state tail into one replayed *run*.
-    ///
-    /// Trains of three or more calibrate with two literal
-    /// [`Multicomputer::send`]s: if both complete in one transfer with no
-    /// retries and their clock stride matches the model's steady-state
-    /// stride, the remaining messages are *replayed* — the machine books
-    /// their counters and events wholesale, the NIC builds one §7-style
-    /// gather descriptor (`OutgoingRun`) minting consecutive transfer
-    /// IDs, and the fabric stages the whole run as one entry. After an
-    /// ineligible calibration (cold TLB, multi-chunk, retries) the train
-    /// calibrates again from its next message, exactly as the parallel
-    /// engine does. Either way the timeline is identical to a plain
-    /// [`Multicomputer::send`] loop — `state_digest` and exported traces
-    /// cannot tell the paths apart.
-    ///
-    /// Returns the last literal message's result (replayed members are
-    /// replicas of it).
-    ///
-    /// # Errors
-    ///
-    /// Node bounds or kernel traps, as [`Multicomputer::send`].
-    // lint:hot_path
-    #[allow(clippy::too_many_arguments)]
-    pub fn send_burst(
-        &mut self,
-        i: usize,
-        pid: Pid,
-        src_va: VirtAddr,
-        dev_page: u64,
-        dev_off: u64,
-        nbytes: u64,
-        count: u64,
-    ) -> Result<UdmaXferResult, ShrimpError> {
-        self.check_node(i)?;
-        let op = SendOp { pid, src_va, dev_page, dev_off, nbytes, class: PacketClass::User };
-        let mut last = UdmaXferResult::default();
-        let mut left = count;
-        while left > 0 {
-            last = self.send(i, pid, src_va, dev_page, dev_off, nbytes)?;
-            left -= 1;
-            if left < 2 {
-                continue;
-            }
-            let first = (last, self.lanes[i].node.os().machine().now());
-            last = self.send(i, pid, src_va, dev_page, dev_off, nbytes)?;
-            left -= 1;
-            let fabric = self.fabric.shard_mut();
-            if self.sender.replay(&mut self.lanes[i].node, fabric, &op, first, last, left) {
-                self.propagate();
-                return Ok(last);
-            }
-        }
-        Ok(last)
-    }
-
     /// A user-level deliberate-update send: `nbytes` from `src_va` on node
     /// `i` through device proxy page `dev_page` + `dev_off`, then packet
     /// propagation.
@@ -746,19 +690,16 @@ impl Multicomputer {
     }
 
     /// Runs until no packets are in flight and no NIC holds built packets.
+    /// One [`Multicomputer::propagate`] is enough: it flushes every NIC
+    /// and commits with no horizon, and delivery writes memory without
+    /// building packets, so nothing is left for a second pass.
     pub fn run_until_quiet(&mut self) {
-        loop {
-            self.propagate();
-            let pending = self.fabric.in_flight_count()
-                + self
-                    .lanes
-                    .iter()
-                    .map(|l| l.node.os().machine().device().outgoing_len())
-                    .sum::<usize>();
-            if pending == 0 {
-                return;
-            }
-        }
+        self.propagate();
+        debug_assert!(
+            self.fabric.in_flight_count() == 0
+                && self.lanes.iter().all(|l| l.node.os().machine().device().outgoing_len() == 0),
+            "propagate left traffic pending"
+        );
     }
 
     /// Lends every lane, the fabric's own shard and both cores to shard 0

@@ -70,28 +70,6 @@ fn literal_fingerprint(schedule: &[u64]) -> (u64, Vec<u8>) {
     (mc.state_digest(), mc.export_trace_bin())
 }
 
-/// Serial driver: every flow sends each schedule entry as one
-/// [`Multicomputer::send_burst`] train.
-fn serial_fingerprint(schedule: &[u64]) -> (u64, Vec<u8>) {
-    let (mut mc, flows) = build(4);
-    for f in &flows {
-        for (i, &size) in schedule.iter().enumerate() {
-            mc.send_burst(
-                f.node,
-                f.pid,
-                VirtAddr::new(0x10_0000),
-                f.dev_page,
-                off(i),
-                NBYTES,
-                size,
-            )
-            .unwrap();
-        }
-    }
-    mc.run_until_quiet();
-    (mc.state_digest(), mc.export_trace_bin())
-}
-
 /// Parallel engine: the same schedule as per-node plans — each entry
 /// becomes a train of identical consecutive ops the engine may batch.
 fn parallel_fingerprint(threads: usize, schedule: &[u64]) -> (u64, Vec<u8>) {
@@ -119,14 +97,6 @@ fn parallel_fingerprint(threads: usize, schedule: &[u64]) -> (u64, Vec<u8>) {
 }
 
 #[test]
-fn serial_burst_replay_is_invisible() {
-    let batched = serial_fingerprint(&SIZES);
-    let literal = literal_fingerprint(&SIZES);
-    assert_eq!(batched.0, literal.0, "state digest diverged");
-    assert_eq!(batched.1, literal.1, "exported trace bytes diverged");
-}
-
-#[test]
 fn burst_sweep_is_invisible_at_every_thread_count() {
     let reference = literal_fingerprint(&SIZES);
     for threads in [1usize, 2, 4] {
@@ -134,11 +104,6 @@ fn burst_sweep_is_invisible_at_every_thread_count() {
         assert_eq!(batched.0, reference.0, "digest diverged at {threads} threads");
         assert_eq!(batched.1, reference.1, "trace bytes diverged at {threads} threads");
     }
-    // The serial driver runs the identical workload to the identical
-    // fingerprint — batching cannot tell the entry points apart either.
-    let serial = serial_fingerprint(&SIZES);
-    assert_eq!(serial, parallel_fingerprint(1, &SIZES), "serial driver diverged from the engine");
-    assert_eq!(serial, reference, "serial driver diverged from the literal sends");
 }
 
 #[test]
@@ -161,7 +126,5 @@ fn random_interleavings_of_burst_and_single_sends_are_invisible() {
                 "trace diverged: seed {seed}, {threads} threads, schedule {schedule:?}"
             );
         }
-        let serial = serial_fingerprint(&schedule);
-        assert_eq!(serial, reference, "serial diverged: seed {seed}, schedule {schedule:?}");
     }
 }

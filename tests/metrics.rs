@@ -14,6 +14,9 @@
 //! Registered as a `shrimp-bench` test target so it can drive both the
 //! raw `Multicomputer` API and the bench workloads.
 
+use std::sync::OnceLock;
+use std::time::Instant;
+
 use shrimp::{Multicomputer, MulticomputerConfig, NodePlan, PacketClass, SendOp};
 use shrimp_bench::host_perf;
 use shrimp_mem::VirtAddr;
@@ -145,10 +148,17 @@ fn drop_counters_conserve_undelivered_packets() {
     assert_eq!(delivery_drops, 0, "well-formed run never drops at delivery");
 }
 
+/// Monotonic host nanoseconds since the first call: the phase clock the
+/// engine samples. The simulator never reads host time itself.
+fn host_nanos() -> u64 {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
+}
+
 #[test]
 fn engine_metrics_expose_wheel_and_phase_figures() {
     let (mut mc, plans) = paired_stream(8, 30, 1024);
-    mc.set_phase_clock(Some(host_perf::host_nanos));
+    mc.set_phase_clock(Some(host_nanos));
     mc.run(&plans, 2).unwrap();
     let em = mc.engine_metrics();
     assert!(em.get("engine", "epochs", None).unwrap() > 0);
