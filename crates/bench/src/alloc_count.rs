@@ -13,9 +13,9 @@
 //!     shrimp_bench::alloc_count::CountingAlloc;
 //! ```
 //!
-//! Counting is always compiled in here; the `count-allocs` feature only
-//! controls whether `host_throughput` registers the wrapper (without it,
-//! every `allocs_per_msg` renders as `null`).
+//! `host_throughput` always registers it, so every stream and serving row
+//! of `BENCH_throughput.json` carries a measured `allocs_per_msg`; a
+//! harness without it reports `null` ([`is_active`] is `false`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

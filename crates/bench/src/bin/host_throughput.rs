@@ -11,37 +11,40 @@
 //! Run: `cargo run --release -p shrimp-bench --bin host_throughput`
 //!
 //! Options:
-//!   --threads <n>      determinism smoke: run the 8-node stream through
-//!                      the serial driver, the unified engine at 1 shard,
-//!                      and at <n> worker threads, plus a 256-node mesh
-//!                      serial vs <n> threads
-//!   --out <path>       output JSON path (default: BENCH_throughput.json)
-//!   --trace <path>     also run the 8-node stream with the flight
-//!                      recorder enabled, write its trace converted to
-//!                      Perfetto trace-event JSON (`shrimp::trace_bin_to_json`)
-//!                      to <path>, and record the traced run (its digest
-//!                      must match the untraced runs)
-//!   --trace-bin <path> like --trace but writes the `SHRTRC01` binary the
-//!                      engine exports, unconverted
-//!   --metrics <path>   also run a traced + metered 64-node mesh smoke
-//!                      (t=2) and a traced 2-node stream, write the
-//!                      machine-wide metrics snapshot (stable text form)
-//!                      to <path>, and record both runs — the 2-node row
-//!                      then carries per-stage p50/p99 latencies in the
-//!                      output JSON; `--metrics BENCH_metrics.txt` from the
-//!                      repo root regenerates the committed snapshot
-//!   --sample-trace <path>
-//!                      write the small fixed 2-node workload's SHRTRC01
-//!                      binary trace to <path> and exit — regenerates the
-//!                      committed `traces/sample_2node.shrtrc`
-//!                      byte-identically (the workload is deterministic)
+//!
+//! ```text
+//! --threads <n>      determinism smoke: run the 8-node stream through
+//!                    the serial driver, the unified engine at 1 shard,
+//!                    and at <n> worker threads, plus a 256-node mesh
+//!                    serial vs <n> threads
+//! --out <path>       output JSON path (default: BENCH_throughput.json)
+//! --trace <path>     also run the 8-node stream with the flight
+//!                    recorder enabled, write its trace converted to
+//!                    Perfetto trace-event JSON (shrimp::trace_bin_to_json)
+//!                    to <path>, and record the traced run (its digest
+//!                    must match the untraced runs)
+//! --trace-bin <path> like --trace but writes the SHRTRC01 binary the
+//!                    engine exports, unconverted
+//! --metrics <path>   also run a traced + metered 64-node mesh smoke
+//!                    (t=2) and a traced 2-node stream, write the
+//!                    machine-wide metrics snapshot (stable text form)
+//!                    to <path>, and record both runs — the 2-node row
+//!                    then carries per-stage p50/p99 latencies in the
+//!                    output JSON; --metrics BENCH_metrics.txt from the
+//!                    repo root regenerates the committed snapshot
+//! --sample-trace <path>
+//!                    write the small fixed 2-node workload's SHRTRC01
+//!                    binary trace to <path> and exit — regenerates the
+//!                    committed traces/sample_2node.shrtrc
+//!                    byte-identically (the workload is deterministic)
+//! ```
 //!
 //! The default (no `--threads`) suite covers the 2- and 8-node serial
 //! streams, a thread sweep on the 8-node stream, a 16-node stream, and
 //! t=1/2/4 sweeps over 64-, 256- and 1024-node meshes. Equal workloads
 //! must carry equal digests whatever their thread count or tracing:
-//! any divergence exits 1. Build with `--features count-allocs` to
-//! register the counting allocator and report steady-state heap
+//! any divergence exits 1. The binary registers the counting allocator,
+//! so every stream and serving row reports its steady-state heap
 //! allocations per message.
 
 use std::fs;
@@ -49,7 +52,6 @@ use std::fs;
 use shrimp_bench::host_perf::{self, ThroughputResult};
 use shrimp_bench::table::print_table;
 
-#[cfg(feature = "count-allocs")]
 #[global_allocator]
 static ALLOC: shrimp_bench::alloc_count::CountingAlloc = shrimp_bench::alloc_count::CountingAlloc;
 

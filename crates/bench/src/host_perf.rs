@@ -56,9 +56,10 @@ pub struct ThroughputResult {
     /// FNV-1a digest of final machine state (clocks, deliveries, memory).
     /// Identical workloads must digest identically at every thread count.
     pub digest: u64,
-    /// Steady-state heap allocations per message (`None` unless the
-    /// counting allocator is registered — build with `count-allocs` and
-    /// the `host_throughput` binary registers it).
+    /// Heap allocations per message over the measured run (`None` unless
+    /// the counting allocator is registered, as the `host_throughput`
+    /// binary always does): the steady state on the streams, mostly
+    /// one-time warm-up on the short serving rows.
     pub allocs_per_msg: Option<f64>,
     /// Per-stage `[p50, p90, p99]` simulated latency in nanoseconds
     /// (traced rows only), from the flight recorder's stage histograms.

@@ -37,6 +37,7 @@ use shrimp_net::NodeId;
 use shrimp_os::{NodeConfig, Pid, Trap};
 use shrimp_sim::{Histogram, SimTime};
 
+use crate::alloc_count;
 use crate::host_perf::ThroughputResult;
 
 /// Per-tenant virtual layout (each tenant is its own process, so the
@@ -399,7 +400,9 @@ fn serving_impl(
     if traced {
         mc.set_tracing(true);
     }
+    let alloc_mark = alloc_count::allocation_count();
     let report = mc.run_programs(&mut programs, threads).expect("serving run");
+    let allocs = alloc_count::delta_since(alloc_mark);
     assert_eq!(mc.dropped_packets(), 0, "serving must not drop packets");
 
     // Harvest the per-client latency histograms out of the returned
@@ -443,7 +446,7 @@ fn serving_impl(
         messages: report.messages,
         threads,
         digest: mc.state_digest(),
-        allocs_per_msg: None,
+        allocs_per_msg: alloc_count::is_active().then(|| allocs as f64 / report.messages as f64),
         stage_ns,
         request_ns: Some([q(0.50), q(0.90), q(0.99)]),
         nipt_churn: Some([evictions, refaults]),

@@ -3,9 +3,8 @@
 use shrimp_sim::SimTime;
 
 /// Timing for a replayed run of identical transfers: member `k` was
-/// initiated at `started_at + stride·k`, completed at
-/// `completes_at + stride·k`, and its sender observed completion status at
-/// `status_base + stride·k`.
+/// initiated at `started_at + stride·k` and completed at
+/// `completes_at + stride·k`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RunTiming {
     /// Initiation instant of the first member.
@@ -14,9 +13,6 @@ pub struct RunTiming {
     pub completes_at: SimTime,
     /// Inter-member spacing.
     pub stride: shrimp_sim::SimDuration,
-    /// Sender-side status-observed instant of the first member. Devices
-    /// without span stamping ignore it.
-    pub status_base: SimTime,
 }
 
 /// A device endpoint the DMA engine can stream to or from.

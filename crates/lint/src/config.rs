@@ -53,7 +53,6 @@ pub const F1_SOURCE_PARAMS: &[(&str, &str)] = &[
     ("handle_load_system", "proxy"),
     // NI send path: destination device addresses arrive from user stores.
     ("packetize", "dev_addr"),
-    ("packetize_burst", "dev_addr"),
     ("validate", "dev_addr"),
     ("validate", "nbytes"),
     ("dma_write", "dev_addr"),

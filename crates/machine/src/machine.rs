@@ -289,7 +289,6 @@ impl<D: Device> Machine<D> {
                 }
             }
         }
-        let status_base = self.clock.now() + stride;
         // INVARIANT: the template transfer read this range when it retired,
         // and physical memory cannot shrink.
         let data =
@@ -302,7 +301,6 @@ impl<D: Device> Machine<D> {
                 started_at: t.started_at + stride,
                 completes_at: t.completes_at + stride,
                 stride,
-                status_base,
             },
         );
         self.clock.advance(stride * count);

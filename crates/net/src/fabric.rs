@@ -4,9 +4,10 @@
 //! [`FabricShard`]. It carries a packet through three steps —
 //!
 //! 1. [`FabricShard::inject`] — routing latency; stamps `link_ready`,
-//! 2. staging ([`FabricShard::stage`]) — the packet waits in its
-//!    destination's queue, keyed `(link_ready, tag)`, the tag being the §7
-//!    priority class bit over the transfer ID,
+//! 2. staging ([`FabricShard::stage`]) — the packet (or a whole run,
+//!    keyed by its first member) waits in its destination's queue under
+//!    the key it carries itself, `(meta.link_ready, merge tag)`, the tag
+//!    being the §7 priority class bit over the transfer ID,
 //! 3. [`FabricShard::commit_next`] — pops the earliest staged packet and
 //!    serializes it on the destination's inbound link, yielding its
 //!    arrival instant.
@@ -91,13 +92,37 @@ pub enum Staged {
     Run(PacketRun),
 }
 
+impl Staged {
+    /// The entry's first packet: the packet itself, or a run's template.
+    fn head(&self) -> &Packet {
+        match self {
+            Staged::One(p) => p,
+            Staged::Run(r) => &r.template,
+        }
+    }
+
+    /// The commit key `(link_ready, merge tag)` of the entry's first
+    /// packet: the `link_ready` [`FabricShard::inject`] stamped into its
+    /// `meta` and its [`Packet::merge_tag`] (§7 priority class bit over
+    /// the `XferId` raw value). A run's later members own the consecutive
+    /// tags above it ([`PacketRun::member_key`]).
+    pub fn key(&self) -> (SimTime, u64) {
+        let p = self.head();
+        (p.meta.link_ready, p.merge_tag())
+    }
+
+    /// The destination node of every packet in the entry.
+    pub fn dst(&self) -> NodeId {
+        self.head().dst
+    }
+}
+
 /// One committed unit popped from the staged queue.
 #[derive(Debug)]
 pub enum Commit {
-    /// A single packet, already serialized on its destination link.
+    /// A single packet, already serialized on its destination link; it
+    /// reached that link at `packet.meta.link_ready`.
     One {
-        /// When the packet reached the destination's inbound link.
-        link_ready: SimTime,
         /// When it finished serializing on that link.
         arrival: SimTime,
         /// The packet itself.
@@ -108,8 +133,6 @@ pub enum Commit {
     /// [`FabricShard::admit`]) and hands any remainder back through
     /// [`FabricShard::restage_run_tail`] — the payload is never cloned.
     Run {
-        /// When member 0 reached the destination's inbound link.
-        link_ready: SimTime,
         /// The full run; members `0..take` are committed.
         run: PacketRun,
         /// How many leading members commit now (≥ 1).
@@ -302,9 +325,6 @@ impl LinkState {
     const IDLE: LinkState = LinkState { busy_until: SimTime::ZERO, wire_bytes: 0 };
 }
 
-/// A staged entry's commit key, `(link_ready, merge tag)`.
-type Key = (SimTime, u64);
-
 /// One shard's slice of the fabric — **the** delivery source of the
 /// machine. The serial [`Interconnect`] is one shard covering every node;
 /// the parallel engine runs N of them, one per worker.
@@ -344,9 +364,9 @@ pub struct FabricShard {
     /// cache line per member.
     links: Vec<LinkState>,
     /// Entries awaiting commit, one queue per destination, each ascending
-    /// by `(link_ready, merge tag)`. An entry is a single packet or a
-    /// whole [`PacketRun`] keyed by its first member.
-    queues: Vec<VecDeque<(Key, Staged)>>,
+    /// by [`Staged::key`]. An entry is a single packet or a whole
+    /// [`PacketRun`] keyed by its first member.
+    queues: Vec<VecDeque<Staged>>,
     /// `(link_ready, merge tag, destination)` of every staged entry,
     /// minimum first: the pop order is a pure function of the staged
     /// set, never of insertion order, so serial and parallel drains are
@@ -411,26 +431,20 @@ impl FabricShard {
         Some(link_ready)
     }
 
-    /// Stages an entry that reaches its destination's inbound link at
-    /// `link_ready`, keyed for the deterministic commit order. `tag` must
-    /// be unique per staged member — the (first) packet's merge tag
-    /// ([`Packet::merge_tag`]: §7 priority class bit over the `XferId`
-    /// raw value); a run's later members own the consecutive tags above
-    /// it.
+    /// Stages an injected entry under its own key ([`Staged::key`]: the
+    /// first packet's `meta.link_ready` and merge tag) for the
+    /// deterministic commit order. The tag must be unique per staged
+    /// member, which the `XferId` inside it guarantees.
     // lint:hot_path
-    pub fn stage(&mut self, link_ready: SimTime, tag: u64, item: Staged) {
-        let dst = match &item {
-            Staged::One(p) => p.dst.raw(),
-            Staged::Run(r) => r.template.dst.raw(),
-        };
-        let key = (link_ready, tag);
+    pub fn stage(&mut self, item: Staged) {
+        let (key, dst) = (item.key(), item.dst().raw());
         let queue = &mut self.queues[usize::from(dst)];
         // Keys mostly arrive in order, so the search usually ends at the back.
-        let at = queue.partition_point(|(k, _)| *k < key);
+        let at = queue.partition_point(|e| e.key() < key);
         // lint:allow(A1) -- the queue and the heap keep their capacity
         // across commits; steady-state staging never allocates.
-        queue.insert(at, (key, item));
-        self.keys.push(Reverse((link_ready, tag, dst)));
+        queue.insert(at, item);
+        self.keys.push(Reverse((key.0, key.1, dst)));
         self.depth_high = self.depth_high.max(self.keys.len() as u64);
     }
 
@@ -443,8 +457,7 @@ impl FabricShard {
         assert!(packet.dst.raw() < self.nodes, "destination {} not in fabric", packet.dst);
         // INVARIANT: the destination was checked just above, so it routes.
         let link_ready = self.inject(&mut packet, now).expect("destination in fabric");
-        let tag = packet.merge_tag();
-        self.stage(link_ready, tag, Staged::One(packet));
+        self.stage(Staged::One(packet));
         link_ready
     }
 
@@ -476,8 +489,7 @@ impl FabricShard {
         assert!(dst.raw() < self.nodes, "destination {dst} not in fabric");
         // INVARIANT: the destination was checked just above, so it routes.
         let link_ready = self.inject_run(&mut run, now).expect("destination in fabric");
-        let tag = run.template.merge_tag();
-        self.stage(link_ready, tag, Staged::Run(run));
+        self.stage(Staged::Run(run));
         link_ready
     }
 
@@ -526,14 +538,14 @@ impl FabricShard {
         let queue = &mut self.queues[usize::from(dst)];
         // INVARIANT: the heap and the queues hold the same keys, and the
         // heap minimum is the minimum of its own destination's queue.
-        let (_, item) = queue.pop_front().expect("heap key names a queue head");
+        let item = queue.pop_front().expect("heap key names a queue head");
         match item {
             Staged::One(packet) => {
                 let arrival = self.admit(&packet, link_ready);
-                Some(Commit::One { link_ready, arrival, packet })
+                Some(Commit::One { arrival, packet })
             }
             Staged::Run(run) => {
-                let next = queue.front().map(|(k, _)| *k);
+                let next = queue.front().map(Staged::key);
                 let mut take: u32 = 1;
                 while take < run.count {
                     let key = run.member_key(take);
@@ -544,7 +556,7 @@ impl FabricShard {
                     }
                     take += 1;
                 }
-                Some(Commit::Run { link_ready, run, take })
+                Some(Commit::Run { run, take })
             }
         }
     }
@@ -559,8 +571,7 @@ impl FabricShard {
             return;
         }
         run.advance(take);
-        let (at, tag) = run.member_key(0);
-        self.stage(at, tag, Staged::Run(run));
+        self.stage(Staged::Run(run));
     }
 
     /// Serializes a packet that reached the destination's inbound link at
@@ -645,10 +656,10 @@ mod tests {
             Some(Commit::One { arrival, packet, .. }) => {
                 vec![(arrival, packet.meta.id, packet.payload[0])]
             }
-            Some(Commit::Run { link_ready, run, take }) => {
+            Some(Commit::Run { run, take }) => {
                 let mut out = Vec::new();
                 for i in 0..take {
-                    let lr = link_ready + run.stride() * u64::from(i);
+                    let lr = run.template.meta.link_ready + run.stride() * u64::from(i);
                     let arrival = shard.admit(&run.template, lr);
                     let id = XferId::new(
                         run.template.meta.id.node(),
@@ -831,14 +842,15 @@ mod tests {
 
     /// Stages a 16-byte single from `src` to `dst` keyed at `at_ns`.
     fn stage_at(shard: &mut FabricShard, at_ns: u64, src: u16, dst: u16, seq: u64) {
-        let p = pkt(src, dst, 16, seq);
-        shard.stage(SimTime::from_nanos(at_ns), p.merge_tag(), Staged::One(p));
+        let mut p = pkt(src, dst, 16, seq);
+        p.meta.link_ready = SimTime::from_nanos(at_ns);
+        shard.stage(Staged::One(p));
     }
 
     /// Commits singles up to `horizon` until none is due: `(link_ready, id)`.
     fn pops(shard: &mut FabricShard, horizon: Option<u64>) -> Vec<(u64, XferId)> {
         std::iter::from_fn(|| match shard.commit_next(horizon.map(SimTime::from_nanos))? {
-            Commit::One { link_ready, packet, .. } => Some((link_ready.as_nanos(), packet.meta.id)),
+            Commit::One { packet, .. } => Some((packet.meta.link_ready.as_nanos(), packet.meta.id)),
             Commit::Run { .. } => panic!("only singles are staged"),
         })
         .collect()
@@ -1160,9 +1172,8 @@ mod tests {
             for (i, &(s, d, bytes, at)) in sequence.iter().enumerate() {
                 let mut p = pkt(s, d, bytes, i as u64);
                 let owner = |node: u16| usize::from(node) / per_shard;
-                let ready = shards[owner(s)].inject(&mut p, SimTime::from_nanos(at)).unwrap();
-                let tag = p.merge_tag();
-                shards[owner(d)].stage(ready, tag, Staged::One(p));
+                shards[owner(s)].inject(&mut p, SimTime::from_nanos(at)).unwrap();
+                shards[owner(d)].stage(Staged::One(p));
             }
             for shard in &mut shards {
                 loop {

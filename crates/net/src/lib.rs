@@ -18,12 +18,11 @@
 //! let mut net = Interconnect::new(4, LinkParams::default());
 //! let p = Packet::new(NodeId::new(0), NodeId::new(3), PhysAddr::new(0x1000), vec![1, 2, 3]);
 //! let link_ready = net.send(p, SimTime::ZERO);
-//! let Some(shrimp_net::Commit::One { link_ready: ready, arrival, packet }) =
-//!     net.shard_mut().commit_next(None)
+//! let Some(shrimp_net::Commit::One { arrival, packet }) = net.shard_mut().commit_next(None)
 //! else {
 //!     panic!("one packet staged");
 //! };
-//! assert_eq!(ready, link_ready);
+//! assert_eq!(packet.meta.link_ready, link_ready, "the packet carries its own key");
 //! assert!(arrival > link_ready, "wire time follows routing");
 //! assert_eq!(packet.payload, [1, 2, 3]);
 //! ```

@@ -11,6 +11,12 @@
 //!   the epoch horizon; only the other shards of a multi-threaded run
 //!   build copies of their own.
 //!
+//! The send half stages one shape: every NIC output is a train
+//! ([`OutgoingRun`]), a literal packet being a train of one, and every
+//! staged entry ([`Staged`]) carries its own commit key, its first
+//! packet's `(meta.link_ready, merge tag)`, so staging locally and
+//! posting to another shard move the entry alone.
+//!
 //! A [`Lane`] is a node plus the receive-side state ([`RxState`]) that
 //! must live wherever deliveries to that node are applied. Shards own
 //! contiguous blocks of lanes, so an engine finds the lane for a global
@@ -20,12 +26,12 @@
 //! [`Multicomputer::propagate`]: crate::Multicomputer::propagate
 //! [`Multicomputer::run`]: crate::Multicomputer::run
 
-use shrimp_net::{Commit, FabricShard, NodeId, Packet, PacketClass, PacketRun, Staged};
+use shrimp_net::{Commit, FabricShard, Packet, PacketClass, PacketRun, Staged};
 use shrimp_os::{Trap, UdmaXferResult};
 use shrimp_sim::{CostModel, FlightRecorder, SimDuration, SimTime, SpanRecord};
 
 use crate::program::DeliveryEvent;
-use crate::{OutgoingPacket, OutgoingRun, SendOp, ShrimpNode};
+use crate::{OutgoingRun, SendOp, ShrimpNode};
 
 /// The model's steady-state per-message clock stride for a warm
 /// single-chunk send of `nbytes`: per-message library software, the user
@@ -42,36 +48,35 @@ fn steady_stride(cost: &CostModel, nbytes: u64) -> SimDuration {
         + cost.bus_transfer(nbytes)
 }
 
-/// A cross-shard staged entry: `(link_ready, merge tag, entry)`, keyed by
-/// the (first) packet's inbound-link instant and its own transfer id.
-pub(crate) type Flit = (SimTime, u64, Staged);
-
 /// The send-side engine, twin of [`DeliveryCore`]: one per execution
-/// context. Every staged entry leaves through one sink with one routing
+/// context. Everything a NIC builds is a train ([`OutgoingRun`], a
+/// literal packet being a train of one), and every train leaves through
+/// one loop: drain, class stamp, inject, and one sink with one routing
 /// rule — node `dst` belongs to shard `dst / per_shard`; stage straight
 /// into the caller's [`FabricShard`] when that is this shard, else post
 /// to `staging[dst / per_shard]` for the owning shard. The machine's own
 /// core is shard 0 with every node in its block (`per_shard` = node
-/// count). The staged queue pops by key, never by insertion order, so
-/// where an entry is staged from cannot change the timeline.
+/// count). A staged entry carries its own commit key (its first packet's
+/// `link_ready` and merge tag), and the staged queue pops by key, never
+/// by insertion order, so where an entry is staged from cannot change the
+/// timeline.
 #[derive(Debug)]
 pub(crate) struct SendCore {
     id: usize,
     per_shard: usize,
-    /// Cross-shard flits per destination shard (this shard's slot stays
+    /// Cross-shard entries per destination shard (this shard's slot stays
     /// empty), posted once per epoch.
-    pub staging: Vec<Vec<Flit>>,
+    pub staging: Vec<Vec<Staged>>,
     /// Minimum `link_ready` of every entry staged or posted since the
     /// owner last reset it (the reactive bound's cover).
     pub posted_min: Option<SimTime>,
-    /// Scratch NIC drain targets, reused across sends.
-    outbox: Vec<OutgoingPacket>,
-    run_outbox: Vec<OutgoingRun>,
+    /// Scratch NIC drain target, reused across sends.
+    outbox: Vec<OutgoingRun>,
 }
 
 impl SendCore {
     /// Shard `id` of a run whose shards own blocks of `per_shard` nodes,
-    /// with room for `batch` flits per other shard.
+    /// with room for `batch` entries per other shard.
     pub fn new(id: usize, per_shard: usize, shards: usize, batch: usize) -> Self {
         let mut core = SendCore {
             id,
@@ -79,7 +84,6 @@ impl SendCore {
             staging: Vec::new(),
             posted_min: None,
             outbox: Vec::with_capacity(8),
-            run_outbox: Vec::with_capacity(4),
         };
         core.reshard(per_shard, shards, batch);
         core
@@ -87,7 +91,7 @@ impl SendCore {
 
     /// Re-blocks the routing rule for a run of `shards` shards of
     /// `per_shard` nodes each (the other shards' batches get room for
-    /// `batch` flits), and forgets the posted minimum. Allocates only
+    /// `batch` entries), and forgets the posted minimum. Allocates only
     /// when the shard count grows.
     pub fn reshard(&mut self, per_shard: usize, shards: usize, batch: usize) {
         self.per_shard = per_shard;
@@ -110,12 +114,11 @@ impl SendCore {
         &mut self,
         node: &mut ShrimpNode,
         fabric: &mut FabricShard,
-        tracing: bool,
         op: &SendOp,
     ) -> Result<UdmaXferResult, Trap> {
         let result =
             node.os_mut().udma_send(op.pid, op.src_va, op.dev_page, op.dev_off, op.nbytes)?;
-        self.stage_packets(node, fabric, tracing, op.class);
+        self.stage(node, fabric, op.class);
         Ok(result)
     }
 
@@ -124,9 +127,9 @@ impl SendCore {
     /// and `second`, which just completed. Eligible when both took one
     /// transfer with no retries and their stride is exactly
     /// [`steady_stride`] (and fits `u32` ns); the machine then books the
-    /// messages wholesale and the NIC's burst descriptor stages as one
-    /// run. Returns `false`, having done nothing, otherwise — the caller
-    /// sends its next op literally and may calibrate again from there.
+    /// messages wholesale and the NIC's train stages as one entry.
+    /// Returns `false`, having done nothing, otherwise — the caller sends
+    /// its next op literally and may calibrate again from there.
     // lint:hot_path
     pub fn replay(
         &mut self,
@@ -148,69 +151,52 @@ impl SendCore {
         if !eligible || !node.os_mut().machine_mut().udma_replay_messages(count, stride) {
             return false;
         }
-        self.stage_runs(node, fabric, op.class);
+        self.stage(node, fabric, op.class);
         true
     }
 
-    /// Stages everything the node's NIC holds, packets and runs, for
-    /// traffic no send op initiated (automatic update, PIO); it keeps the
-    /// user class every NIC-built packet starts with. An idle NIC costs
-    /// one length check: `propagate` flushes every lane per send.
+    /// Stages everything the node's NIC holds, for traffic no send op
+    /// initiated (automatic update, PIO); it keeps the user class every
+    /// NIC-built packet starts with. An idle NIC costs one length check:
+    /// `propagate` flushes every lane per send.
     // lint:hot_path
-    pub fn flush(&mut self, node: &mut ShrimpNode, fabric: &mut FabricShard, tracing: bool) {
+    pub fn flush(&mut self, node: &mut ShrimpNode, fabric: &mut FabricShard) {
         if node.os().machine().device().outgoing_len() == 0 {
             return;
         }
-        self.stage_packets(node, fabric, tracing, PacketClass::User);
-        self.stage_runs(node, fabric, PacketClass::User);
+        self.stage(node, fabric, PacketClass::User);
     }
 
-    fn stage_packets(
-        &mut self,
-        node: &mut ShrimpNode,
-        fabric: &mut FabricShard,
-        tracing: bool,
-        class: PacketClass,
-    ) {
-        node.drain_nic(tracing, &mut self.outbox);
+    /// Drains the node's NIC and stages every train under `class`: a train
+    /// of one stages as a single packet, a longer one as a run.
+    fn stage(&mut self, node: &mut ShrimpNode, fabric: &mut FabricShard, class: PacketClass) {
+        node.drain_nic(&mut self.outbox);
         let mut outbox = std::mem::take(&mut self.outbox);
-        for out in outbox.drain(..) {
-            let mut pkt = out.packet;
-            pkt.class = class;
-            let Some(link_ready) = fabric.inject(&mut pkt, out.ready_at) else { continue };
-            let (tag, dst) = (pkt.merge_tag(), pkt.dst);
-            self.sink(fabric, link_ready, tag, dst, Staged::One(pkt));
+        for OutgoingRun { mut run, ready_at } in outbox.drain(..) {
+            run.template.class = class;
+            if fabric.inject_run(&mut run, ready_at).is_none() {
+                continue;
+            }
+            let entry = if run.count == 1 { Staged::One(run.template) } else { Staged::Run(run) };
+            self.sink(fabric, entry);
         }
         self.outbox = outbox;
     }
 
-    fn stage_runs(&mut self, node: &mut ShrimpNode, fabric: &mut FabricShard, class: PacketClass) {
-        node.drain_nic_runs(&mut self.run_outbox);
-        let mut run_outbox = std::mem::take(&mut self.run_outbox);
-        for out in run_outbox.drain(..) {
-            let mut run =
-                PacketRun { template: out.packet, count: out.count, stride_ns: out.stride_ns };
-            run.template.class = class;
-            let Some(link_ready) = fabric.inject_run(&mut run, out.ready_at) else { continue };
-            let (tag, dst) = (run.template.merge_tag(), run.template.dst);
-            self.sink(fabric, link_ready, tag, dst, Staged::Run(run));
-        }
-        self.run_outbox = run_outbox;
-    }
-
-    fn sink(&mut self, fabric: &mut FabricShard, at: SimTime, tag: u64, dst: NodeId, e: Staged) {
+    fn sink(&mut self, fabric: &mut FabricShard, e: Staged) {
+        let at = e.key().0;
         self.posted_min = Some(self.posted_min.map_or(at, |m| m.min(at)));
         // lint:checks(F1) -- the inject before every sink drops a
         // destination outside the fabric, so `dst < nodes ≤ per_shard ·
         // shards`; the `min` keeps the block index in range regardless.
-        let shard = (dst.raw() as usize / self.per_shard).min(self.staging.len() - 1);
+        let shard = (e.dst().raw() as usize / self.per_shard).min(self.staging.len() - 1);
         if shard == self.id {
-            fabric.stage(at, tag, e);
+            fabric.stage(e);
         } else {
             // lint:allow(A1) -- staging batches keep their capacity across
             // epochs (post_batch drains them in place), so steady-state
             // pushes never reallocate.
-            self.staging[shard].push((at, tag, e));
+            self.staging[shard].push(e);
         }
     }
 }
@@ -366,11 +352,11 @@ impl DeliveryCore {
     ) {
         while let Some(commit) = fabric.commit_next(horizon) {
             match commit {
-                Commit::One { link_ready, arrival, packet } => {
+                Commit::One { arrival, packet } => {
                     let lane = &mut lanes[packet.dst.raw() as usize - base];
-                    self.deliver(lane, link_ready, arrival, &packet);
+                    self.deliver(lane, arrival, &packet);
                 }
-                Commit::Run { link_ready: _, run, take } => {
+                Commit::Run { run, take } => {
                     let lane = &mut lanes[run.template.dst.raw() as usize - base];
                     self.deliver_run(fabric, lane, run, take);
                 }
@@ -398,9 +384,8 @@ impl DeliveryCore {
         }
         let mut left = take;
         loop {
-            let link_ready = run.template.meta.link_ready;
-            let arrival = fabric.admit(&run.template, link_ready);
-            self.deliver(lane, link_ready, arrival, &run.template);
+            let arrival = fabric.admit(&run.template, run.template.meta.link_ready);
+            self.deliver(lane, arrival, &run.template);
             left -= 1;
             if left == 0 {
                 break;
@@ -416,9 +401,11 @@ impl DeliveryCore {
     /// Applies one packet to its destination lane: one receive-side EISA
     /// DMA transaction (arbitration/setup plus the payload burst), the
     /// deposit into physical memory, delivery bookkeeping, span stamping,
-    /// and the passive-receiver clock advance.
+    /// and the passive-receiver clock advance. `arrival` is when the
+    /// packet finished serializing on the inbound link it reached at
+    /// `packet.meta.link_ready`.
     // lint:hot_path
-    fn deliver(&mut self, lane: &mut Lane, link_ready: SimTime, arrival: SimTime, packet: &Packet) {
+    fn deliver(&mut self, lane: &mut Lane, arrival: SimTime, packet: &Packet) {
         let start = arrival.max(lane.rx.eisa_busy);
         let done = {
             let cost = lane.node.os().machine().cost();
@@ -461,7 +448,7 @@ impl DeliveryCore {
                 bytes: packet.payload.len() as u32,
                 initiated_at: m.initiated_at,
                 queued_at: m.queued_at,
-                link_ready,
+                link_ready: m.link_ready,
                 wire_done: arrival,
                 delivered_at: done,
                 status_at: m.status_observed.max(done),

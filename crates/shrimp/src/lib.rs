@@ -58,7 +58,7 @@ pub mod trace;
 
 pub use api::{Channel, ChannelMessage};
 pub use multicomputer::{Multicomputer, MulticomputerConfig, ShrimpError};
-pub use nic::{Nic, NicCounters, OutgoingPacket, OutgoingRun, PioError, NIC_MMIO};
+pub use nic::{Nic, NicCounters, OutgoingRun, PioError, NIC_MMIO};
 pub use nipt::{Nipt, NiptEntry};
 pub use node::ShrimpNode;
 pub use parallel::{NodePlan, ParallelReport, PhaseBreakdown, SendOp, MAX_EPOCH_WINDOWS};

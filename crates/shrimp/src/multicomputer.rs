@@ -589,8 +589,7 @@ impl Multicomputer {
     ) -> Result<UdmaXferResult, ShrimpError> {
         self.check_node(i)?;
         let op = SendOp { pid, src_va, dev_page, dev_off, nbytes, class: PacketClass::User };
-        let (tracing, fabric) = (self.core.tracing(), self.fabric.shard_mut());
-        let result = self.sender.send(&mut self.lanes[i].node, fabric, tracing, &op)?;
+        let result = self.sender.send(&mut self.lanes[i].node, self.fabric.shard_mut(), &op)?;
         self.propagate();
         Ok(result)
     }
@@ -658,12 +657,11 @@ impl Multicomputer {
     /// Injects every NIC's built packets into the fabric and applies all
     /// deliveries: receive-side EISA DMA into physical memory.
     pub fn propagate(&mut self) {
-        let tracing = self.core.tracing();
         let fabric = self.fabric.shard_mut();
         // Flush every NIC (automatic-update and PIO output, or anything a
         // direct `udma_send` left behind) through the shared send core.
         for lane in &mut self.lanes {
-            self.sender.flush(&mut lane.node, fabric, tracing);
+            self.sender.flush(&mut lane.node, fabric);
         }
         // Deliver everything currently in flight (new sends only happen
         // from CPU activity, which happens between propagate calls). The

@@ -6,6 +6,14 @@
 //! are used to index directly into the Network Interface Page Table"),
 //! builds a header, and launches the packet.
 //!
+//! Everything the board builds leaves through one queue in one shape, an
+//! [`OutgoingRun`]: a template packet, a member count and a stride. A
+//! literal transfer, a PIO commit or an automatic-update store is a train
+//! of one; a replayed message train is one train of many, built by the
+//! same packetizer with one NIPT lookup. The drain
+//! (`ShrimpNode::drain_nic`) stamps the status instant and the send core
+//! stages each train under the key its template carries.
+//!
 //! The board here also exposes a memory-mapped FIFO window (the §9
 //! related-work design: "the host processor communicates with the network
 //! interface by reading or writing special memory locations") so the
@@ -16,7 +24,7 @@ use std::collections::BTreeMap;
 use shrimp_devices::Device;
 use shrimp_dma::{DevicePort, RunTiming};
 use shrimp_mem::{Pfn, PhysAddr, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE};
-use shrimp_net::{NodeId, Packet};
+use shrimp_net::{NodeId, Packet, PacketRun};
 use shrimp_sim::{BufPool, MetricId, MetricSet, SimDuration, SimTime, XferId, XferMeta};
 
 use crate::{Nipt, NiptEntry};
@@ -39,30 +47,18 @@ shrimp_sim::counters! {
     }
 }
 
-/// A packet the NIC has built, ready for fabric injection at `ready_at`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OutgoingPacket {
-    /// The packet.
-    pub packet: Packet,
-    /// When the packetizer finished the header and the packet may enter
-    /// the network.
-    pub ready_at: SimTime,
-}
-
-/// A *run* the NIC has built from a replayed message train: one template
-/// packet (member 0, holding the shared payload) plus a member count and
-/// a constant stride — the §7 gather-descriptor idea applied to the
-/// steady-state send path. Member `k` is the template with every
+/// A message train the NIC has built, ready for fabric injection: one
+/// template packet (member 0, holding the shared payload) plus a member
+/// count and a constant stride — the §7 gather-descriptor idea, and the
+/// NIC's only outgoing shape. A literal packet is a train of one
+/// (`count = 1`, `stride_ns = 0`); a replayed message train is one
+/// descriptor whatever its length. Member `k` is the template with every
 /// timestamp shifted by `stride × k` and the transfer sequence number
 /// advanced by `k`.
 #[derive(Debug)]
 pub struct OutgoingRun {
-    /// Member 0 of the run.
-    pub packet: Packet,
-    /// Number of members (≥ 1).
-    pub count: u32,
-    /// Inter-member stride, nanoseconds.
-    pub stride_ns: u32,
+    /// The train: template, member count (≥ 1) and stride.
+    pub run: PacketRun,
     /// When member 0 may enter the network (member `k` follows at
     /// `ready_at + stride × k`).
     pub ready_at: SimTime,
@@ -98,11 +94,7 @@ pub struct Nic {
     node: NodeId,
     nipt: Nipt,
     header_cost: SimDuration,
-    outgoing: Vec<OutgoingPacket>,
-    /// Burst descriptors awaiting injection; a handful at most (one per
-    /// replayed train between drains), so a small fixed reserve keeps the
-    /// steady state allocation-free.
-    outgoing_runs: Vec<OutgoingRun>,
+    outgoing: Vec<OutgoingRun>,
     // Programmed-I/O window state.
     pio_dest_page: u64,
     pio_dest_offset: u64,
@@ -131,7 +123,6 @@ impl Nic {
             nipt: Nipt::new(nipt_entries),
             header_cost,
             outgoing: Vec::new(),
-            outgoing_runs: Vec::with_capacity(4),
             pio_dest_page: 0,
             pio_dest_offset: 0,
             pio_fifo: Vec::new(),
@@ -183,7 +174,10 @@ impl Nic {
             Packet::new(self.node, node, dst_paddr, self.pool.filled_from(&data[..len]));
         let ready_at = now + self.header_cost;
         packet.meta = self.stamp(now, ready_at);
-        self.outgoing.push(OutgoingPacket { packet, ready_at });
+        self.outgoing.push(OutgoingRun {
+            run: PacketRun { template: packet, count: 1, stride_ns: 0 },
+            ready_at,
+        });
         self.counters.auto_updates.incr();
         self.counters.auto_update_bytes.add(len as u64);
     }
@@ -203,24 +197,11 @@ impl Nic {
         &mut self.nipt
     }
 
-    /// Drains packets ready for fabric injection.
-    pub fn take_outgoing(&mut self) -> Vec<OutgoingPacket> {
-        std::mem::take(&mut self.outgoing)
-    }
-
-    /// Appends all ready packets to `out`, keeping this NIC's queue
-    /// capacity for reuse — the allocation-free form of
-    /// [`Nic::take_outgoing`] the multicomputer's inject loop uses with a
-    /// persistent scratch vector.
-    pub fn drain_outgoing_into(&mut self, out: &mut Vec<OutgoingPacket>) {
+    /// Appends every train ready for fabric injection to `out`, keeping
+    /// this NIC's queue capacity for reuse, so a caller with a persistent
+    /// scratch vector drains without allocating.
+    pub fn drain_outgoing_into(&mut self, out: &mut Vec<OutgoingRun>) {
         out.append(&mut self.outgoing);
-    }
-
-    /// Appends all ready burst descriptors to `out`, keeping the NIC's
-    /// queue capacity for reuse (the run analogue of
-    /// [`Nic::drain_outgoing_into`]).
-    pub fn drain_runs_into(&mut self, out: &mut Vec<OutgoingRun>) {
-        out.append(&mut self.outgoing_runs);
     }
 
     /// The NIC's payload-buffer pool (test observability).
@@ -228,10 +209,10 @@ impl Nic {
         &self.pool
     }
 
-    /// Queued send work not yet injected (single packets plus burst
-    /// descriptors; a run counts once regardless of its member count).
+    /// Trains queued and not yet injected (a train counts once, whatever
+    /// its member count).
     pub fn outgoing_len(&self) -> usize {
-        self.outgoing.len() + self.outgoing_runs.len()
+        self.outgoing.len()
     }
 
     /// Packetizer and automatic-update counts.
@@ -239,18 +220,23 @@ impl Nic {
         &self.counters
     }
 
-    /// Packetize `data` for the destination named by device-relative
-    /// address `dev_addr` (NIPT index ‖ page offset). `initiated_at` is
-    /// when the originating request started (the DMA transfer's
-    /// initiation STORE for UDMA, `now` for PIO), carried into the
-    /// packet's flight-recorder span.
+    /// Packetize a train of `count` identical messages of `data` for the
+    /// destination named by device-relative address `dev_addr` (NIPT
+    /// index ‖ page offset), `stride_ns` apart: one NIPT lookup, one pool
+    /// buffer, `count` consecutive transfer IDs. `initiated_at` is when
+    /// the first originating request started (the DMA transfer's
+    /// initiation STORE for UDMA, `done_at` for PIO), carried into the
+    /// packet's flight-recorder span; `done_at` is when its data left
+    /// memory. A literal send is `count = 1, stride_ns = 0`.
     // lint:hot_path
     fn packetize(
         &mut self,
         dev_addr: u64,
         data: &[u8],
+        count: u32,
+        stride_ns: u32,
         initiated_at: SimTime,
-        now: SimTime,
+        done_at: SimTime,
     ) -> Result<(), PioError> {
         let index = dev_addr >> PAGE_SHIFT;
         let offset = dev_addr & PAGE_MASK;
@@ -262,58 +248,25 @@ impl Nic {
         let dst_paddr = PhysAddr::new(pfn.base().raw() + offset);
         // The data plane's single sender-side copy: borrowed memory bytes
         // land in a recycled pool buffer that travels to the receiver.
-        let mut packet = Packet::new(self.node, node, dst_paddr, self.pool.filled_from(data));
-        let ready_at = now + self.header_cost;
-        packet.meta = self.stamp(initiated_at, ready_at);
+        let mut template = Packet::new(self.node, node, dst_paddr, self.pool.filled_from(data));
+        let ready_at = done_at + self.header_cost;
+        template.meta = self.stamp(initiated_at, ready_at);
+        // `stamp` consumed one sequence number; the remaining members own
+        // the next `count - 1` so the train's merge tags stay consecutive.
+        self.next_xfer += u64::from(count) - 1;
         // lint:allow(A1) -- `outgoing` keeps its capacity across drains
         // (see drain_outgoing_into); steady-state pushes never reallocate,
         // pinned by the zero_alloc bench at 0.00 allocs/msg.
-        self.outgoing.push(OutgoingPacket { packet, ready_at });
-        self.counters.packets_built.incr();
-        self.counters.bytes_sent.add(data.len() as u64);
-        Ok(())
-    }
-
-    /// Packetize a whole replayed message train as **one** burst
-    /// descriptor: one NIPT lookup, one pool buffer, `count` consecutive
-    /// transfer IDs. Member `k`'s packet is the template shifted by
-    /// `stride × k`; `timing.status_base` is member 0's sender-side status
-    /// observation instant (pre-stamped here, since the replay bypasses
-    /// the per-message drain that normally stamps it). The caller
-    /// guarantees `timing.stride` fits in `u32` nanoseconds.
-    // lint:hot_path
-    fn packetize_burst(&mut self, dev_addr: u64, data: &[u8], count: u32, timing: RunTiming) {
-        let stride_ns = timing.stride.as_nanos() as u32;
-        let index = dev_addr >> PAGE_SHIFT;
-        let offset = dev_addr & PAGE_MASK;
-        // INVARIANT: a burst replays a transfer that already packetized
-        // once with this dev_addr; no kernel ran since, so the NIPT
-        // entry cannot have vanished mid-replay.
-        let NiptEntry { node, pfn } = self.nipt.lookup(index).expect("replayed NIPT entry exists");
-        let dst_paddr = PhysAddr::new(pfn.base().raw() + offset);
-        let mut packet = Packet::new(self.node, node, dst_paddr, self.pool.filled_from(data));
-        let ready_at = timing.completes_at + self.header_cost;
-        let mut meta = self.stamp(timing.started_at, ready_at);
-        meta.status_observed = timing.status_base;
-        packet.meta = meta;
-        // `stamp` consumed one sequence number; the remaining members own
-        // the next `count - 1` so the run's merge tags stay consecutive.
-        self.next_xfer += u64::from(count) - 1;
-        // lint:allow(A1) -- `outgoing_runs` keeps its capacity across
-        // drains (see drain_runs_into); steady-state pushes never
-        // reallocate, pinned by the zero_alloc bench at 0.00 allocs/msg.
-        self.outgoing_runs.push(OutgoingRun { packet, count, stride_ns, ready_at });
+        self.outgoing.push(OutgoingRun { run: PacketRun { template, count, stride_ns }, ready_at });
         self.counters.packets_built.add(u64::from(count));
         self.counters.bytes_sent.add(u64::from(count) * data.len() as u64);
+        Ok(())
     }
 }
 
 impl DevicePort for Nic {
     fn dma_write(&mut self, dev_addr: u64, data: &[u8], now: SimTime) {
-        // INVARIANT: `validate` ran at initiation with the same dev_addr
-        // and length; a failure here is a hardware bug.
-        self.packetize(dev_addr, data, now, now)
-            .expect("DMA to NIC passed validate but failed packetize");
+        self.dma_write_traced(dev_addr, data, now, now);
     }
 
     fn dma_write_traced(&mut self, dev_addr: u64, data: &[u8], started_at: SimTime, now: SimTime) {
@@ -321,7 +274,7 @@ impl DevicePort for Nic {
         // flight-recorder span starts at the user's STORE, not at retire.
         // INVARIANT: `validate` ran at initiation with the same dev_addr
         // and length; a failure here is a hardware bug.
-        self.packetize(dev_addr, data, started_at, now)
+        self.packetize(dev_addr, data, 1, 0, started_at, now)
             .expect("DMA to NIC passed validate but failed packetize");
     }
 
@@ -343,7 +296,12 @@ impl DevicePort for Nic {
             }
             return;
         }
-        self.packetize_burst(dev_addr, data, count as u32, timing);
+        let (started, done) = (timing.started_at, timing.completes_at);
+        let packetized = self.packetize(dev_addr, data, count as u32, ns as u32, started, done);
+        // INVARIANT: a run replays a transfer that already packetized
+        // once with this dev_addr; no kernel ran since, so the NIPT entry
+        // cannot have vanished mid-replay.
+        packetized.expect("replayed NIPT entry exists");
     }
 
     fn dma_read(&mut self, _dev_addr: u64, buf: &mut [u8], _now: SimTime) {
@@ -408,7 +366,7 @@ impl Device for Nic {
                 let data: Vec<u8> = self.pio_fifo.drain(..len).collect();
                 self.pio_fifo.clear();
                 let dev_addr = (self.pio_dest_page << PAGE_SHIFT) | self.pio_dest_offset;
-                self.pio_status = match self.packetize(dev_addr, &data, now, now) {
+                self.pio_status = match self.packetize(dev_addr, &data, 1, 0, now, now) {
                     Ok(()) => 0,
                     Err(_) => 1,
                 };
@@ -445,18 +403,25 @@ mod tests {
         nic
     }
 
+    /// Drains the NIC's queue into a fresh vector.
+    fn drain(n: &mut Nic) -> Vec<OutgoingRun> {
+        let mut out = Vec::new();
+        n.drain_outgoing_into(&mut out);
+        out
+    }
+
     #[test]
     fn dma_write_builds_packet_with_translated_address() {
         let mut n = nic();
         n.dma_write(2 * PAGE_SIZE + 0x100, b"data", SimTime::from_nanos(500));
-        let out = n.take_outgoing();
+        let out = drain(&mut n);
         assert_eq!(out.len(), 1);
-        let pkt = &out[0].packet;
+        let pkt = &out[0].run.template;
         assert_eq!(pkt.dst, NodeId::new(1));
         assert_eq!(pkt.dst_paddr, PhysAddr::new(40 * PAGE_SIZE + 0x100));
         assert_eq!(pkt.payload, b"data");
         assert_eq!(out[0].ready_at, SimTime::from_nanos(500) + SimDuration::from_us(1.2));
-        assert!(n.take_outgoing().is_empty(), "drained");
+        assert!(drain(&mut n).is_empty(), "drained");
     }
 
     #[test]
@@ -478,9 +443,9 @@ mod tests {
         n.mmio_store(NIC_MMIO::DATA, u64::from_le_bytes(*b"pio send"), now);
         n.mmio_store(NIC_MMIO::COMMIT, 8, now);
         assert_eq!(n.mmio_load(NIC_MMIO::STATUS, now), 0);
-        let out = n.take_outgoing();
-        assert_eq!(out[0].packet.payload, b"pio send");
-        assert_eq!(out[0].packet.dst_paddr, PhysAddr::new(40 * PAGE_SIZE + 0x20));
+        let out = drain(&mut n);
+        assert_eq!(out[0].run.template.payload, b"pio send");
+        assert_eq!(out[0].run.template.dst_paddr, PhysAddr::new(40 * PAGE_SIZE + 0x20));
     }
 
     #[test]
@@ -491,7 +456,7 @@ mod tests {
         n.mmio_store(NIC_MMIO::DATA, 0, now);
         n.mmio_store(NIC_MMIO::COMMIT, 8, now);
         assert_eq!(n.mmio_load(NIC_MMIO::STATUS, now), 1);
-        assert!(n.take_outgoing().is_empty());
+        assert!(drain(&mut n).is_empty());
     }
 
     #[test]
@@ -515,13 +480,13 @@ mod tests {
     fn packet_buffers_recycle_through_the_pool() {
         let mut n = nic();
         n.dma_write(2 * PAGE_SIZE, &[1, 2, 3, 4], SimTime::ZERO);
-        let out = n.take_outgoing();
+        let out = drain(&mut n);
         assert_eq!(n.buf_pool().free_buffers(), 0, "buffer still in flight");
         drop(out);
         assert_eq!(n.buf_pool().free_buffers(), 1, "dropped payload returns home");
         n.dma_write(2 * PAGE_SIZE, &[5, 6, 7, 8], SimTime::ZERO);
         assert_eq!(n.buf_pool().free_buffers(), 0, "recycled, not reallocated");
-        assert_eq!(n.take_outgoing()[0].packet.payload, [5u8, 6, 7, 8]);
+        assert_eq!(drain(&mut n)[0].run.template.payload, [5u8, 6, 7, 8]);
     }
 
     #[test]
@@ -529,25 +494,27 @@ mod tests {
         let mut n = nic();
         let stride = SimDuration::from_us(17.0);
         let t0 = SimTime::from_nanos(1_000);
-        let status = SimTime::from_nanos(9_000);
-        let timing =
-            RunTiming { started_at: t0, completes_at: t0 + stride, stride, status_base: status };
+        let timing = RunTiming { started_at: t0, completes_at: t0 + stride, stride };
         n.dma_write_run(2 * PAGE_SIZE + 0x40, b"abcd", 5, timing);
-        let mut runs = Vec::new();
-        n.drain_runs_into(&mut runs);
+        let runs = drain(&mut n);
         assert_eq!(runs.len(), 1, "one descriptor for the whole train");
-        let run = &runs[0];
+        let run = &runs[0].run;
         assert_eq!(run.count, 5);
         assert_eq!(run.stride_ns, stride.as_nanos() as u32);
-        assert_eq!(run.packet.payload, b"abcd");
-        assert_eq!(run.packet.meta.id, XferId::new(0, 0));
-        assert_eq!(run.packet.meta.status_observed, status);
-        assert_eq!(run.ready_at, t0 + stride + SimDuration::from_us(1.2));
+        assert_eq!(run.template.payload, b"abcd");
+        assert_eq!(run.template.meta.id, XferId::new(0, 0));
+        assert_eq!(runs[0].ready_at, t0 + stride + SimDuration::from_us(1.2));
         assert_eq!(n.counters().packets_built.get(), 5);
         assert_eq!(n.counters().bytes_sent.get(), 20);
         // The next single packet's ID follows the whole run.
         n.dma_write(2 * PAGE_SIZE, b"next", SimTime::ZERO);
-        assert_eq!(n.take_outgoing()[0].packet.meta.id, XferId::new(0, 5));
+        let next = drain(&mut n);
+        assert_eq!(
+            (next[0].run.count, next[0].run.stride_ns),
+            (1, 0),
+            "a literal packet is a train of one"
+        );
+        assert_eq!(next[0].run.template.meta.id, XferId::new(0, 5));
     }
 
     #[test]
@@ -561,6 +528,6 @@ mod tests {
         scratch.clear();
         n.dma_write(2 * PAGE_SIZE, &[9, 9, 9, 9], SimTime::ZERO);
         n.drain_outgoing_into(&mut scratch);
-        assert_eq!(scratch[0].packet.payload, [9u8, 9, 9, 9]);
+        assert_eq!(scratch[0].run.template.payload, [9u8, 9, 9, 9]);
     }
 }

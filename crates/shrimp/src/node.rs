@@ -36,28 +36,24 @@ impl ShrimpNode {
     }
 
     /// Drains this node's NIC into `outbox` (keeping the NIC queue's
-    /// capacity) and, when `tracing`, stamps each drained packet with the
-    /// instant the sender's completion status became observable — the
-    /// node's clock, already past the status LOAD for everything queued.
+    /// capacity) and stamps each drained train's member 0 with the instant
+    /// the sender's completion status became observable:
+    /// `now − stride·(count − 1)`. For a literal packet that is the node's
+    /// clock, already past the status LOAD for everything queued. A
+    /// replayed train was drained right after the machine advanced its
+    /// clock over all `count` members, so the rule steps back to member
+    /// 0's instant, and member `k` is stamped `stride·k` later.
     ///
     /// Its one caller is `SendCore` (`engine.rs`), the send side both
     /// engine instantiations share.
-    pub(crate) fn drain_nic(&mut self, tracing: bool, outbox: &mut Vec<crate::OutgoingPacket>) {
+    pub(crate) fn drain_nic(&mut self, outbox: &mut Vec<crate::OutgoingRun>) {
         let drained_from = outbox.len();
         self.os.machine_mut().device_mut().drain_outgoing_into(outbox);
-        if tracing {
-            let observed = self.os.machine().now();
-            for out in &mut outbox[drained_from..] {
-                out.packet.meta.status_observed = observed;
-            }
+        let now = self.os.machine().now();
+        for out in &mut outbox[drained_from..] {
+            let run = &mut out.run;
+            run.template.meta.status_observed = now - run.stride() * u64::from(run.count - 1);
         }
-    }
-
-    /// Drains this node's NIC burst descriptors into `run_outbox`. Runs
-    /// are pre-stamped at packetize time (the replay knows each member's
-    /// status instant), so no per-packet stamping happens here.
-    pub(crate) fn drain_nic_runs(&mut self, run_outbox: &mut Vec<crate::OutgoingRun>) {
-        self.os.machine_mut().device_mut().drain_runs_into(run_outbox);
     }
 
     /// Export: wires down `pages` pages of `pid`'s buffer at `va` so
@@ -152,5 +148,37 @@ impl ShrimpNode {
         }
         self.os.grant_device_proxy(pid, start, frames.len() as u64, true)?;
         Ok(start)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::NiptEntry;
+    use shrimp_dma::{DevicePort, RunTiming};
+    use shrimp_mem::PAGE_SIZE;
+    use shrimp_sim::SimDuration;
+
+    /// The drain stamps member 0 of every train `now − stride·(count − 1)`:
+    /// the node's clock for a train of one, and member 0's status instant
+    /// for a replayed train drained once the clock has crossed all of it.
+    #[test]
+    fn drain_stamps_each_train_at_its_first_members_status_instant() {
+        let id = NodeId::new(0);
+        let nic = Nic::new(id, 4, SimDuration::from_us(1.0));
+        let mut node = ShrimpNode::new(id, NodeConfig::default(), nic);
+        let machine = node.os_mut().machine_mut();
+        let dst = NiptEntry { node: NodeId::new(1), pfn: Pfn::new(8) };
+        machine.device_mut().nipt_mut().set(1, dst);
+        let (t0, stride) = (machine.now(), SimDuration::from_us(17.0));
+        machine.device_mut().dma_write(PAGE_SIZE, b"one!", t0);
+        let timing = RunTiming { started_at: t0, completes_at: t0 + stride, stride };
+        machine.device_mut().dma_write_run(PAGE_SIZE, b"many", 5, timing);
+        machine.advance(stride * 5);
+        let now = machine.now();
+        let mut outbox = Vec::new();
+        node.drain_nic(&mut outbox);
+        let stamps: Vec<_> = outbox.iter().map(|o| o.run.template.meta.status_observed).collect();
+        assert_eq!(stamps, [now, now - stride * 4]);
     }
 }

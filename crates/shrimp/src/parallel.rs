@@ -40,11 +40,11 @@
 //! stages and commits through the same code (see `DESIGN.md` §6b).
 
 use shrimp_mem::VirtAddr;
-use shrimp_net::{FabricShard, PacketClass};
+use shrimp_net::{FabricShard, PacketClass, Staged};
 use shrimp_os::{Pid, UdmaXferResult};
 use shrimp_sim::{ExchangeGrid, FlightRecorder, Histogram, SimTime, SpinBarrier, TimeFrontier};
 
-use crate::engine::{DeliveryCore, Flit, Lane, LaneList, SendCore};
+use crate::engine::{DeliveryCore, Lane, LaneList, SendCore};
 use crate::program::{NullProgram, ProgramPlan, StreamProgram, TrafficProgram};
 use crate::{Multicomputer, ShrimpError};
 
@@ -217,7 +217,7 @@ impl NodeRun {
 struct Crossing<'a> {
     barrier: &'a SpinBarrier,
     frontier: &'a TimeFrontier,
-    grid: &'a ExchangeGrid<Flit>,
+    grid: &'a ExchangeGrid<Staged>,
 }
 
 /// One worker's block of the machine: its lanes and their run state, the
@@ -238,7 +238,7 @@ struct Shard<'a> {
     core: &'a mut DeliveryCore,
     sender: &'a mut SendCore,
     /// Scratch: mailbox drain target (unused, and empty, at one thread).
-    incoming: Vec<Flit>,
+    incoming: Vec<Staged>,
     /// This shard's clone of the global windows-per-crossing schedule.
     schedule: WindowSchedule,
     /// Whether any program in the run (on *any* shard) is reactive: the
@@ -302,8 +302,8 @@ impl Shard<'_> {
             let horizon = match crossing {
                 Some(x) => {
                     x.grid.drain_to(self.id, &mut self.incoming);
-                    for (at, tag, pkt) in self.incoming.drain(..) {
-                        self.fabric.stage(at, tag, pkt);
+                    for e in self.incoming.drain(..) {
+                        self.fabric.stage(e);
                     }
                     x.frontier.horizon()
                 }
@@ -444,10 +444,9 @@ impl Shard<'_> {
     /// [`SendCore::send`]. Returns `None` after a kernel trap (which
     /// finishes the node's plan).
     fn execute_one(&mut self, ni: usize, op: &SendOp) -> Option<UdmaXferResult> {
-        let tracing = self.core.tracing();
         let sn = &mut self.nodes[ni];
         sn.next += 1;
-        match self.sender.send(&mut self.lanes[ni].node, self.fabric, tracing, op) {
+        match self.sender.send(&mut self.lanes[ni].node, self.fabric, op) {
             Ok(result) => {
                 self.messages += 1;
                 Some(result)
@@ -778,7 +777,8 @@ mod tests {
         for (seq, at) in [(0u64, 5u64), (1, 15)] {
             let mut p = Packet::new(NodeId::new(0), NodeId::new(1), PhysAddr::new(0), vec![0; 8]);
             p.meta.id = XferId::new(0, seq);
-            shard.stage(SimTime::from_nanos(at), p.merge_tag(), Staged::One(p));
+            p.meta.link_ready = SimTime::from_nanos(at);
+            shard.stage(Staged::One(p));
         }
         let committed = |shard: &mut FabricShard, horizon| match shard.commit_next(horizon)? {
             Commit::One { packet, .. } => Some(packet.meta.id.seq()),

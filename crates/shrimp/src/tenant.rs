@@ -157,6 +157,13 @@ impl NiptDirectory {
                     self.slots[v].resident = false;
                     self.hand = (v + 1) % n;
                     let got = node.import_mapping_over(pid, dst, frames, start)?;
+                    // A victim longer than the newcomer leaves its tail
+                    // slots behind; clear them, or they stay valid entries
+                    // that count as occupied and are never handed out.
+                    let nipt = node.os_mut().machine_mut().device_mut().nipt_mut();
+                    for slot in start + frames.len() as u64..start + vpages {
+                        nipt.clear(slot);
+                    }
                     self.slots[handle].dev_page = Some(got);
                     self.slots[handle].resident = true;
                     return Ok(got);
@@ -234,6 +241,37 @@ mod tests {
         let nipt = mc.node(0).os().machine().device().nipt();
         assert_eq!(nipt.evictions(), evictions, "steady state never rewrites slots");
         assert_eq!(nipt.refaults(), 0, "steady state never refaults");
+    }
+
+    /// A one-page tenant that evicts a resident two-page tenant takes
+    /// one of its slots and frees the other, so the next one-page tenant
+    /// imports into the freed slot without evicting anyone.
+    #[test]
+    fn evicting_a_longer_tenant_frees_its_tail_slots() {
+        let config = MulticomputerConfig { nipt_entries: 2, ..MulticomputerConfig::default() };
+        let mut mc = Multicomputer::new(2, config);
+        let rpid = mc.spawn_process(1);
+        mc.map_user_buffer(1, rpid, 0x40_0000, 4).unwrap();
+        let dst = mc.node(1).id();
+        let mut dir = NiptDirectory::new();
+        for (first_page, pages) in [(0u64, 2u64), (2, 1), (3, 1)] {
+            let spid = mc.spawn_process(0);
+            let va = VirtAddr::new(0x40_0000 + first_page * shrimp_mem::PAGE_SIZE);
+            let frames = mc.node_mut(1).export_pages(rpid, va, pages).unwrap();
+            dir.register(spid, dst, frames);
+        }
+        let nipt = |mc: &Multicomputer| {
+            let n = mc.node(0).os().machine().device().nipt();
+            (n.occupancy(), n.evictions())
+        };
+        dir.ensure(0, mc.node_mut(0)).unwrap();
+        assert_eq!(nipt(&mc), (2, 0), "the two-page tenant fills the table");
+        dir.ensure(1, mc.node_mut(0)).unwrap();
+        assert!(!dir.mapping(0).resident);
+        assert_eq!(nipt(&mc), (1, 1), "the victim's second slot is freed");
+        dir.ensure(2, mc.node_mut(0)).unwrap();
+        assert_eq!(nipt(&mc), (2, 1), "the freed slot imports without an eviction");
+        assert!(dir.mapping(1).resident && dir.mapping(2).resident);
     }
 
     #[test]

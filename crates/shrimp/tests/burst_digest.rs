@@ -18,8 +18,10 @@ use shrimp_sim::SplitMix64;
 /// Burst sizes around every interesting boundary: 1 and 2 never batch
 /// (calibration alone consumes them), 7 replays inside one epoch chunk,
 /// 23 straddles the parallel engine's CHUNK = 16 window, 64 spans
-/// several chunks.
-const SIZES: [u64; 5] = [1, 2, 7, 64, 23];
+/// several chunks. 3 and 4, sent once the machine is warm, replay trains
+/// of one and two members: a train of one stages as a single packet, a
+/// longer one as a run.
+const SIZES: [u64; 7] = [1, 2, 7, 64, 23, 3, 4];
 const NBYTES: u64 = 1024;
 
 struct Flow {

@@ -335,8 +335,9 @@ fn staged_ties_break_by_source_then_sequence() {
     let shard = net.shard_mut();
     let t = SimTime::from_nanos(100);
     for (src, seq) in [(3, 0), (1, 1), (1, 0)] {
-        let p = packet(src, 2, seq);
-        shard.stage(t, p.merge_tag(), Staged::One(p));
+        let mut p = packet(src, 2, seq);
+        p.meta.link_ready = t;
+        shard.stage(Staged::One(p));
     }
     let order: Vec<XferId> = std::iter::from_fn(|| match shard.commit_next(None)? {
         Commit::One { packet, .. } => Some(packet.meta.id),
@@ -427,11 +428,11 @@ fn fabric_commits(script: &[Step], shuffle: Option<u64>) -> Vec<Seen> {
     let mut seen = Vec::new();
     let mut commit = |shard: &mut FabricShard, horizon: Option<u64>| {
         seen.push(match shard.commit_next(horizon.map(SimTime::from_nanos))? {
-            Commit::One { link_ready, packet, .. } => {
-                (false, link_ready.as_nanos(), packet.meta.id, 1)
+            Commit::One { packet, .. } => {
+                (false, packet.meta.link_ready.as_nanos(), packet.meta.id, 1)
             }
-            Commit::Run { link_ready, run, take } => {
-                let id = run.template.meta.id;
+            Commit::Run { run, take } => {
+                let (link_ready, id) = (run.template.meta.link_ready, run.template.meta.id);
                 shard.restage_run_tail(run, take);
                 (true, link_ready.as_nanos(), id, take)
             }
@@ -595,8 +596,8 @@ proptest! {
         };
         let shard_pop = |shard: &mut FabricShard, horizon: Option<u64>| {
             match shard.commit_next(horizon.map(SimTime::from_nanos))? {
-                Commit::One { link_ready, packet, .. } => {
-                    Some((link_ready.as_nanos(), packet.meta.id))
+                Commit::One { packet, .. } => {
+                    Some((packet.meta.link_ready.as_nanos(), packet.meta.id))
                 }
                 Commit::Run { .. } => unreachable!("only single packets are staged"),
             }
@@ -605,9 +606,10 @@ proptest! {
         for (i, &(kind, at, h, src, dst)) in script.iter().enumerate() {
             if kind < 3 {
                 // Stage-heavy mix (3:1) so commits see a populated queue.
-                let p = packet(src, dst, i as u64);
+                let mut p = packet(src, dst, i as u64);
                 heap.push(Reverse((at, p.merge_tag(), p.meta.id)));
-                shard.stage(SimTime::from_nanos(at), p.merge_tag(), Staged::One(p));
+                p.meta.link_ready = SimTime::from_nanos(at);
+                shard.stage(Staged::One(p));
             } else {
                 let horizon = (h % 2 == 0).then_some(h);
                 prop_assert_eq!(
