@@ -12,14 +12,17 @@
 //! while requests and replies flow.
 //!
 //! Topology: node `2p` is a client, node `2p+1` its server. Each client
-//! runs a [`ServingClient`] — a tenant mux that round-robins its tenant
-//! processes, each a closed-loop RPC flow (the node's CPU runs one
+//! runs an [`RpcClientProgram`] — a tenant mux that round-robins its
+//! tenant processes with one request in flight (the node's CPU runs one
 //! process at a time; `udma_send` context-switches to the issuing
 //! tenant, so the mux is also a context-switch workout). Each server
-//! runs a [`ServingServer`] that routes every request landing in a
-//! tenant's window to that tenant's reply send. Every fourth tenant's
-//! requests — and all replies — travel [`PacketClass::System`], so the
-//! §7 two-priority arbitration sees mixed classes on every link.
+//! runs an [`RpcServerProgram`] that routes every request landing in a
+//! tenant's window to that tenant's reply. Both demand-ensure the
+//! window's NIPT mapping ([`NiptDirectory::ensure`]) before every send;
+//! with more tenants than table slots, that is a steady diet of
+//! evictions and refaults. Every fourth tenant's requests — and all
+//! replies — travel [`PacketClass::System`], so the §7 two-priority
+//! arbitration sees mixed classes on every link.
 //!
 //! Request latency (issue instant → reply EISA-DMA completion) is
 //! simulated time, recorded per client into a [`Histogram`] and merged
@@ -28,14 +31,14 @@
 //! lets CI gate on them.
 
 use shrimp::{
-    DeliveryEvent, Multicomputer, MulticomputerConfig, NiptDirectory, PacketClass, ProgramPlan,
-    SendOp, ShrimpNode, TrafficProgram,
+    Multicomputer, MulticomputerConfig, NiptDirectory, PacketClass, ProgramPlan, RpcClientProgram,
+    RpcRoute, RpcServerProgram,
 };
 use shrimp_machine::MachineConfig;
-use shrimp_mem::{PhysAddr, VirtAddr, PAGE_SIZE};
+use shrimp_mem::{VirtAddr, PAGE_SIZE};
 use shrimp_net::NodeId;
-use shrimp_os::{NodeConfig, Pid, Trap};
-use shrimp_sim::{Histogram, SimTime};
+use shrimp_os::NodeConfig;
+use shrimp_sim::Histogram;
 
 use crate::alloc_count;
 use crate::host_perf::ThroughputResult;
@@ -46,178 +49,6 @@ use crate::host_perf::ThroughputResult;
 const SRC_VA: u64 = 0x10_0000;
 const WINDOW_VA: u64 = 0x40_0000;
 
-/// One client-side tenant flow: the local process that issues requests
-/// and the window its replies land in.
-#[derive(Clone, Copy, Debug)]
-struct ClientTenant {
-    /// The tenant process on the client node.
-    pid: Pid,
-    /// Directory handle of the request window on the server.
-    handle: usize,
-    /// Local physical page replies land in (exact landing address —
-    /// replies are single-page sends at offset 0).
-    reply_paddr: PhysAddr,
-    /// §7 priority class of this tenant's requests.
-    class: PacketClass,
-}
-
-/// The client-node tenant mux: round-robins its tenants, one closed-loop
-/// request in flight at a time. Before each request the tenant's NIPT
-/// mapping is demand-ensured ([`NiptDirectory::ensure`]) — with more
-/// tenants than table slots, that is a steady diet of evictions and
-/// refaults, exactly the churn the row exists to measure.
-#[derive(Debug)]
-pub struct ServingClient {
-    dir: NiptDirectory,
-    tenants: Vec<ClientTenant>,
-    /// Request payload bytes.
-    msg_bytes: u64,
-    /// Requests to issue across all tenants.
-    total: usize,
-    issued: usize,
-    completed: usize,
-    /// The outstanding request: `(tenant index, issue instant)`.
-    in_flight: Option<(usize, SimTime)>,
-    latency: Histogram,
-}
-
-impl ServingClient {
-    /// Replies received so far.
-    pub fn completed(&self) -> usize {
-        self.completed
-    }
-
-    /// The request-latency histogram (issue → reply delivery, simulated).
-    pub fn latency(&self) -> &Histogram {
-        &self.latency
-    }
-}
-
-impl TrafficProgram for ServingClient {
-    fn planned_hint(&self) -> usize {
-        self.total.saturating_sub(1)
-    }
-
-    fn step(
-        &mut self,
-        node: &mut ShrimpNode,
-        inbox: &[DeliveryEvent],
-        out: &mut Vec<SendOp>,
-    ) -> Result<(), Trap> {
-        for ev in inbox {
-            if let Some((t, issued_at)) = self.in_flight {
-                if ev.dst_paddr == self.tenants[t].reply_paddr {
-                    self.latency.record(ev.done.saturating_duration_since(issued_at).as_nanos());
-                    self.completed += 1;
-                    self.in_flight = None;
-                }
-            }
-        }
-        if self.in_flight.is_none() && self.issued < self.total {
-            let tenant = self.tenants[self.issued % self.tenants.len()];
-            // Demand-ensure the tenant's mapping: one NIPT probe when the
-            // slot run survived, the full revoke + reimport kernel path
-            // when another tenant recycled it.
-            let dev_page = self.dir.ensure(tenant.handle, node)?;
-            out.push(SendOp {
-                pid: tenant.pid,
-                src_va: VirtAddr::new(SRC_VA),
-                dev_page,
-                dev_off: 0,
-                nbytes: self.msg_bytes,
-                class: tenant.class,
-            });
-            self.in_flight = Some((self.issued % self.tenants.len(), node.os().machine().now()));
-            self.issued += 1;
-        }
-        Ok(())
-    }
-
-    fn finished(&self) -> bool {
-        self.completed >= self.total
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
-/// One server-side tenant: where its requests land and which process
-/// answers them.
-#[derive(Clone, Copy, Debug)]
-struct ServerTenant {
-    /// The tenant's serving process on this node.
-    pid: Pid,
-    /// Exact physical landing address of the tenant's requests.
-    request_paddr: PhysAddr,
-    /// Directory handle of the client's reply window.
-    handle: usize,
-}
-
-/// The server-node mux: routes each request delivery to its tenant's
-/// reply send. Replies travel [`PacketClass::System`] — the kernel-side
-/// priority a server issues on a tenant's behalf — and the reply
-/// window's NIPT mapping is demand-ensured per reply, so the server's
-/// table churns just like the client's.
-#[derive(Debug)]
-pub struct ServingServer {
-    dir: NiptDirectory,
-    tenants: Vec<ServerTenant>,
-    /// Reply payload bytes.
-    msg_bytes: u64,
-    /// Requests this server will answer before it is finished.
-    expected: usize,
-    replied: usize,
-}
-
-impl ServingServer {
-    /// Requests answered so far.
-    pub fn replied(&self) -> usize {
-        self.replied
-    }
-}
-
-impl TrafficProgram for ServingServer {
-    fn planned_hint(&self) -> usize {
-        self.expected
-    }
-
-    fn step(
-        &mut self,
-        node: &mut ShrimpNode,
-        inbox: &[DeliveryEvent],
-        out: &mut Vec<SendOp>,
-    ) -> Result<(), Trap> {
-        for ev in inbox {
-            // A handful of tenants per node: linear scan, no hash map on
-            // the data path (D1).
-            let Some(tenant) = self.tenants.iter().find(|t| t.request_paddr == ev.dst_paddr) else {
-                continue;
-            };
-            let (pid, handle) = (tenant.pid, tenant.handle);
-            let dev_page = self.dir.ensure(handle, node)?;
-            out.push(SendOp {
-                pid,
-                src_va: VirtAddr::new(SRC_VA),
-                dev_page,
-                dev_off: 0,
-                nbytes: self.msg_bytes,
-                class: PacketClass::System,
-            });
-            self.replied += 1;
-        }
-        Ok(())
-    }
-
-    fn finished(&self) -> bool {
-        self.replied >= self.expected
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
 /// Request/reply payload bytes (single-packet sends: the row measures
 /// the per-message serving path, not wire bandwidth).
 pub const SERVING_MSG_BYTES: u64 = 256;
@@ -227,8 +58,8 @@ pub const SERVING_MSG_BYTES: u64 = 256;
 pub struct ServingRig {
     /// The machine: even nodes clients, odd nodes servers.
     pub mc: Multicomputer,
-    /// One [`ServingClient`] per even node, one [`ServingServer`] per odd
-    /// node.
+    /// One [`RpcClientProgram`] per even node, one [`RpcServerProgram`]
+    /// per odd node.
     pub programs: Vec<ProgramPlan>,
     /// Total requests the clients will issue.
     pub requests: u64,
@@ -274,8 +105,8 @@ pub fn serving_rig(nodes: u16, tenants_per_client: usize, requests_per_tenant: u
         let server_id = NodeId::new(server_node as u16);
         let mut client_dir = NiptDirectory::new();
         let mut server_dir = NiptDirectory::new();
-        let mut client_tenants = Vec::with_capacity(tenants_per_client);
-        let mut server_tenants = Vec::with_capacity(tenants_per_client);
+        let mut client_routes = Vec::with_capacity(tenants_per_client);
+        let mut server_routes = Vec::with_capacity(tenants_per_client);
         for t in 0..tenants_per_client {
             // The tenant pair: one process on each side, each with an
             // outbound payload page and an exported one-page window.
@@ -308,32 +139,25 @@ pub fn serving_rig(nodes: u16, tenants_per_client: usize, requests_per_tenant: u
             let c_handle = client_dir.register(cpid, server_id, req_frames);
             let s_handle = server_dir.register(spid, client_id, rep_frames);
             let class = if t.is_multiple_of(4) { PacketClass::System } else { PacketClass::User };
-            client_tenants.push(ClientTenant { pid: cpid, handle: c_handle, reply_paddr, class });
-            server_tenants.push(ServerTenant { pid: spid, request_paddr, handle: s_handle });
+            client_routes.push(RpcRoute {
+                pid: cpid,
+                handle: c_handle,
+                landing: reply_paddr,
+                class,
+            });
+            let class = PacketClass::System;
+            server_routes.push(RpcRoute {
+                pid: spid,
+                handle: s_handle,
+                landing: request_paddr,
+                class,
+            });
         }
-        programs.push(ProgramPlan {
-            node: client_node,
-            program: Box::new(ServingClient {
-                dir: client_dir,
-                tenants: client_tenants,
-                msg_bytes: SERVING_MSG_BYTES,
-                total: per_client,
-                issued: 0,
-                completed: 0,
-                in_flight: None,
-                latency: Histogram::new(),
-            }),
-        });
-        programs.push(ProgramPlan {
-            node: server_node,
-            program: Box::new(ServingServer {
-                dir: server_dir,
-                tenants: server_tenants,
-                msg_bytes: SERVING_MSG_BYTES,
-                expected: per_client,
-                replied: 0,
-            }),
-        });
+        let (src, bytes) = (VirtAddr::new(SRC_VA), SERVING_MSG_BYTES);
+        let client = RpcClientProgram::new(client_dir, client_routes, src, bytes, per_client);
+        let server = RpcServerProgram::new(server_dir, server_routes, src, bytes, per_client);
+        programs.push(ProgramPlan { node: client_node, program: Box::new(client) });
+        programs.push(ProgramPlan { node: server_node, program: Box::new(server) });
     }
     ServingRig { mc, programs, requests: (pairs * per_client) as u64 }
 }
@@ -410,7 +234,7 @@ fn serving_impl(
     let mut latency = Histogram::new();
     let mut completed = 0u64;
     for pp in &mut programs {
-        if let Some(client) = pp.program.as_any_mut().downcast_mut::<ServingClient>() {
+        if let Some(client) = pp.program.as_any_mut().downcast_mut::<RpcClientProgram>() {
             latency.merge(client.latency());
             completed += client.completed() as u64;
         }
@@ -468,6 +292,30 @@ mod tests {
         let [p50, p90, p99] = out.result.request_ns.expect("serving row has request latencies");
         assert!(p50 > 0 && p90 >= p50 && p99 >= p90, "{p50} {p90} {p99}");
         assert_eq!(out.result.messages, 2 * 2 * 8 * 2, "a reply per request");
+    }
+
+    #[test]
+    fn serving_moves_every_tenants_bytes() {
+        let (nodes, tenants) = (4u16, 8usize);
+        let reply: Vec<u8> = (0..SERVING_MSG_BYTES).map(|i| (i * 3 % 239) as u8).collect();
+        for threads in [1usize, 2] {
+            let ServingRig { mut mc, mut programs, .. } = serving_rig(nodes, tenants, 2);
+            mc.run_programs(&mut programs, threads).unwrap();
+            for pair in 0..usize::from(nodes) / 2 {
+                let (client, server) = (2 * pair, 2 * pair + 1);
+                for t in 0..tenants {
+                    // Tenant `t` is the `t + 1`-th process on both nodes.
+                    let pid = shrimp_os::Pid::new(t as u32 + 1);
+                    let window = VirtAddr::new(WINDOW_VA);
+                    let request: Vec<u8> =
+                        (0..SERVING_MSG_BYTES).map(|i| ((i + t as u64) % 251) as u8).collect();
+                    let got = mc.read_user(server, pid, window, SERVING_MSG_BYTES).unwrap();
+                    assert_eq!(got, request, "request of tenant {t} on node {server}, t={threads}");
+                    let got = mc.read_user(client, pid, window, SERVING_MSG_BYTES).unwrap();
+                    assert_eq!(got, reply, "reply to tenant {t} on node {client}, t={threads}");
+                }
+            }
+        }
     }
 
     #[test]

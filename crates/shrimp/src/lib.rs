@@ -63,7 +63,8 @@ pub use nipt::{Nipt, NiptEntry};
 pub use node::ShrimpNode;
 pub use parallel::{NodePlan, ParallelReport, PhaseBreakdown, SendOp, MAX_EPOCH_WINDOWS};
 pub use program::{
-    DeliveryEvent, ProgramPlan, RpcClientProgram, RpcServerProgram, StreamProgram, TrafficProgram,
+    DeliveryEvent, ProgramPlan, RpcClientProgram, RpcRoute, RpcServerProgram, StreamProgram,
+    TrafficProgram,
 };
 pub use shrimp_net::PacketClass;
 pub use tenant::{NiptDirectory, TenantMapping};

@@ -282,22 +282,12 @@ impl DevicePort for Nic {
         if count == 0 {
             return;
         }
-        let ns = timing.stride.as_nanos();
-        if count > u64::from(u32::MAX) || ns > u64::from(u32::MAX) {
-            // Degenerate strides fall back to the packet-at-a-time path
-            // (the default trait behavior); runs only carry u32 deltas.
-            for k in 0..count {
-                self.dma_write_traced(
-                    dev_addr,
-                    data,
-                    timing.started_at + timing.stride * k,
-                    timing.completes_at + timing.stride * k,
-                );
-            }
-            return;
-        }
+        // INVARIANT: the one caller, `SendCore::replay`, refuses strides
+        // over `u32::MAX` ns and replays at most `K·CHUNK` ≤ 1,024 ops.
+        let count = u32::try_from(count).expect("replayed run fits u32");
+        let ns = u32::try_from(timing.stride.as_nanos()).expect("replay stride fits u32");
         let (started, done) = (timing.started_at, timing.completes_at);
-        let packetized = self.packetize(dev_addr, data, count as u32, ns as u32, started, done);
+        let packetized = self.packetize(dev_addr, data, count, ns, started, done);
         // INVARIANT: a run replays a transfer that already packetized
         // once with this dev_addr; no kernel ran since, so the NIPT entry
         // cannot have vanished mid-replay.

@@ -105,8 +105,9 @@ impl WindowSchedule {
 /// clock is installed ([`Multicomputer::set_phase_clock`]) and merged
 /// across shards after a run. Pure observation of *host* time — the
 /// simulated timeline cannot see it. One `execute` sample is recorded
-/// per shard per barrier crossing; `barrier` gets two samples per
-/// crossing (both waits).
+/// per shard per epoch; `barrier` gets two samples per crossing (both
+/// waits) and `merge` one. A one-shard run crosses no barrier and merges
+/// nothing, so those two stay empty.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PhaseBreakdown {
     /// Plan execution: sends, NIC drains, staging posts, bound publish.
@@ -292,24 +293,25 @@ impl Shard<'_> {
                 x.frontier.publish(self.id, bound);
             }
             lap(clock, &mut mark, &mut self.phases.execute);
-            if let Some(x) = crossing {
-                x.barrier.wait();
-            }
-            lap(clock, &mut mark, &mut self.phases.barrier);
 
             // Commit phase. The horizon is only meaningful between the
             // two barriers: every shard has published, none has moved on.
+            // A one-shard run crosses no barrier and merges nothing, so
+            // it laps neither phase.
             let horizon = match crossing {
                 Some(x) => {
+                    x.barrier.wait();
+                    lap(clock, &mut mark, &mut self.phases.barrier);
                     x.grid.drain_to(self.id, &mut self.incoming);
                     for e in self.incoming.drain(..) {
                         self.fabric.stage(e);
                     }
-                    x.frontier.horizon()
+                    let horizon = x.frontier.horizon();
+                    lap(clock, &mut mark, &mut self.phases.merge);
+                    horizon
                 }
                 None => bound,
             };
-            lap(clock, &mut mark, &mut self.phases.merge);
             let recorded = self.core.recorder.total_recorded();
             self.core.commit_due(self.fabric, self.lanes, self.base, horizon);
             // An epoch commits exactly the packets due by its horizon, the
@@ -320,8 +322,8 @@ impl Shard<'_> {
             lap(clock, &mut mark, &mut self.phases.commit);
             if let Some(x) = crossing {
                 x.barrier.wait();
+                lap(clock, &mut mark, &mut self.phases.barrier);
             }
-            lap(clock, &mut mark, &mut self.phases.barrier);
 
             // A `None` horizon means every shard was exhausted when it
             // published, so this commit drained everything in flight.
@@ -797,6 +799,31 @@ mod tests {
         assert_eq!(shard.staged_len(), 0);
     }
 
+    /// A phase clock that ticks once per read, so every lap records one
+    /// sample of 1 ns.
+    fn tick() -> u64 {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static NOW: AtomicU64 = AtomicU64::new(0);
+        NOW.fetch_add(1, Ordering::Relaxed)
+    }
+
+    #[test]
+    fn the_ledger_laps_only_phases_that_run() {
+        for threads in [1usize, 2] {
+            let (mut mc, plans) = paired_stream(4, 40, 256);
+            mc.set_phase_clock(Some(tick));
+            mc.run(&plans, threads).unwrap();
+            let p = mc.phase_breakdown();
+            assert!(p.execute.count() > 0 && p.commit.count() > 0, "t={threads}");
+            if threads == 1 {
+                assert_eq!(p.barrier.count(), 0, "one shard crosses no barrier");
+                assert_eq!(p.merge.count(), 0, "one shard merges nothing");
+            } else {
+                assert!(p.barrier.count() > 0, "t={threads} crosses barriers");
+            }
+        }
+    }
+
     #[test]
     fn thread_counts_cannot_change_the_timeline() {
         let mut prints = Vec::new();
@@ -943,7 +970,8 @@ mod tests {
     /// run a closed-loop RPC client and its server for `requests`
     /// requests; every other node idles.
     fn rpc_rig(n: u16, pairs: usize, requests: usize) -> (Multicomputer, Vec<ProgramPlan>) {
-        use crate::program::{RpcClientProgram, RpcServerProgram};
+        use crate::program::{RpcClientProgram, RpcRoute, RpcServerProgram};
+        use crate::NiptDirectory;
 
         let mut mc = Multicomputer::new(n, MulticomputerConfig::default());
         let mut programs = Vec::new();
@@ -953,42 +981,26 @@ mod tests {
             let spid = mc.spawn_process(s);
             mc.map_user_buffer(c, cpid, 0x10_0000, 2).unwrap();
             mc.map_user_buffer(s, spid, 0x40_0000, 2).unwrap();
-            // Client's request buffer maps into the server; the server's
-            // reply buffer maps back into the client.
-            let req_dev = mc.export(s, spid, VirtAddr::new(0x40_0000), 1, c, cpid).unwrap();
-            let rep_dev = mc.export(c, cpid, VirtAddr::new(0x10_1000), 1, s, spid).unwrap();
+            // The server's request window and the client's reply window,
+            // each registered with the peer's directory.
+            let req = mc.node_mut(s).export_pages(spid, VirtAddr::new(0x40_0000), 1).unwrap();
+            let rep = mc.node_mut(c).export_pages(cpid, VirtAddr::new(0x10_1000), 1).unwrap();
             let fill: Vec<u8> = (0..256).map(|i| i as u8 ^ c as u8).collect();
             mc.write_user(c, cpid, VirtAddr::new(0x10_0000), &fill).unwrap();
             mc.write_user(s, spid, VirtAddr::new(0x40_1000), &fill).unwrap();
-            let req_paddr = mc.user_paddr(s, spid, VirtAddr::new(0x40_0000)).unwrap();
-            let rep_paddr = mc.user_paddr(c, cpid, VirtAddr::new(0x10_1000)).unwrap();
-            let request = SendOp {
-                pid: cpid,
-                src_va: VirtAddr::new(0x10_0000),
-                dev_page: req_dev,
-                dev_off: 0,
-                nbytes: 256,
-                class: PacketClass::User,
-            };
-            let reply = SendOp {
-                pid: spid,
-                src_va: VirtAddr::new(0x40_1000),
-                dev_page: rep_dev,
-                ..request
-            };
-            programs.push(ProgramPlan {
-                node: c,
-                program: Box::new(RpcClientProgram::closed_loop(request, requests, rep_paddr, 256)),
-            });
-            programs.push(ProgramPlan {
-                node: s,
-                program: Box::new(RpcServerProgram::new(
-                    req_paddr,
-                    256,
-                    vec![(req_paddr, reply)],
-                    requests,
-                )),
-            });
+            let (req_paddr, rep_paddr) = (req[0].base(), rep[0].base());
+            let (mut cdir, mut sdir) = (NiptDirectory::new(), NiptDirectory::new());
+            let to_server = cdir.register(cpid, mc.node(s).id(), req);
+            let to_client = sdir.register(spid, mc.node(c).id(), rep);
+            let (class, landing) = (PacketClass::User, rep_paddr);
+            let route = RpcRoute { pid: cpid, handle: to_server, landing, class };
+            let client =
+                RpcClientProgram::new(cdir, vec![route], VirtAddr::new(0x10_0000), 256, requests);
+            let route = RpcRoute { pid: spid, handle: to_client, landing: req_paddr, class };
+            let server =
+                RpcServerProgram::new(sdir, vec![route], VirtAddr::new(0x40_1000), 256, requests);
+            programs.push(ProgramPlan { node: c, program: Box::new(client) });
+            programs.push(ProgramPlan { node: s, program: Box::new(server) });
         }
         (mc, programs)
     }

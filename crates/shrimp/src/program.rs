@@ -4,11 +4,18 @@
 //! *what* a node sends but never *why*. A [`TrafficProgram`] is the
 //! reactive generalization: a deterministic step function that, given the
 //! messages delivered to its node and the node's local clock, emits the
-//! next [`SendOp`]s. That is enough to express open- and closed-loop RPC
-//! clients, servers that reply to requests, multi-tenant muxes that
-//! context-switch between processes — and the old static streams, which
-//! become the trivial [`StreamProgram`] (all of its sends on the first
-//! step, nothing after), keeping every golden digest valid.
+//! next [`SendOp`]s. The old static streams become the trivial
+//! [`StreamProgram`] (all of its sends on the first step, nothing
+//! after), keeping every golden digest valid.
+//!
+//! Request/reply traffic is one program pair. [`RpcClientProgram`] is a
+//! closed-loop tenant mux: it round-robins its tenant processes with one
+//! request in flight, so the node context-switches between untrusting
+//! address spaces on every send. [`RpcServerProgram`] answers each
+//! request by its exact landing address. Every route of either program
+//! reaches its peer window through a [`NiptDirectory`] handle, ensured
+//! before each send: a fixed mapping is a directory entry that is never
+//! evicted, and a demand-paged one under NIPT churn takes the same path.
 //!
 //! # Determinism rules
 //!
@@ -37,12 +44,12 @@
 
 use std::any::Any;
 
-use shrimp_mem::PhysAddr;
+use shrimp_mem::{PhysAddr, VirtAddr};
 use shrimp_net::{NodeId, PacketClass};
-use shrimp_os::Trap;
+use shrimp_os::{Pid, Trap};
 use shrimp_sim::{Histogram, SimTime};
 
-use crate::{SendOp, ShrimpNode};
+use crate::{NiptDirectory, SendOp, ShrimpNode};
 
 /// One delivery surfaced to the destination node's program: the
 /// receive-side facts a reactive workload can key on. Collected by the
@@ -203,64 +210,94 @@ impl TrafficProgram for NullProgram {
     }
 }
 
-/// A request/response client: issues `requests` identical requests and
-/// matches each reply by its landing address. Closed-loop by default
-/// (one outstanding request; the reply triggers the next), or open-loop
-/// (`pipeline = true`: every request issued on the initial step,
-/// replies matched first-in-first-out). Request latency — issue instant
-/// to reply EISA-DMA completion — lands in a [`Histogram`].
+/// One tenant flow of an RPC program: on a client, a tenant's requests;
+/// on a server, the replies that answer that tenant.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RpcRoute {
+    /// The local process that sends on this flow.
+    pub pid: Pid,
+    /// [`NiptDirectory`] handle of the peer window the flow sends into.
+    pub handle: usize,
+    /// Exact local physical address the flow's inbound messages land
+    /// at: the replies on a client, the requests on a server.
+    pub landing: PhysAddr,
+    /// The §7 priority class of the flow's sends.
+    pub class: PacketClass,
+}
+
+/// The send side both RPC programs share: routes, the directory their
+/// handles index, and the payload every send carries.
+#[derive(Debug)]
+struct RpcEnd {
+    dir: NiptDirectory,
+    routes: Vec<RpcRoute>,
+    /// Every send moves `nbytes` from `src_va` of the route's process.
+    src_va: VirtAddr,
+    nbytes: u64,
+}
+
+impl RpcEnd {
+    /// Emits route `r`'s send after demand-ensuring its mapping: one
+    /// NIPT probe when the slot run survived, the revoke + reimport
+    /// kernel path when another tenant recycled it.
+    fn send(&mut self, r: usize, node: &mut ShrimpNode, out: &mut Vec<SendOp>) -> Result<(), Trap> {
+        let route = self.routes[r];
+        let dev_page = self.dir.ensure(route.handle, node)?;
+        out.push(SendOp {
+            pid: route.pid,
+            src_va: self.src_va,
+            dev_page,
+            dev_off: 0,
+            nbytes: self.nbytes,
+            class: route.class,
+        });
+        Ok(())
+    }
+}
+
+/// A closed-loop multi-tenant RPC client: round-robins its tenant
+/// routes with one request in flight. Every send names its tenant's
+/// process, so the engine context-switches the node (firing the I1
+/// Inval) between untrusting address spaces; with more tenants than
+/// NIPT slots, every ensure can evict and refault. A reply matches by
+/// the in-flight tenant's exact landing address, and its latency — issue
+/// instant to reply EISA-DMA completion — lands in a [`Histogram`].
 #[derive(Debug)]
 pub struct RpcClientProgram {
-    /// The request send, reissued verbatim for every request.
-    request: SendOp,
-    /// Total requests to issue.
+    end: RpcEnd,
+    /// Requests to issue across all tenants.
     requests: usize,
-    /// Physical base of the region replies land in.
-    reply_paddr: PhysAddr,
-    /// Length of the reply region.
-    reply_bytes: u64,
-    /// Open loop when true: all requests up front.
-    pipeline: bool,
     issued: usize,
     completed: usize,
-    /// Issue instants of not-yet-answered requests, oldest first
-    /// (closed-loop keeps at most one).
-    in_flight: std::collections::VecDeque<SimTime>,
+    /// The outstanding request: `(its reply's landing address, issue
+    /// instant)`.
+    in_flight: Option<(PhysAddr, SimTime)>,
     latency: Histogram,
 }
 
 impl RpcClientProgram {
-    /// A closed-loop client: one outstanding request at a time.
-    pub fn closed_loop(
-        request: SendOp,
+    /// A client issuing `requests` requests round-robin over `routes`;
+    /// each moves `nbytes` from `src_va` of its tenant's process into the
+    /// window behind the tenant's `dir` handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `routes` is empty.
+    pub fn new(
+        dir: NiptDirectory,
+        routes: Vec<RpcRoute>,
+        src_va: VirtAddr,
+        nbytes: u64,
         requests: usize,
-        reply_paddr: PhysAddr,
-        reply_bytes: u64,
     ) -> Self {
+        assert!(!routes.is_empty(), "an RPC client needs a tenant");
         RpcClientProgram {
-            request,
+            end: RpcEnd { dir, routes, src_va, nbytes },
             requests,
-            reply_paddr,
-            reply_bytes,
-            pipeline: false,
             issued: 0,
             completed: 0,
-            in_flight: std::collections::VecDeque::with_capacity(1),
+            in_flight: None,
             latency: Histogram::new(),
-        }
-    }
-
-    /// An open-loop client: every request issued on the initial step.
-    pub fn open_loop(
-        request: SendOp,
-        requests: usize,
-        reply_paddr: PhysAddr,
-        reply_bytes: u64,
-    ) -> Self {
-        RpcClientProgram {
-            pipeline: true,
-            in_flight: std::collections::VecDeque::with_capacity(requests),
-            ..Self::closed_loop(request, requests, reply_paddr, reply_bytes)
         }
     }
 
@@ -273,21 +310,11 @@ impl RpcClientProgram {
     pub fn latency(&self) -> &Histogram {
         &self.latency
     }
-
-    fn is_reply(&self, ev: &DeliveryEvent) -> bool {
-        let base = self.reply_paddr.raw();
-        let p = ev.dst_paddr.raw();
-        p >= base && p < base + self.reply_bytes
-    }
 }
 
 impl TrafficProgram for RpcClientProgram {
     fn planned_hint(&self) -> usize {
-        if self.pipeline {
-            0
-        } else {
-            self.requests.saturating_sub(1)
-        }
+        self.requests.saturating_sub(1)
     }
 
     fn step(
@@ -296,23 +323,19 @@ impl TrafficProgram for RpcClientProgram {
         inbox: &[DeliveryEvent],
         out: &mut Vec<SendOp>,
     ) -> Result<(), Trap> {
-        for ev in inbox {
-            if self.is_reply(ev) {
-                if let Some(issued_at) = self.in_flight.pop_front() {
-                    self.latency.record(ev.done.saturating_duration_since(issued_at).as_nanos());
-                    self.completed += 1;
-                }
+        if let Some((landing, issued_at)) = self.in_flight {
+            if let Some(ev) = inbox.iter().find(|ev| ev.dst_paddr == landing) {
+                self.latency.record(ev.done.saturating_duration_since(issued_at).as_nanos());
+                self.completed += 1;
+                self.in_flight = None;
             }
         }
-        let now = node.os().machine().now();
-        let batch = if self.pipeline {
-            self.requests - self.issued
-        } else {
-            usize::from(self.in_flight.is_empty() && self.issued < self.requests)
-        };
-        for _ in 0..batch {
-            out.push(self.request);
-            self.in_flight.push_back(now);
+        if self.in_flight.is_none() && self.issued < self.requests {
+            let t = self.issued % self.end.routes.len();
+            // The ensure may run the kernel, so the issue instant is read
+            // after it.
+            self.end.send(t, node, out)?;
+            self.in_flight = Some((self.end.routes[t].landing, node.os().machine().now()));
             self.issued += 1;
         }
         Ok(())
@@ -327,34 +350,33 @@ impl TrafficProgram for RpcClientProgram {
     }
 }
 
-/// A request/response server: watches a request region and answers each
-/// delivery that lands in it with the reply send routed by the request's
-/// exact landing address. Replies typically travel [`PacketClass::System`]
-/// (the §7 priority a server issues on the tenant's behalf).
+/// An RPC server: answers each delivery that lands exactly at a route's
+/// landing address with that route's reply, and ignores the rest. Each
+/// route keeps its own class; servers typically reply
+/// [`PacketClass::System`] (the §7 priority a server issues on a
+/// tenant's behalf).
 #[derive(Debug)]
 pub struct RpcServerProgram {
-    /// Physical base of the region requests land in.
-    request_paddr: PhysAddr,
-    /// Length of the request region.
-    request_bytes: u64,
-    /// `(landing address, reply send)` routes, scanned linearly (a
-    /// handful of tenants per node — no hash map on the data path).
-    routes: Vec<(PhysAddr, SendOp)>,
-    /// Requests this program will serve before it is finished.
+    /// Routes are scanned linearly: a handful of tenants per node, and
+    /// no hash map on the data path (D1).
+    end: RpcEnd,
+    /// Requests this program will answer before it is finished.
     expected: usize,
     replied: usize,
 }
 
 impl RpcServerProgram {
-    /// A server answering `expected` requests landing in
-    /// `[request_paddr, request_paddr + request_bytes)` via `routes`.
+    /// A server answering `expected` requests; each reply moves `nbytes`
+    /// from `src_va` of the route's process into the window behind the
+    /// route's `dir` handle.
     pub fn new(
-        request_paddr: PhysAddr,
-        request_bytes: u64,
-        routes: Vec<(PhysAddr, SendOp)>,
+        dir: NiptDirectory,
+        routes: Vec<RpcRoute>,
+        src_va: VirtAddr,
+        nbytes: u64,
         expected: usize,
     ) -> Self {
-        RpcServerProgram { request_paddr, request_bytes, routes, expected, replied: 0 }
+        RpcServerProgram { end: RpcEnd { dir, routes, src_va, nbytes }, expected, replied: 0 }
     }
 
     /// Requests answered so far.
@@ -370,18 +392,13 @@ impl TrafficProgram for RpcServerProgram {
 
     fn step(
         &mut self,
-        _node: &mut ShrimpNode,
+        node: &mut ShrimpNode,
         inbox: &[DeliveryEvent],
         out: &mut Vec<SendOp>,
     ) -> Result<(), Trap> {
-        let base = self.request_paddr.raw();
         for ev in inbox {
-            let p = ev.dst_paddr.raw();
-            if p < base || p >= base + self.request_bytes {
-                continue;
-            }
-            if let Some((_, reply)) = self.routes.iter().find(|(at, _)| at.raw() == p) {
-                out.push(*reply);
+            if let Some(r) = self.end.routes.iter().position(|r| r.landing == ev.dst_paddr) {
+                self.end.send(r, node, out)?;
                 self.replied += 1;
             }
         }

@@ -11,8 +11,8 @@
 use proptest::prelude::*;
 
 use shrimp::{
-    Multicomputer, NodePlan, PacketClass, ProgramPlan, RpcClientProgram, RpcServerProgram, SendOp,
-    StreamProgram,
+    Multicomputer, NiptDirectory, NodePlan, PacketClass, ProgramPlan, RpcClientProgram, RpcRoute,
+    RpcServerProgram, SendOp, StreamProgram,
 };
 use shrimp_bench::serving::{serving_traced, SERVING_MSG_BYTES};
 use shrimp_machine::MachineConfig;
@@ -150,48 +150,27 @@ fn rpc_reply_carries_the_server_payload() {
     mc.write_user(0, client, VirtAddr::new(0x10_0000), &request).unwrap();
     mc.write_user(1, server, VirtAddr::new(0x10_0000), &reply).unwrap();
 
-    let req_dev = mc.export(1, server, VirtAddr::new(0x40_0000), 1, 0, client).unwrap();
-    let rep_dev = mc.export(0, client, VirtAddr::new(0x40_0000), 1, 1, server).unwrap();
-    let req_paddr = mc.user_paddr(1, server, VirtAddr::new(0x40_0000)).unwrap();
-    let rep_paddr = mc.user_paddr(0, client, VirtAddr::new(0x40_0000)).unwrap();
+    // Each side registers the peer's exported window with its directory.
+    let req = mc.node_mut(1).export_pages(server, VirtAddr::new(0x40_0000), 1).unwrap();
+    let rep = mc.node_mut(0).export_pages(client, VirtAddr::new(0x40_0000), 1).unwrap();
+    let (req_paddr, rep_paddr) = (req[0].base(), rep[0].base());
+    let (mut client_dir, mut server_dir) = (NiptDirectory::new(), NiptDirectory::new());
+    let to_server = client_dir.register(client, mc.node(1).id(), req);
+    let to_client = server_dir.register(server, mc.node(0).id(), rep);
 
     let requests = 3usize;
+    let src = VirtAddr::new(0x10_0000);
+    let class = PacketClass::User;
+    let route = RpcRoute { pid: client, handle: to_server, landing: rep_paddr, class };
+    let rpc_client =
+        RpcClientProgram::new(client_dir, vec![route], src, SERVING_MSG_BYTES, requests);
+    let class = PacketClass::System;
+    let route = RpcRoute { pid: server, handle: to_client, landing: req_paddr, class };
+    let rpc_server =
+        RpcServerProgram::new(server_dir, vec![route], src, SERVING_MSG_BYTES, requests);
     let mut programs = vec![
-        ProgramPlan {
-            node: 0,
-            program: Box::new(RpcClientProgram::closed_loop(
-                SendOp {
-                    pid: client,
-                    src_va: VirtAddr::new(0x10_0000),
-                    dev_page: req_dev,
-                    dev_off: 0,
-                    nbytes: SERVING_MSG_BYTES,
-                    class: PacketClass::User,
-                },
-                requests,
-                rep_paddr,
-                SERVING_MSG_BYTES,
-            )),
-        },
-        ProgramPlan {
-            node: 1,
-            program: Box::new(RpcServerProgram::new(
-                req_paddr,
-                SERVING_MSG_BYTES,
-                vec![(
-                    req_paddr,
-                    SendOp {
-                        pid: server,
-                        src_va: VirtAddr::new(0x10_0000),
-                        dev_page: rep_dev,
-                        dev_off: 0,
-                        nbytes: SERVING_MSG_BYTES,
-                        class: PacketClass::System,
-                    },
-                )],
-                requests,
-            )),
-        },
+        ProgramPlan { node: 0, program: Box::new(rpc_client) },
+        ProgramPlan { node: 1, program: Box::new(rpc_server) },
     ];
     mc.run_programs(&mut programs, 2).unwrap();
 
