@@ -9,9 +9,12 @@ Runs `perfbench/run.py` (the benchmark `BENCHMARK.json` declares) from each
 checkout on the `stream`, `scatter` and `serving` workloads (seed 7, 3 s,
 untraced), five times per side, alternating which side runs first, so slow
 drift on a shared host lands on both sides alike. Each checkout builds into
-its own `<checkout>/.bench_build`. Exits 1 when, on any workload, the head's
-median `msgs_per_host_s` is below 0.80 times the base's median; exits
-non-zero without a verdict when a run fails or reports wrong outputs.
+its own `<checkout>/.bench_build`. Every run reports two rates: the untraced
+`msgs_per_host_s` and `recorder_on_msgs_per_host_s`, measured in the same
+run with the flight recorder on. Exits 1 when, on any workload, the head's
+median of either rate is below 0.80 times the base's median of the same
+rate; exits non-zero without a verdict when a run fails or reports wrong
+outputs.
 """
 
 import argparse
@@ -22,7 +25,7 @@ import subprocess
 import sys
 
 WORKLOADS = ("stream", "scatter", "serving")
-METRIC = "msgs_per_host_s"
+METRICS = ("msgs_per_host_s", "recorder_on_msgs_per_host_s")
 RUNS = 5
 SECONDS = 3
 SEED = 7
@@ -39,7 +42,8 @@ def run_once(tree, workload):
     if done.returncode != 0:
         sys.stderr.write(done.stderr)
         sys.exit(f"perf_gate: {workload} in {tree} failed with exit code {done.returncode}")
-    return json.loads(done.stdout.strip().splitlines()[-1])["metrics"][METRIC]["value"]
+    metrics = json.loads(done.stdout.strip().splitlines()[-1])["metrics"]
+    return {m: metrics[m]["value"] for m in METRICS}
 
 
 def quartiles(xs):
@@ -54,31 +58,36 @@ def main():
     args = p.parse_args()
     sides = {"base": os.path.abspath(args.base), "head": os.path.abspath(args.head)}
 
-    rates = {(side, w): [] for side in sides for w in WORKLOADS}
+    rates = {(side, w, m): [] for side in sides for w in WORKLOADS for m in METRICS}
     for i in range(RUNS):
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
         for w in WORKLOADS:
             for side in order:
-                rate = run_once(sides[side], w)
-                rates[(side, w)].append(rate)
-                print(f"run {i + 1}/{RUNS} {w:8} {side}: {rate:,.0f} msgs/s", flush=True)
+                got = run_once(sides[side], w)
+                for m in METRICS:
+                    rates[(side, w, m)].append(got[m])
+                shown = "  ".join(f"{m} {got[m]:,.0f}" for m in METRICS)
+                print(f"run {i + 1}/{RUNS} {w:8} {side}: {shown}", flush=True)
 
     def summary(xs):
         q1, q3 = quartiles(xs)
         return f"{statistics.median(xs):,.0f} [{q1:,.0f}-{q3:,.0f}]"
 
     failed = []
-    print(f"\n{'workload':8}  {'base median [IQR]':>36}  {'head median [IQR]':>36}  ratio")
-    for w in WORKLOADS:
-        base, head = rates[("base", w)], rates[("head", w)]
-        ratio = statistics.median(head) / statistics.median(base)
-        verdict = "ok" if ratio >= FLOOR else f"FAIL (< {FLOOR:.2f})"
-        print(f"{w:8}  {summary(base):>36}  {summary(head):>36}  {ratio:.3f} {verdict}")
-        if ratio < FLOOR:
-            failed.append(w)
+    for m in METRICS:
+        print(f"\n{m}")
+        print(f"{'workload':8}  {'base median [IQR]':>36}  {'head median [IQR]':>36}  ratio")
+        for w in WORKLOADS:
+            base, head = rates[("base", w, m)], rates[("head", w, m)]
+            ratio = statistics.median(head) / statistics.median(base)
+            verdict = "ok" if ratio >= FLOOR else f"FAIL (< {FLOOR:.2f})"
+            print(f"{w:8}  {summary(base):>36}  {summary(head):>36}  {ratio:.3f} {verdict}")
+            if ratio < FLOOR:
+                failed.append(f"{w} {m}")
     if failed:
-        sys.exit(f"perf_gate: {METRIC} below {FLOOR:.2f}x the base median on {failed}")
-    print(f"perf_gate: every workload's median {METRIC} is at least {FLOOR:.2f}x the base")
+        sys.exit(f"perf_gate: below {FLOOR:.2f}x the base median on {failed}")
+    print(f"perf_gate: every workload's median {' and '.join(METRICS)} "
+          f"is at least {FLOOR:.2f}x the base")
 
 
 if __name__ == "__main__":

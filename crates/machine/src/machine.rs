@@ -4,9 +4,7 @@ use shrimp_devices::Device;
 use shrimp_dma::DmaTiming;
 use shrimp_mem::{Layout, PhysMemory, Region, VirtAddr, MMIO_BASE, PAGE_SIZE};
 use shrimp_mmu::{AccessKind, Fault, Mmu, Mode, PageTable};
-use shrimp_sim::{
-    Clock, CostModel, EventRing, MachineEvent, MachineEventKind, MetricSet, SimDuration, SimTime,
-};
+use shrimp_sim::{Clock, CostModel, MetricSet, SimDuration, SimTime};
 
 use crate::{UdmaHw, UdmaMode};
 
@@ -37,10 +35,6 @@ impl Default for MachineConfig {
         }
     }
 }
-
-/// Capacity of the typed machine event ring (events kept for rendering;
-/// older ones are overwritten).
-const TRACE_EVENTS: usize = 4096;
 
 shrimp_sim::counters! {
     /// Per-region reference counts (metrics subsystem `machine`): `load`
@@ -80,7 +74,6 @@ pub struct Machine<D> {
     udma: UdmaHw,
     device: D,
     refs: MachineCounters,
-    events: EventRing<MachineEvent>,
 }
 
 impl<D: Device> Machine<D> {
@@ -100,7 +93,6 @@ impl<D: Device> Machine<D> {
             cost: config.cost,
             device,
             refs: MachineCounters::default(),
-            events: EventRing::new(TRACE_EVENTS),
         }
     }
 
@@ -176,32 +168,6 @@ impl<D: Device> Machine<D> {
         self.device.harvest_metrics(set, index);
     }
 
-    /// Enables or disables the typed event transcript (disabled by
-    /// default; enabling reserves the ring's storage once, up front).
-    pub fn set_tracing(&mut self, enabled: bool) {
-        self.events.set_enabled(enabled);
-    }
-
-    /// Whether typed events are currently recorded.
-    pub fn tracing(&self) -> bool {
-        self.events.is_enabled()
-    }
-
-    /// The typed event transcript, oldest → newest.
-    pub fn events(&self) -> &EventRing<MachineEvent> {
-        &self.events
-    }
-
-    /// Records one typed event at the current instant (no-op while
-    /// tracing is disabled; never allocates). The kernel layers use this
-    /// for events the machine itself cannot see (evictions, context
-    /// switches, message completion).
-    #[inline]
-    pub fn record_event(&mut self, kind: MachineEventKind) {
-        let at = self.clock.now();
-        self.events.record(MachineEvent { at, kind });
-    }
-
     /// Lets autonomous hardware (UDMA engine, device) catch up to the
     /// current instant.
     pub fn poll(&mut self) {
@@ -236,14 +202,13 @@ impl<D: Device> Machine<D> {
     /// Replays `count` further repetitions of the just-completed
     /// steady-state UDMA message cycle, each `stride` later than the last.
     ///
-    /// The caller (the send-burst driver) has executed two literal
+    /// The caller (`SendCore::replay` in `shrimp`) has executed two literal
     /// messages, verified they were single-transfer/zero-retry and exactly
     /// `stride` apart, and asks the machine to advance as if the same
     /// cycle ran `count` more times. The machine checks that the hardware
     /// is in the replayable state (idle basic controller, last transfer
-    /// memory→device) and — when tracing — that the event tail has the
-    /// canonical five-event shape, then books every counter, event and
-    /// device write the literal path would have produced, in one pass.
+    /// memory→device), then books every counter and device write the
+    /// literal path would have produced, in one pass.
     ///
     /// Returns `false` without changing any state when the situation is
     /// not replayable; the caller falls back to literal sends.
@@ -253,42 +218,10 @@ impl<D: Device> Machine<D> {
             return true;
         }
         let Some(t) = self.udma.replay_template() else { return false };
-        // With tracing on, the replay must reproduce the exact event tail
-        // the literal path records per message: STORE, three LOADs, done.
-        let mut tail = [MachineEvent { at: SimTime::ZERO, kind: MachineEventKind::Inval }; 5];
-        let traced = self.events.is_enabled();
-        if traced {
-            let held = self.events.len();
-            if held < tail.len() {
-                return false;
-            }
-            let skip = held - tail.len();
-            for (slot, e) in tail.iter_mut().zip(self.events.iter().skip(skip)) {
-                *slot = *e;
-            }
-            let shape_ok = matches!(tail[0].kind, MachineEventKind::ProxyStore { .. })
-                && matches!(tail[1].kind, MachineEventKind::ProxyLoad { .. })
-                && matches!(tail[2].kind, MachineEventKind::ProxyLoad { .. })
-                && matches!(tail[3].kind, MachineEventKind::ProxyLoad { .. })
-                && matches!(tail[4].kind, MachineEventKind::MsgDone { .. });
-            if !shape_ok {
-                return false;
-            }
-        }
         self.udma.replay_completed(count, t.nbytes);
         self.refs.proxy_stores.add(count);
         self.refs.proxy_loads.add(3 * count);
         self.mmu.book_replayed_hits(4 * count);
-        if traced {
-            for k in 1..=count {
-                for e in tail {
-                    // lint:allow(A1) -- EventRing::push writes into the
-                    // ring's pre-reserved storage (overwriting when full);
-                    // it never allocates after set_enabled.
-                    self.events.push(MachineEvent { at: e.at + stride * k, kind: e.kind });
-                }
-            }
-        }
         // INVARIANT: the template transfer read this range when it retired,
         // and physical memory cannot shrink.
         let data =
@@ -373,10 +306,6 @@ impl<D: Device> Machine<D> {
                 } else {
                     self.udma.handle_load(pa, now, &mut self.mem, &mut self.device)
                 };
-                self.events.record(MachineEvent {
-                    at: now,
-                    kind: MachineEventKind::ProxyLoad { pa: pa.raw(), status: status.pack() },
-                });
                 Ok(status.pack())
             }
             Region::Mmio => {
@@ -465,10 +394,6 @@ impl<D: Device> Machine<D> {
                 self.refs.proxy_stores.incr();
                 let now = self.clock.now();
                 self.udma.handle_store(pa, value, now, &mut self.mem, &mut self.device);
-                self.events.record(MachineEvent {
-                    at: now,
-                    kind: MachineEventKind::ProxyStore { pa: pa.raw(), value },
-                });
                 Ok(())
             }
             Region::Mmio => {
@@ -552,7 +477,6 @@ impl<D: Device> Machine<D> {
             .expect("address 0 is always real memory");
         let now = self.clock.now();
         self.udma.handle_store(proxy, -1, now, &mut self.mem, &mut self.device);
-        self.events.record(MachineEvent { at: now, kind: MachineEventKind::Inval });
         self.refs.inval_stores.incr();
     }
 
@@ -737,35 +661,6 @@ mod tests {
         let va = VirtAddr::new(0x2000 - 100);
         m.write_bytes(&mut pt, va, &data, Mode::User).unwrap();
         assert_eq!(m.read_bytes(&mut pt, va, 256, Mode::User).unwrap(), data);
-    }
-
-    #[test]
-    fn trace_records_proxy_traffic_when_enabled() {
-        let mut m = machine();
-        let layout = m.layout();
-        let mut pt = PageTable::new();
-        let vdev = VirtAddr::new(shrimp_mem::DEV_PROXY_BASE);
-        pt.map(
-            vdev.page(),
-            Pte::new(
-                shrimp_mem::PhysAddr::new(shrimp_mem::DEV_PROXY_BASE).page(),
-                user_rw() | PteFlags::PROXY,
-            ),
-        );
-        // Disabled by default: nothing recorded.
-        m.store(&mut pt, vdev, 64, Mode::User).unwrap();
-        assert!(m.events().is_empty());
-
-        m.set_tracing(true);
-        m.store(&mut pt, vdev, 64, Mode::User).unwrap();
-        m.kernel_inval_udma();
-        assert_eq!(m.events().len(), 2);
-        // The typed events render their text on demand.
-        assert!(m.events().iter().all(|e| e.kind.category() == "udma"));
-        let messages: Vec<_> = m.events().iter().map(|e| e.kind.to_string()).collect();
-        assert!(messages[0].contains("STORE 64"), "{messages:?}");
-        assert!(messages[1].contains("INVAL"), "{messages:?}");
-        let _ = layout;
     }
 
     #[test]

@@ -7,7 +7,7 @@ use shrimp_devices::Device;
 use shrimp_machine::{Machine, MachineConfig};
 use shrimp_mem::{BackingStore, FrameAllocator, Pfn, Region, SwapSlot, VirtAddr, Vpn, PAGE_SIZE};
 use shrimp_mmu::{Fault, Mode, Pte, PteFlags};
-use shrimp_sim::{MachineEventKind, MetricSet};
+use shrimp_sim::MetricSet;
 
 use crate::process::{DeviceGrant, Pid, Process, VPage};
 use crate::Trap;
@@ -309,10 +309,6 @@ impl<D: Device> Node<D> {
         self.machine.mmu_mut().flush_all();
         // Invariant I1: one STORE of a negative value to proxy space.
         self.machine.kernel_inval_udma();
-        let as_raw = |p: Option<Pid>| p.map_or(-1, |p| i64::from(p.raw()));
-        let from = self.current;
-        self.machine
-            .record_event(MachineEventKind::ContextSwitch { from: as_raw(from), to: as_raw(to) });
         self.current = to;
         self.counters.context_switches.incr();
     }
@@ -464,16 +460,6 @@ impl<D: Device> Node<D> {
         let overhead = self.machine.cost().page_fault_overhead;
         self.machine.advance(overhead);
         self.counters.page_faults.incr();
-        let what = match fault {
-            Fault::NotMapped { .. } => "not-mapped",
-            Fault::WriteProtected { .. } => "write-protected",
-            Fault::Privilege { .. } => "privilege",
-        };
-        self.machine.record_event(MachineEventKind::PageFault {
-            pid: u64::from(pid.raw()),
-            va: fault.va().raw(),
-            what,
-        });
         let layout = self.machine.layout();
         let va = fault.va();
         match layout.region_of_virt(va) {

@@ -12,7 +12,6 @@
 use shrimp_devices::Device;
 use shrimp_mem::{Pfn, Vpn, PAGE_SIZE};
 use shrimp_mmu::PteFlags;
-use shrimp_sim::MachineEventKind;
 
 use crate::process::{Pid, VPage};
 use crate::{Node, Trap};
@@ -152,11 +151,6 @@ impl<D: Device> Node<D> {
 
         self.frame_owner.remove(&pfn);
         self.frames.free(pfn);
-        self.machine.record_event(MachineEventKind::Evicted {
-            pid: u64::from(pid.raw()),
-            vpn: vpn.raw(),
-            pfn: pfn.raw(),
-        });
         self.counters.evictions.incr();
     }
 

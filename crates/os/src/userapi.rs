@@ -13,7 +13,7 @@
 
 use shrimp_devices::Device;
 use shrimp_mem::{VirtAddr, DEV_PROXY_BASE, PAGE_SIZE};
-use shrimp_sim::{MachineEventKind, SimDuration};
+use shrimp_sim::SimDuration;
 use udma_core::UdmaStatus;
 
 use crate::process::Pid;
@@ -173,11 +173,6 @@ impl<D: Device> Node<D> {
         }
 
         result.elapsed = self.machine.now() - t0;
-        self.machine.record_event(MachineEventKind::MsgDone {
-            bytes: nbytes,
-            transfers: result.transfers,
-            retries: result.retries,
-        });
         Ok(result)
     }
 }

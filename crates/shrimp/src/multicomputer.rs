@@ -149,16 +149,15 @@ impl Multicomputer {
     /// span regardless.
     pub const TRACE_SPANS: usize = 65536;
 
-    /// Enables or disables transfer tracing machine-wide: the flight
-    /// recorder plus every node's typed machine event ring. Enabling
-    /// reserves all ring storage up front, so the data plane stays
+    /// Enables or disables transfer tracing: the flight recorder, the
+    /// simulator's only event recorder (per-node machine and kernel facts
+    /// are counters in [`Multicomputer::metrics_snapshot`]). Enabling
+    /// reserves the span ring up front, so the data plane stays
     /// allocation-free afterwards. Tracing is pure observation — it never
-    /// advances a clock, so `state_digest` is unchanged by it.
+    /// advances a clock or changes which sends are batched, so
+    /// `state_digest` and the metrics are unchanged by it.
     pub fn set_tracing(&mut self, enabled: bool) {
         self.core.recorder.set_enabled(enabled);
-        for lane in &mut self.lanes {
-            lane.node.os_mut().machine_mut().set_tracing(enabled);
-        }
     }
 
     /// Whether transfer tracing is on.

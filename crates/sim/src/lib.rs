@@ -17,9 +17,8 @@
 //!   rendering and high-water gauges (see `DESIGN.md` §10),
 //! - [`FlightRecorder`] / [`SpanRecord`] / [`XferId`] — the transfer-level
 //!   flight recorder: typed five-stage spans with cross-node correlation
-//!   IDs and a deterministic merge for the parallel engine,
-//! - [`MachineEvent`] / [`EventRing`] — typed, allocation-free machine
-//!   event records, rendered as text by [`MachineEventKind`]'s `Display`,
+//!   IDs and a deterministic merge for the parallel engine; the only
+//!   event recorder (machine and kernel facts are [`MetricSet`] counters),
 //! - [`CostModel`] — every timing constant used by the simulated machine,
 //!   documented with its calibration source (see `DESIGN.md` §4).
 //!
@@ -59,9 +58,6 @@ pub use cost::CostModel;
 pub use metrics::{CounterId, Gauge, GaugeId, HistId, MetricId, MetricSet};
 pub use parallel::{ExchangeGrid, SpinBarrier, TimeFrontier};
 pub use rng::SplitMix64;
-pub use span::{
-    EventRing, FlightRecorder, MachineEvent, MachineEventKind, SpanRecord, Stage, XferId, XferMeta,
-    STAGE_COUNT,
-};
+pub use span::{FlightRecorder, SpanRecord, Stage, XferId, XferMeta, STAGE_COUNT};
 pub use stats::{Counter, Histogram};
 pub use time::{SimDuration, SimTime};

@@ -9,15 +9,15 @@
 //! - [`SpanRecord`] — the completed five-stage span of one packet
 //!   (initiation → queued → wire → delivered → status-observed), assembled
 //!   at delivery time from the timestamps the meta block accumulated,
-//! - [`EventRing`] — a fixed-capacity, allocation-free ring buffer for
-//!   `Copy` records (the hot path never touches the heap once the ring's
-//!   storage is reserved),
 //! - [`FlightRecorder`] — a span ring plus per-stage latency
 //!   [`Histogram`]s, kept in merge-key order and merged deterministically
-//!   by the sharded parallel engine,
-//! - [`MachineEvent`] / [`MachineEventKind`] — typed machine/OS events;
-//!   `Display` renders the human-readable text on demand, off the hot
-//!   path.
+//!   by the sharded parallel engine. The ring is an [`EventRing`]: fixed
+//!   capacity, storage reserved once when enabled, so the hot path never
+//!   touches the heap.
+//!
+//! It is the simulator's only event recorder. Machine and kernel facts
+//! (proxy references, Invals, evictions, context switches, faults) are
+//! counters in the metrics registry, not events.
 //!
 //! Determinism contract: the parallel engine keeps every shard's ring in
 //! `(link_ready, src‖seq)` order epoch by epoch and merges the rings in
@@ -206,7 +206,7 @@ impl SpanRecord {
 /// once, *before* the measured region. Recording into an enabled ring
 /// never allocates; when full, the oldest record is overwritten.
 #[derive(Clone, Debug)]
-pub struct EventRing<T> {
+pub(crate) struct EventRing<T> {
     buf: Vec<T>,
     head: usize,
     cap: usize,
@@ -234,24 +234,13 @@ impl<T: Copy> EventRing<T> {
         self.enabled = enabled;
     }
 
-    /// Whether [`EventRing::record`] currently stores anything.
+    /// Whether the owner records into this ring.
     pub fn is_enabled(&self) -> bool {
         self.enabled
     }
 
-    /// Records `value` if enabled; returns whether it was stored.
-    #[inline]
-    pub fn record(&mut self, value: T) -> bool {
-        if !self.enabled {
-            return false;
-        }
-        // lint:allow(A1) -- EventRing::push, not Vec::push: the ring is
-        // checked on its own below.
-        self.push(value);
-        true
-    }
-
-    /// Stores `value` unconditionally (merge path; ignores `enabled`).
+    /// Stores `value`, overwriting the oldest record when full. The ring
+    /// does not check `enabled`: its owner does.
     pub fn push(&mut self, value: T) {
         self.total += 1;
         if self.buf.len() < self.cap {
@@ -428,132 +417,6 @@ impl FlightRecorder {
     }
 }
 
-/// One typed machine-level event.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MachineEvent {
-    /// When the event happened.
-    pub at: SimTime,
-    /// What happened.
-    pub kind: MachineEventKind,
-}
-
-/// The typed event vocabulary of the machine/OS layers.
-///
-/// Every variant is plain `Copy` data; the human-readable text is
-/// produced on demand by the `Display` impl, off the hot path.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MachineEventKind {
-    /// A user STORE hit device proxy space (UDMA initiation, first half).
-    ProxyStore {
-        /// Proxy physical address stored to.
-        pa: u64,
-        /// The value stored (transfer size, or negative control values).
-        value: i64,
-    },
-    /// A user LOAD hit memory proxy space (UDMA initiation second half, or
-    /// a completion poll).
-    ProxyLoad {
-        /// Proxy physical address loaded from.
-        pa: u64,
-        /// The packed status word the load observed.
-        status: u64,
-    },
-    /// The kernel stored the invalidation value to proxy space on a
-    /// context switch (invariant I1).
-    Inval,
-    /// A user-level message completed (`udma_transfer` returned).
-    MsgDone {
-        /// Message payload bytes.
-        bytes: u64,
-        /// DMA transfers (chunks) the message needed.
-        transfers: u64,
-        /// Busy/invalidation retries across those chunks.
-        retries: u64,
-    },
-    /// The pager evicted a frame.
-    Evicted {
-        /// Owning process.
-        pid: u64,
-        /// Evicted virtual page.
-        vpn: u64,
-        /// Freed physical frame.
-        pfn: u64,
-    },
-    /// The kernel switched address spaces (`-1` encodes "idle").
-    ContextSwitch {
-        /// Outgoing pid, or -1 for idle.
-        from: i64,
-        /// Incoming pid, or -1 for idle.
-        to: i64,
-    },
-    /// The kernel fault handler ran.
-    PageFault {
-        /// Faulting process.
-        pid: u64,
-        /// Faulting virtual address.
-        va: u64,
-        /// Static fault label ("not-mapped", "write-protected", ...).
-        what: &'static str,
-    },
-}
-
-impl MachineEventKind {
-    /// The layer that records this event (`"udma"`, `"msg"`, `"pager"`,
-    /// `"kernel"`).
-    pub const fn category(self) -> &'static str {
-        match self {
-            MachineEventKind::ProxyStore { .. }
-            | MachineEventKind::ProxyLoad { .. }
-            | MachineEventKind::Inval => "udma",
-            MachineEventKind::MsgDone { .. } => "msg",
-            MachineEventKind::Evicted { .. } => "pager",
-            MachineEventKind::ContextSwitch { .. } | MachineEventKind::PageFault { .. } => "kernel",
-        }
-    }
-}
-
-/// Renders an `Option<pid>` encoded as `-1 = idle`.
-struct PidOrIdle(i64);
-
-impl fmt::Display for PidOrIdle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0 < 0 {
-            f.write_str("idle")
-        } else {
-            write!(f, "pid{}", self.0)
-        }
-    }
-}
-
-impl fmt::Display for MachineEventKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            MachineEventKind::ProxyStore { pa, value } => {
-                write!(f, "STORE {value} TO pa=0x{pa:x}")
-            }
-            MachineEventKind::ProxyLoad { pa, status } => {
-                write!(f, "LOAD pa=0x{pa:x} -> status=0x{status:x}")
-            }
-            MachineEventKind::Inval => f.write_str("INVAL (context switch)"),
-            MachineEventKind::MsgDone { bytes, transfers, retries } => {
-                write!(
-                    f,
-                    "message done: {bytes} bytes in {transfers} transfers ({retries} retries)"
-                )
-            }
-            MachineEventKind::Evicted { pid, vpn, pfn } => {
-                write!(f, "evicted pid{pid}:vpn{vpn} from pfn{pfn}")
-            }
-            MachineEventKind::ContextSwitch { from, to } => {
-                write!(f, "context switch {} -> {}", PidOrIdle(from), PidOrIdle(to))
-            }
-            MachineEventKind::PageFault { pid, va, what } => {
-                write!(f, "pid{pid}: {what} fault at va=0x{va:x}")
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -601,11 +464,12 @@ mod tests {
     #[test]
     fn ring_is_disabled_by_default_and_overwrites_when_full() {
         let mut ring: EventRing<u64> = EventRing::new(3);
-        assert!(!ring.record(1));
-        assert!(ring.is_empty());
+        assert!(!ring.is_enabled());
+        assert_eq!(ring.buf.capacity(), 0);
         ring.set_enabled(true);
+        assert!(ring.is_enabled());
         for v in 0..5 {
-            assert!(ring.record(v));
+            ring.push(v);
         }
         assert_eq!(ring.len(), 3);
         assert_eq!(ring.total(), 5);
@@ -622,7 +486,7 @@ mod tests {
         let cap = ring.buf.capacity();
         assert!(cap >= 128);
         for v in 0..1000 {
-            ring.record(v);
+            ring.push(v);
         }
         assert_eq!(ring.buf.capacity(), cap, "recording must never reallocate");
     }
@@ -734,20 +598,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn event_kinds_render_text_and_categories() {
-        assert_eq!(
-            MachineEventKind::ProxyStore { pa: 0x40, value: 64 }.to_string(),
-            "STORE 64 TO pa=0x40"
-        );
-        assert_eq!(MachineEventKind::Inval.to_string(), "INVAL (context switch)");
-        assert_eq!(MachineEventKind::Inval.category(), "udma");
-        assert_eq!(MachineEventKind::Evicted { pid: 1, vpn: 2, pfn: 3 }.category(), "pager");
-        assert_eq!(
-            MachineEventKind::ContextSwitch { from: -1, to: 2 }.to_string(),
-            "context switch idle -> pid2"
-        );
     }
 }

@@ -25,7 +25,6 @@ fn main() -> Result<(), Trap> {
         user_frames: Some(5),
     };
     let mut node = Node::new(config, StreamSink::new("device"));
-    node.machine_mut().set_tracing(true);
     let layout = node.machine().layout();
 
     // ---------------------------------------------------------------
@@ -123,10 +122,5 @@ fn main() -> Result<(), Trap> {
     let mut metrics = MetricSet::default();
     node.counters().harvest(&mut metrics, "kernel", None);
     print!("\nall four invariants demonstrated; kernel metrics:\n{}", metrics.render_text());
-    println!("\nlast 8 machine events:");
-    let events = node.machine().events();
-    for e in events.iter().skip(events.len().saturating_sub(8)) {
-        println!("  [{:>12}] {:<8} {}", e.at.to_string(), e.kind.category(), e.kind);
-    }
     Ok(())
 }

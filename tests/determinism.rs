@@ -138,9 +138,10 @@ fn unified_engine_reproduces_the_serial_driver_bytes() {
 
 #[test]
 fn tracing_is_invisible_to_state_digests() {
-    // Satellite: the flight recorder is pure observation. Enabling it must
-    // not move a single clock or byte — digests match the untraced run at
-    // every thread count.
+    // The flight recorder is pure observation. Enabling it must not move
+    // a single clock or byte, nor change which sends are batched: digests
+    // and the rendered metrics (including `delivery/runs_committed` and
+    // `delivery/run_splits`) match the untraced run at every thread count.
     for threads in [1usize, 2, 4] {
         let (mut plain, plans) = paired_stream(8, 15, 1024);
         plain.run(&plans, threads).unwrap();
@@ -152,6 +153,17 @@ fn tracing_is_invisible_to_state_digests() {
             plain.state_digest(),
             traced.state_digest(),
             "threads={threads}: tracing changed the simulated timeline"
+        );
+        let (plain_metrics, traced_metrics) = (plain.metrics_snapshot(), traced.metrics_snapshot());
+        assert_eq!(
+            plain_metrics.render_text(),
+            traced_metrics.render_text(),
+            "threads={threads}: tracing changed the metrics"
+        );
+        let get = |name| traced_metrics.get("delivery", name, None).unwrap();
+        assert!(
+            get("runs_committed") < get("delivered"),
+            "threads={threads}: no run was batched, so the check is vacuous"
         );
     }
 }

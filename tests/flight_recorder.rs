@@ -151,18 +151,3 @@ fn tracing_off_records_and_exports_nothing() {
     assert_eq!(spans, 0, "nothing traced, nothing exported");
     assert_eq!(num_field(&json, "spans"), Some(0.0));
 }
-
-#[test]
-fn machine_event_rings_capture_the_initiation_sequence() {
-    let (mut mc, s, _r, dev_page) = two_nodes();
-    mc.set_tracing(true);
-    mc.write_user(0, s, VirtAddr::new(SEND_VA), &[2u8; 256]).unwrap();
-    mc.send(0, s, VirtAddr::new(SEND_VA), dev_page, 0, 256).unwrap();
-    // The sender's typed event ring saw the STORE/LOAD pair and the
-    // message completion; each event renders its text on demand.
-    let events = mc.node(0).os().machine().events();
-    let text: Vec<String> = events.iter().map(|e| e.kind.to_string()).collect();
-    assert!(text.iter().any(|l| l.contains("STORE")), "no proxy STORE in {text:?}");
-    assert!(text.iter().any(|l| l.contains("LOAD")), "no status LOAD in {text:?}");
-    assert!(text.iter().any(|l| l.contains("message done")), "no completion in {text:?}");
-}
