@@ -14,7 +14,9 @@ its own `<checkout>/.bench_build`. Every run reports two rates: the untraced
 run with the flight recorder on. Exits 1 when, on any workload, the head's
 median of either rate is below 0.80 times the base's median of the same
 rate; exits non-zero without a verdict when a run fails or reports wrong
-outputs.
+outputs. Also prints each side's median recorder-on rate over its median
+untraced rate per workload, for reading the recorder's cost; that ratio
+gates nothing.
 """
 
 import argparse
@@ -84,6 +86,16 @@ def main():
             print(f"{w:8}  {summary(base):>36}  {summary(head):>36}  {ratio:.3f} {verdict}")
             if ratio < FLOOR:
                 failed.append(f"{w} {m}")
+    # Information only: ROADMAP item 8's target is a recorder-on median of
+    # at least 0.8x the untraced one on every workload.
+    print("\nrecorder_on / untraced (median over median; target >= 0.80, not gated)")
+    print(f"{'workload':8}  {'base':>6}  {'head':>6}")
+    for w in WORKLOADS:
+        shown = []
+        for side in sides:
+            on = statistics.median(rates[(side, w, "recorder_on_msgs_per_host_s")])
+            shown.append(f"{on / statistics.median(rates[(side, w, 'msgs_per_host_s')]):6.3f}")
+        print(f"{w:8}  {'  '.join(shown)}")
     if failed:
         sys.exit(f"perf_gate: below {FLOOR:.2f}x the base median on {failed}")
     print(f"perf_gate: every workload's median {' and '.join(METRICS)} "

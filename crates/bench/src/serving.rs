@@ -270,13 +270,44 @@ fn serving_impl(
         messages: report.messages,
         threads,
         digest: mc.state_digest(),
-        allocs_per_msg: alloc_count::is_active().then(|| allocs as f64 / report.messages as f64),
+        allocs_per_msg: alloc_count::is_active().then(|| {
+            steady_allocs_per_msg(
+                nodes,
+                tenants_per_client,
+                requests_per_tenant,
+                threads,
+                traced,
+                (allocs, report.messages),
+            )
+        }),
         stage_ns,
         request_ns: Some([q(0.50), q(0.90), q(0.99)]),
         nipt_churn: Some([evictions, refaults]),
     };
     let trace = traced.then(|| mc.export_trace_bin());
     (ServingOutcome { result, latency, nipt_evictions: evictions, nipt_refaults: refaults }, trace)
+}
+
+/// Heap allocations per message in the steady state: what a second rig
+/// with twice the requests allocates beyond the measured run `(allocs,
+/// messages)`, per extra message. Set-up inside the run (program state,
+/// first NIPT reloads, inbox and queue growth) happens once in both and
+/// cancels, so a figure that grows shows a per-message allocation.
+fn steady_allocs_per_msg(
+    nodes: u16,
+    tenants_per_client: usize,
+    requests_per_tenant: u32,
+    threads: usize,
+    traced: bool,
+    (allocs, messages): (u64, u64),
+) -> f64 {
+    let ServingRig { mut mc, mut programs, .. } =
+        serving_rig(nodes, tenants_per_client, 2 * requests_per_tenant);
+    mc.set_tracing(traced);
+    let mark = alloc_count::allocation_count();
+    let report = mc.run_programs(&mut programs, threads).expect("serving run");
+    let extra = alloc_count::delta_since(mark).saturating_sub(allocs);
+    extra as f64 / (report.messages - messages) as f64
 }
 
 #[cfg(test)]

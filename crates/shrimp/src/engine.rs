@@ -364,11 +364,13 @@ impl DeliveryCore {
         }
     }
 
-    /// Applies the committed prefix of a run to its lane: each member is
-    /// admitted on the inbound link and delivered through the same
-    /// [`DeliveryCore::deliver`] as the single-packet path (the template
-    /// walks forward by one stride per member, so every span and
-    /// timestamp is bit-identical to the unbatched drain), and any
+    /// Applies the committed prefix of a run to its lane. Every member
+    /// carries the run's one payload to its one `dst_paddr`, so the prefix
+    /// writes it once; each member is still admitted on the inbound link
+    /// and gets its own EISA transaction, delivery count, inbox event,
+    /// span and passive-clock advance (the template walks forward by one
+    /// stride per member, so every span and timestamp is bit-identical to
+    /// the unbatched drain). A write that fails drops every member. Any
     /// remainder re-stages into the fabric without cloning the payload.
     // lint:hot_path
     fn deliver_run(
@@ -382,10 +384,16 @@ impl DeliveryCore {
         if take < run.count {
             self.counters.run_splits.incr();
         }
+        let written = Self::write(lane, &run.template);
         let mut left = take;
         loop {
             let arrival = fabric.admit(&run.template, run.template.meta.link_ready);
-            self.deliver(lane, arrival, &run.template);
+            let done = Self::occupy_bus(lane, arrival, &run.template);
+            if written {
+                self.apply(lane, arrival, done, &run.template);
+            } else {
+                self.counters.drops.incr();
+            }
             left -= 1;
             if left == 0 {
                 break;
@@ -400,28 +408,46 @@ impl DeliveryCore {
 
     /// Applies one packet to its destination lane: one receive-side EISA
     /// DMA transaction (arbitration/setup plus the payload burst), the
-    /// deposit into physical memory, delivery bookkeeping, span stamping,
-    /// and the passive-receiver clock advance. `arrival` is when the
-    /// packet finished serializing on the inbound link it reached at
+    /// deposit into physical memory, then the delivery itself, or a drop
+    /// when the deposit fails. `arrival` is when the packet finished
+    /// serializing on the inbound link it reached at
     /// `packet.meta.link_ready`.
     // lint:hot_path
     fn deliver(&mut self, lane: &mut Lane, arrival: SimTime, packet: &Packet) {
+        let done = Self::occupy_bus(lane, arrival, packet);
+        if Self::write(lane, packet) {
+            self.apply(lane, arrival, done, packet);
+        } else {
+            self.counters.drops.incr();
+        }
+    }
+
+    /// Books the packet's receive-side EISA DMA transaction on the lane's
+    /// bus and returns its completion instant.
+    fn occupy_bus(lane: &mut Lane, arrival: SimTime, packet: &Packet) -> SimTime {
         let start = arrival.max(lane.rx.eisa_busy);
-        let done = {
-            let cost = lane.node.os().machine().cost();
-            start + cost.dma_start + cost.bus_transfer(packet.payload.len() as u64)
-        };
+        let cost = lane.node.os().machine().cost();
+        let done = start + cost.dma_start + cost.bus_transfer(packet.payload.len() as u64);
         lane.rx.eisa_busy = done;
+        done
+    }
+
+    /// Deposits the packet's payload at its `dst_paddr`; `false` when the
+    /// range lies outside the receiver's memory.
+    fn write(lane: &mut Lane, packet: &Packet) -> bool {
         let mem = lane.node.os_mut().machine_mut().mem_mut();
         // dst_paddr was produced by the sender's NIPT lookup (invariant
         // I2: outgoing translation is the protection check); the write
         // re-validates bounds and a failure counts a drop, never a stray
         // store.
         // lint:allow(F1) -- sender-side NIPT translation (I2, see above).
-        if mem.write(packet.dst_paddr, &packet.payload).is_err() {
-            self.counters.drops.incr();
-            return;
-        }
+        mem.write(packet.dst_paddr, &packet.payload).is_ok()
+    }
+
+    /// The delivery bookkeeping of a deposited packet whose EISA
+    /// transaction completed at `done`: delivery count, `last_delivery`,
+    /// inbox event, span and the passive-receiver clock advance.
+    fn apply(&mut self, lane: &mut Lane, arrival: SimTime, done: SimTime, packet: &Packet) {
         self.counters.delivered.incr();
         lane.rx.last_delivery = lane.rx.last_delivery.max(done);
         if lane.collect {
@@ -464,5 +490,94 @@ impl DeliveryCore {
     /// Whether span recording is on.
     pub fn tracing(&self) -> bool {
         self.recorder.is_enabled()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Nic;
+    use shrimp_mem::PhysAddr;
+    use shrimp_net::{Interconnect, LinkParams, NodeId};
+    use shrimp_os::NodeConfig;
+    use shrimp_sim::XferId;
+
+    const MEMBERS: u32 = 6;
+
+    /// Member 0 of a 64-byte train from node 0 to `dst_paddr` on node 1,
+    /// its members 400 ns apart (the link needs about 300 per packet).
+    fn template(dst_paddr: u64) -> Packet {
+        let mut p =
+            Packet::new(NodeId::new(0), NodeId::new(1), PhysAddr::new(dst_paddr), vec![0xa5; 64]);
+        p.meta.id = XferId::new(0, 10);
+        p.meta.initiated_at = SimTime::from_nanos(1_000);
+        p.meta.queued_at = SimTime::from_nanos(1_200);
+        p.meta.link_ready = SimTime::from_nanos(1_500);
+        p.meta.status_observed = SimTime::from_nanos(1_600);
+        p
+    }
+
+    /// Commits the train to a collecting, traced node 1 — as one run, or
+    /// member by member — and returns the core and the lanes after.
+    fn deliver(dst_paddr: u64, as_run: bool) -> (DeliveryCore, Vec<Lane>) {
+        let mut net = Interconnect::new(2, LinkParams::default());
+        let mut lanes: Vec<Lane> = (0..2u16)
+            .map(|i| {
+                let nic = Nic::new(NodeId::new(i), 4, SimDuration::from_nanos(100));
+                Lane::new(ShrimpNode::new(NodeId::new(i), NodeConfig::default(), nic))
+            })
+            .collect();
+        lanes[1].collect = true;
+        let mut recorder = FlightRecorder::new(64);
+        recorder.set_enabled(true);
+        let mut core = DeliveryCore::new(true, 2, recorder);
+        let mut run = PacketRun { template: template(dst_paddr), count: MEMBERS, stride_ns: 400 };
+        if as_run {
+            net.shard_mut().stage(Staged::Run(run));
+        } else {
+            for i in 0..MEMBERS {
+                let mut member = template(dst_paddr);
+                member.meta = run.template.meta;
+                net.shard_mut().stage(Staged::One(member));
+                if i + 1 < MEMBERS {
+                    run.advance(1);
+                }
+            }
+        }
+        core.commit_due(net.shard_mut(), &mut lanes, 0, None);
+        (core, lanes)
+    }
+
+    #[test]
+    fn a_run_delivers_exactly_what_its_members_deliver_one_by_one() {
+        let (run_core, run_lanes) = deliver(0x8000, true);
+        let (one_core, one_lanes) = deliver(0x8000, false);
+        assert_eq!(run_core.counters.runs_committed.get(), 1, "one dispatch, one write");
+        assert_eq!(run_core.counters.delivered.get(), u64::from(MEMBERS));
+        assert_eq!(run_core.counters.delivered.get(), one_core.counters.delivered.get());
+        let (inbox, want) = (&run_lanes[1].inbox, &one_lanes[1].inbox);
+        assert_eq!(inbox.len(), MEMBERS as usize, "one inbox event per member");
+        assert!(inbox.windows(2).all(|w| w[0].done < w[1].done), "each member its own done");
+        let done = |l: &[DeliveryEvent]| l.iter().map(|e| e.done).collect::<Vec<_>>();
+        assert_eq!(done(inbox), done(want));
+        let spans = |c: &DeliveryCore| c.recorder.iter().collect::<Vec<_>>();
+        assert_eq!(spans(&run_core), spans(&one_core));
+        let rx =
+            |l: &[Lane]| (l[1].rx.eisa_busy, l[1].rx.last_delivery, l[1].node.os().machine().now());
+        assert_eq!(rx(&run_lanes), rx(&one_lanes));
+        let mem = run_lanes[1].node.os().machine().mem();
+        assert_eq!(mem.read(PhysAddr::new(0x8000), 64).unwrap(), &[0xa5; 64][..]);
+    }
+
+    #[test]
+    fn a_run_to_an_address_outside_memory_drops_every_member() {
+        let outside = NodeConfig::default().machine.mem_bytes;
+        let (core, lanes) = deliver(outside, true);
+        assert_eq!(core.counters.drops.get(), u64::from(MEMBERS), "every member drops");
+        assert_eq!(core.counters.delivered.get(), 0);
+        assert!(lanes[1].inbox.is_empty(), "nothing surfaces to the program");
+        assert!(core.recorder.is_empty(), "a dropped packet has no span");
+        assert_eq!(lanes[1].rx.last_delivery, SimTime::ZERO);
+        assert!(lanes[1].rx.eisa_busy > SimTime::ZERO, "each member still took the bus");
     }
 }

@@ -144,15 +144,15 @@ impl Multicomputer {
         }
     }
 
-    /// Capacity of the flight recorder's span ring: the newest this many
-    /// transfer spans are kept for export; summary histograms see every
-    /// span regardless.
+    /// Capacity of the flight recorder: the newest this many transfer
+    /// spans are kept for export; summary histograms see every span
+    /// regardless.
     pub const TRACE_SPANS: usize = 65536;
 
     /// Enables or disables transfer tracing: the flight recorder, the
     /// simulator's only event recorder (per-node machine and kernel facts
     /// are counters in [`Multicomputer::metrics_snapshot`]). Enabling
-    /// reserves the span ring up front, so the data plane stays
+    /// reserves the span storage up front, so the data plane stays
     /// allocation-free afterwards. Tracing is pure observation — it never
     /// advances a clock or changes which sends are batched, so
     /// `state_digest` and the metrics are unchanged by it.
@@ -328,10 +328,13 @@ impl Multicomputer {
     /// 64-byte record per span in merge-key order `(link_ready, id)`, the
     /// engine's packet commit order.
     ///
+    /// The recorder holds a committed message train as one span run and
+    /// expands it here, so the trace still has one record per packet.
     /// The same workload exports byte-identical traces at any thread
-    /// count, and from the serial driver too **while the ring holds every
-    /// span** ([`Multicomputer::TRACE_SPANS`]): past that, the engine
-    /// keeps the newest spans by merge key, the serial driver (which
+    /// count, overflowed or not, and from the serial driver too **while
+    /// the recorder holds every span** ([`Multicomputer::TRACE_SPANS`]):
+    /// past that, the engine keeps the newest spans by merge key — even
+    /// when one epoch alone overflows — and the serial driver (which
     /// records per `propagate`, in commit order) its newest by commit
     /// order, and the two may differ.
     /// Convert to Perfetto JSON with [`crate::trace_bin_to_json`]; analyze
@@ -935,7 +938,7 @@ mod tests {
         assert_eq!(bin.len(), 192 + 4 * 64, "4 spans at 64 bytes after the 192-byte header");
         // The decoder recovers exactly the recorder's spans, in commit order.
         let decoded = decode_trace_bin(&bin).expect("well-formed buffer");
-        let recorded: Vec<_> = mc.recorder().iter().copied().collect();
+        let recorded: Vec<_> = mc.recorder().iter().collect();
         assert_eq!(decoded.spans, recorded);
         assert_eq!((decoded.nodes, decoded.recorded, decoded.dropped), (2, 4, 0));
         let json = trace_bin_to_json(&bin).expect("well-formed buffer");

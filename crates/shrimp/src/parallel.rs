@@ -312,13 +312,13 @@ impl Shard<'_> {
                 }
                 None => bound,
             };
-            let recorded = self.core.recorder.total_recorded();
-            self.core.commit_due(self.fabric, self.lanes, self.base, horizon);
             // An epoch commits exactly the packets due by its horizon, the
-            // same set at any sharding; keyed in place, the ring's spans
-            // then stay in merge-key order and its newest spans are the
-            // newest by key, whichever shard recorded them.
-            self.core.recorder.sort_since(recorded);
+            // same set at any sharding, and every one of them before any
+            // later epoch's; kept by merge key at each close, the recorder
+            // holds the newest spans by key, whichever shard recorded them.
+            self.core.recorder.open_epoch();
+            self.core.commit_due(self.fabric, self.lanes, self.base, horizon);
+            self.core.recorder.close_epoch();
             lap(clock, &mut mark, &mut self.phases.commit);
             if let Some(x) = crossing {
                 x.barrier.wait();
@@ -579,7 +579,7 @@ impl Multicomputer {
         // Scratch queues are sized for a full epoch up front so the epoch
         // loop never grows them; at one thread nothing crosses.
         let batch = if threads > 1 { CHUNK * per_shard } else { 0 };
-        let since = self.core.recorder.total_recorded();
+        let since = self.core.recorder.mark();
         let packets_before = self.fabric.counters().packets.get();
         let mut copies: Vec<(FabricShard, DeliveryCore, SendCore)> = Vec::new();
         if threads > 1 {

@@ -59,7 +59,7 @@ pub struct BinTrace {
 /// Encodes `recorder`'s spans (sorted into merge-key order) and stage
 /// summary for a machine of `nodes` nodes.
 pub(crate) fn encode(nodes: u16, recorder: &FlightRecorder) -> Vec<u8> {
-    let mut spans: Vec<SpanRecord> = recorder.iter().copied().collect();
+    let mut spans: Vec<SpanRecord> = recorder.iter().collect();
     spans.sort_unstable_by_key(SpanRecord::merge_key);
     let mut out = Vec::with_capacity(HEADER_BYTES + spans.len() * SPAN_BYTES);
     out.extend_from_slice(TRACE_BIN_MAGIC);

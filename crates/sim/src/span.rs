@@ -9,24 +9,31 @@
 //! - [`SpanRecord`] — the completed five-stage span of one packet
 //!   (initiation → queued → wire → delivered → status-observed), assembled
 //!   at delivery time from the timestamps the meta block accumulated,
-//! - [`FlightRecorder`] — a span ring plus per-stage latency
-//!   [`Histogram`]s, kept in merge-key order and merged deterministically
-//!   by the sharded parallel engine. The ring is an [`EventRing`]: fixed
-//!   capacity, storage reserved once when enabled, so the hot path never
-//!   touches the heap.
+//! - [`FlightRecorder`] — span runs plus per-stage latency
+//!   [`Histogram`]s. A span run is a head span plus a count and a stride,
+//!   so a message train the engine commits as one packet run is stored
+//!   once and expanded into [`SpanRecord`]s only when read. Storage is
+//!   fixed: one run slot per span of capacity, reserved once when
+//!   enabled, so the hot path never touches the heap.
 //!
 //! It is the simulator's only event recorder. Machine and kernel facts
 //! (proxy references, Invals, evictions, context switches, faults) are
 //! counters in the metrics registry, not events.
 //!
-//! Determinism contract: the parallel engine keeps every shard's ring in
-//! `(link_ready, src‖seq)` order epoch by epoch and merges the rings in
-//! that order, so the merged trace is bit-identical at any thread count.
+//! Retention: the recorder keeps its newest `capacity` spans. An engine
+//! epoch's spans are ordered by merge key `(link_ready, src‖seq)` and the
+//! serial driver's by commit order; at each epoch close the oldest go —
+//! whole epochs first, then the epoch straddling the cut at one key
+//! threshold — without sorting a span. Engine epochs commit in key order,
+//! so a run keeps its newest spans by key, and the parallel engine's
+//! merge of per-shard recorders keeps the same spans at any thread count.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 use crate::stats::Histogram;
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 
 /// Correlation ID for one UDMA/PIO transfer packet.
 ///
@@ -199,221 +206,674 @@ impl SpanRecord {
     }
 }
 
-/// Fixed-capacity ring buffer for `Copy` records.
-///
-/// Construction is free: storage is reserved only when the ring is
-/// enabled, so disabled recorders cost nothing and enabled ones allocate
-/// once, *before* the measured region. Recording into an enabled ring
-/// never allocates; when full, the oldest record is overwritten.
-#[derive(Clone, Debug)]
-pub(crate) struct EventRing<T> {
-    buf: Vec<T>,
-    head: usize,
-    cap: usize,
-    enabled: bool,
-    total: u64,
+/// How one epoch's spans are ordered, and so which of them go first when
+/// the recorder is full.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Order {
+    /// Commit order, the serial driver's: the earliest recorded go first.
+    Commit,
+    /// Merge-key order, an engine epoch's: the smallest keys go first.
+    Key,
 }
 
-impl<T: Copy> EventRing<T> {
-    /// A disabled ring that will hold up to `capacity` records.
+/// A merge key `(link_ready, id)` packed into one integer of the same
+/// order.
+fn packed(link_ready: SimTime, id: u64) -> u128 {
+    (u128::from(link_ready.as_nanos()) << 64) | u128::from(id)
+}
+
+/// The five stage durations of `span`, in nanoseconds.
+fn durations(span: &SpanRecord) -> [u64; STAGE_COUNT] {
+    Stage::ALL.map(|stage| {
+        let (start, end) = span.stage_bounds(stage);
+        end.saturating_duration_since(start).as_nanos()
+    })
+}
+
+/// A span run: `head` plus the `count - 1` spans after it, member `i`
+/// being `head` with all six instants `i` strides later and its sequence
+/// number `i` higher — the recorder's twin of a packet run. A run's
+/// members share their stage durations, and their merge keys rise
+/// strictly with the index.
+#[derive(Clone, Copy, Debug, Default)]
+struct SpanRun {
+    head: SpanRecord,
+    stride_ns: u32,
+    count: u16,
+    /// On the first run of an epoch, that epoch's order; `None` on the
+    /// rest of its runs.
+    opens: Option<Order>,
+}
+
+// The recorder reserves one run per span of capacity.
+const _: () = assert!(std::mem::size_of::<SpanRun>() <= 72);
+
+impl SpanRun {
+    fn new(head: SpanRecord, opens: Option<Order>) -> Self {
+        SpanRun { head, stride_ns: 0, count: 1, opens }
+    }
+
+    /// Member `i` (`i = count` is the span that would extend the run).
+    fn member(&self, i: u16) -> SpanRecord {
+        let shift = SimDuration::from_nanos(u64::from(self.stride_ns) * u64::from(i));
+        let h = self.head;
+        SpanRecord {
+            id: XferId::new(h.id.node(), h.id.seq() + u64::from(i)),
+            initiated_at: h.initiated_at + shift,
+            queued_at: h.queued_at + shift,
+            link_ready: h.link_ready + shift,
+            wire_done: h.wire_done + shift,
+            delivered_at: h.delivered_at + shift,
+            status_at: h.status_at + shift,
+            ..h
+        }
+    }
+
+    /// Member `i`'s packed merge key.
+    fn key(&self, i: u16) -> u128 {
+        let shift = SimDuration::from_nanos(u64::from(self.stride_ns) * u64::from(i));
+        packed(self.head.link_ready + shift, self.head.id.raw() + u64::from(i))
+    }
+
+    /// Grows the run by `span` when it is the member after the last (the
+    /// second member fixes the stride).
+    fn extend(&mut self, span: &SpanRecord) -> bool {
+        if self.count == 1 {
+            let gap = span.initiated_at.as_nanos().wrapping_sub(self.head.initiated_at.as_nanos());
+            let Ok(stride) = u32::try_from(gap) else { return false };
+            self.stride_ns = stride;
+        } else if self.count == u16::MAX {
+            return false;
+        }
+        if self.member(self.count) != *span {
+            return false;
+        }
+        self.count += 1;
+        true
+    }
+
+    /// Drops the first `n < count` members.
+    fn advance(&mut self, n: u16) {
+        self.head = self.member(n);
+        self.count -= n;
+    }
+
+    /// Members whose merge key is below `k`, by arithmetic: with a stride,
+    /// member `i` lies below exactly when `i` strides fall short of `k`'s
+    /// instant, or reach it with a smaller id; without one, every member
+    /// shares the head's instant and the ids decide.
+    fn below(&self, k: u128) -> u16 {
+        let (at, id) = ((k >> 64) as u64, k as u64);
+        let (t0, id0) = (self.head.link_ready.as_nanos(), self.head.id.raw());
+        let s = u64::from(self.stride_ns);
+        let n = if at < t0 {
+            0
+        } else if s == 0 {
+            if at > t0 {
+                u64::MAX
+            } else {
+                id.saturating_sub(id0)
+            }
+        } else {
+            let d = at - t0;
+            let earlier = d.div_ceil(s);
+            if d % s == 0 && id0.saturating_add(earlier) < id {
+                earlier + 1
+            } else {
+                earlier
+            }
+        };
+        n.min(u64::from(self.count)) as u16
+    }
+}
+
+/// The merge key that exactly `n` members of `runs` lie below, for
+/// `n` less than their total: a binary search over keys, counting each
+/// run's members below a probe by [`SpanRun::below`]. Member keys are
+/// distinct (every packet has its own id), so the key found is a member's.
+fn threshold<'a>(runs: impl Iterator<Item = &'a SpanRun> + Clone, n: u64) -> u128 {
+    let (mut lo, mut hi) = (u128::MAX, 0);
+    for run in runs.clone() {
+        lo = lo.min(run.key(0));
+        hi = hi.max(run.key(run.count - 1) + 1);
+    }
+    // Below `lo` lie none (≤ n) and below `hi` all (> n) members.
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        let below: u64 = runs.clone().map(|r| u64::from(r.below(mid))).sum();
+        if below > n {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    lo
+}
+
+/// Fixed-capacity FIFO of `Copy` values. Construction is free: storage is
+/// reserved only when the recorder is enabled, so a disabled recorder
+/// costs nothing and an enabled one allocates once, *before* the measured
+/// region. Its owner makes room before it pushes, so pushing never
+/// allocates. While few values are held, they move back to the front of
+/// the storage instead of wrapping, so a ring that never fills touches
+/// only the slots it needs.
+#[derive(Clone, Debug)]
+struct Ring<T> {
+    buf: Vec<T>,
+    head: usize,
+    len: usize,
+    cap: usize,
+}
+
+impl<T: Copy> Ring<T> {
+    fn new(cap: usize) -> Self {
+        Ring { buf: Vec::new(), head: 0, len: 0, cap }
+    }
+
+    /// Reserves the full storage (the one and only allocation).
+    fn reserve(&mut self) {
+        if self.buf.capacity() < self.cap {
+            self.buf.reserve_exact(self.cap - self.buf.len());
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_full(&self) -> bool {
+        self.len == self.cap
+    }
+
+    fn slot(&self, i: usize) -> usize {
+        let s = self.head + i;
+        if s >= self.cap {
+            s - self.cap
+        } else {
+            s
+        }
+    }
+
+    /// The `i`-th value, oldest first.
+    fn get(&self, i: usize) -> &T {
+        &self.buf[self.slot(i)]
+    }
+
+    fn get_mut(&mut self, i: usize) -> &mut T {
+        let s = self.slot(i);
+        &mut self.buf[s]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &T> + Clone {
+        (0..self.len).map(|i| self.get(i))
+    }
+
+    /// Appends `value`; the owner has made room.
+    fn push_back(&mut self, value: T) {
+        debug_assert!(self.len < self.cap, "push into a full ring");
+        if self.buf.len() < self.cap {
+            // lint:allow(A1) -- fills the capacity reserved up front by
+            // `reserve`; the owner never pushes past it.
+            self.buf.push(value);
+        } else {
+            let s = self.slot(self.len);
+            self.buf[s] = value;
+        }
+        self.len += 1;
+    }
+
+    fn pop_front(&mut self) {
+        self.head = self.slot(1);
+        self.len -= 1;
+        if self.len == 0 {
+            self.head = 0;
+            self.buf.clear();
+        } else if self.head >= self.len && self.head + self.len == self.buf.len() {
+            // Unwrapped and at least half spent: moving the live values
+            // costs no more than the pops that spent the front did.
+            self.buf.copy_within(self.head.., 0);
+            self.buf.truncate(self.len);
+            self.head = 0;
+        }
+    }
+
+    /// Drops the newest `n` values.
+    fn truncate_back(&mut self, n: usize) {
+        self.len -= n;
+        if self.len == 0 {
+            self.head = 0;
+            self.buf.clear();
+        } else if self.buf.len() < self.cap {
+            self.buf.truncate(self.head + self.len);
+        }
+    }
+}
+
+/// The flight recorder: span runs plus per-stage latency histograms.
+///
+/// Spans are held as *span runs* (a head span plus a count and a
+/// stride), so a message train the engine commits as one run costs one
+/// stored record, not one per member. Held spans are grouped in epochs,
+/// oldest first: each engine epoch ([`FlightRecorder::open_epoch`] …
+/// [`FlightRecorder::close_epoch`]) is ordered by merge key, and spans
+/// recorded outside one (the serial driver) by commit order. When more
+/// than `capacity` spans are held, the oldest go — whole epochs first,
+/// then the epoch that straddles the cut, by merge key or by commit
+/// order. Engine epochs commit in merge-key order (every packet due by
+/// one horizon commits before any later one), so an engine run keeps its
+/// newest `capacity` spans by merge key at any sharding; the serial
+/// driver keeps its newest by commit order.
+///
+/// Histograms and the `total` count see *every* recorded span even after
+/// spans are dropped, so summary statistics are exact while the recorder
+/// keeps only the newest `capacity` spans for inspection/export.
+#[derive(Clone, Debug)]
+pub struct FlightRecorder {
+    /// Span runs, oldest first; storage for one run per span of capacity.
+    runs: Ring<SpanRun>,
+    /// Spans held (at most `cap` outside an open engine epoch).
+    held: u64,
+    cap: u64,
+    enabled: bool,
+    total: u64,
+    /// Runs ever pushed: the absolute index of the next one.
+    pushed: u64,
+    /// The order of epochs opened now: `Key` inside an engine epoch.
+    order: Order,
+    /// Whether the newest epoch takes more spans (its newest run may grow).
+    open: bool,
+    /// Whether `next`, the member after the newest run's last, extends it
+    /// as a repeat of the histograms' pending durations.
+    extends: bool,
+    next: SpanRecord,
+    stages: [Histogram; STAGE_COUNT],
+    /// Spans recorded since the histograms last took a sample, all with
+    /// these stage durations (a run's members share theirs).
+    repeats: (u64, [u64; STAGE_COUNT]),
+}
+
+impl FlightRecorder {
+    /// A disabled recorder holding up to `capacity` spans.
     ///
     /// # Panics
     ///
     /// If `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "EventRing capacity must be non-zero");
-        EventRing { buf: Vec::new(), head: 0, cap: capacity, enabled: false, total: 0 }
+        assert!(capacity > 0, "FlightRecorder capacity must be non-zero");
+        FlightRecorder {
+            runs: Ring::new(capacity),
+            held: 0,
+            cap: capacity as u64,
+            enabled: false,
+            total: 0,
+            pushed: 0,
+            order: Order::Commit,
+            open: false,
+            extends: false,
+            next: SpanRecord::default(),
+            stages: Default::default(),
+            repeats: (0, [0; STAGE_COUNT]),
+        }
     }
 
-    /// Enables or disables recording. Enabling reserves the ring's full
-    /// storage up front (the one and only allocation).
+    /// Enables or disables recording; enabling reserves the span storage.
     pub fn set_enabled(&mut self, enabled: bool) {
-        if enabled && self.buf.capacity() < self.cap {
-            self.buf.reserve_exact(self.cap - self.buf.len());
+        if enabled {
+            self.runs.reserve();
         }
         self.enabled = enabled;
     }
 
-    /// Whether the owner records into this ring.
+    /// Whether spans are currently recorded.
     pub fn is_enabled(&self) -> bool {
         self.enabled
     }
 
-    /// Stores `value`, overwriting the oldest record when full. The ring
-    /// does not check `enabled`: its owner does.
-    pub fn push(&mut self, value: T) {
-        self.total += 1;
-        if self.buf.len() < self.cap {
-            // lint:allow(A1) -- fills the capacity reserved up front by
-            // set_enabled exactly once, then overwrites in place.
-            self.buf.push(value);
-        } else {
-            self.buf[self.head] = value;
-            self.head = (self.head + 1) % self.cap;
-        }
-    }
-
-    /// Records currently held (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` when nothing is held.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Maximum records held at once.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Records ever offered to the ring (stored or overwritten).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Records lost to overwriting (`total - len`).
-    pub fn dropped(&self) -> u64 {
-        self.total - self.buf.len() as u64
-    }
-
-    /// Iterates oldest → newest.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.buf[self.head..].iter().chain(self.buf[..self.head].iter())
-    }
-
-    /// The newest `n` held records as one slice, which the ring keeps as
-    /// its newest records in slice order — for callers that reorder it:
-    /// as the whole ring, the slice starts in storage order. Storage
-    /// moves only when a strict suffix wraps past its end.
-    fn newest_mut(&mut self, n: usize) -> &mut [T] {
-        let len = self.buf.len();
-        if n == len {
-            self.head = 0;
-        } else if n > self.head && self.head > 0 {
-            self.buf.rotate_left(self.head);
-            self.head = 0;
-        }
-        let end = if self.head == 0 { len } else { self.head };
-        &mut self.buf[end - n..end]
-    }
-}
-
-/// The flight recorder: a span ring plus per-stage latency histograms.
-///
-/// Histograms and the `total` count see *every* recorded span even after
-/// the ring starts overwriting, so summary statistics are exact while the
-/// ring keeps only the newest `capacity` spans for inspection/export.
-#[derive(Clone, Debug)]
-pub struct FlightRecorder {
-    ring: EventRing<SpanRecord>,
-    stages: [Histogram; STAGE_COUNT],
-}
-
-impl FlightRecorder {
-    /// A disabled recorder holding up to `capacity` spans.
-    pub fn new(capacity: usize) -> Self {
-        FlightRecorder { ring: EventRing::new(capacity), stages: Default::default() }
-    }
-
-    /// Enables or disables recording; enabling reserves the span ring.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.ring.set_enabled(enabled);
-    }
-
-    /// Whether spans are currently recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.ring.is_enabled()
-    }
-
     /// Records one completed span (no-op while disabled, alloc-free
-    /// while enabled).
+    /// while enabled). A span that extends the newest run by one stride
+    /// costs one comparison and a few increments: its stage durations
+    /// are the run's, so the histograms take it as a repeat.
     #[inline]
     pub fn record(&mut self, span: SpanRecord) {
-        if !self.ring.is_enabled() {
+        if !self.enabled {
             return;
         }
-        for stage in Stage::ALL {
-            let (start, end) = span.stage_bounds(stage);
-            self.stages[stage.index()].record(end.saturating_duration_since(start).as_nanos());
+        self.total += 1;
+        if self.extends && span == self.next {
+            self.repeats.0 += 1;
+            self.held += 1;
+            let n = self.runs.len();
+            let run = self.runs.get_mut(n - 1);
+            run.count += 1;
+            self.extends = run.count < u16::MAX;
+            self.next = run.member(run.count);
+        } else {
+            self.record_new(span);
         }
-        self.ring.push(span);
+        if self.order == Order::Commit && self.held > self.cap {
+            self.evict(1);
+        }
     }
 
-    /// Sorts the held spans recorded since [`FlightRecorder::total_recorded`]
-    /// read `since` by [`SpanRecord::merge_key`], in place. The parallel
-    /// engine does this after every epoch's commit, so its rings stay in
-    /// key order and retain the newest spans by key, even on overflow.
-    pub fn sort_since(&mut self, since: u64) {
-        let run = self.held_since(since);
-        self.ring.newest_mut(run).sort_unstable_by_key(SpanRecord::merge_key);
+    /// [`FlightRecorder::record`] for a span that is not the expected
+    /// next member: it may still fix a single-span run's stride, or it
+    /// starts a run.
+    fn record_new(&mut self, span: SpanRecord) {
+        let d = durations(&span);
+        if d != self.repeats.1 {
+            self.flush_repeats();
+            self.repeats.1 = d;
+        }
+        self.repeats.0 += 1;
+        let n = self.runs.len();
+        if self.open && n > 0 {
+            let run = self.runs.get_mut(n - 1);
+            if run.extend(&span) {
+                self.held += 1;
+                self.extends = run.count < u16::MAX;
+                self.next = run.member(run.count);
+                return;
+            }
+        }
+        // Whether or not `span` is kept, the repeat durations are its own
+        // now, not the newest run's.
+        self.extends = false;
+        self.push(span);
     }
 
-    /// Held spans recorded since the total read `since`: the newest ones.
-    fn held_since(&self, since: u64) -> usize {
-        self.ring.total().saturating_sub(since).min(self.ring.len() as u64) as usize
+    /// Starts an engine epoch: the spans recorded until
+    /// [`FlightRecorder::close_epoch`] are ordered by merge key.
+    pub fn open_epoch(&mut self) {
+        self.order = Order::Key;
+        (self.open, self.extends) = (false, false);
+    }
+
+    /// Ends an engine epoch and keeps the newest `capacity` spans: whole
+    /// old epochs go first, then the smallest keys of the epoch that
+    /// straddles the cut, found per run by arithmetic. No span is sorted.
+    pub fn close_epoch(&mut self) {
+        if self.held > self.cap {
+            self.evict(self.held - self.cap);
+        }
+        self.order = Order::Commit;
+        (self.open, self.extends) = (false, false);
+    }
+
+    /// The mark [`FlightRecorder::absorb`] takes: read it before a run.
+    pub fn mark(&self) -> u64 {
+        self.pushed
+    }
+
+    /// Starts a run for `span`, making room first when every slot holds
+    /// a run.
+    fn push(&mut self, span: SpanRecord) {
+        if self.runs.is_full() && self.held > self.cap {
+            self.evict(self.held - self.cap);
+        }
+        if self.runs.is_full() {
+            // `cap` spans in single-span runs: one of them or `span` goes.
+            // Inside an engine epoch that is the only one held, a span
+            // below every held key is the one.
+            if self.open && self.order == Order::Key {
+                let (runs, _) = self.front_epoch();
+                if runs == self.runs.len() {
+                    let key = packed(span.link_ready, span.id.raw());
+                    if self.runs.iter().all(|r| r.key(0) > key) {
+                        return;
+                    }
+                }
+            }
+            self.evict(1);
+        }
+        let opens = (!self.open).then_some(self.order);
+        self.runs.push_back(SpanRun::new(span, opens));
+        self.pushed += 1;
+        self.held += 1;
+        self.open = true;
+    }
+
+    /// Runs and spans of the oldest epoch.
+    fn front_epoch(&self) -> (usize, u64) {
+        let mut spans = u64::from(self.runs.get(0).count);
+        let mut runs = 1;
+        while runs < self.runs.len() && self.runs.get(runs).opens.is_none() {
+            spans += u64::from(self.runs.get(runs).count);
+            runs += 1;
+        }
+        (runs, spans)
+    }
+
+    /// Drops the oldest run; the next run inherits the epoch it opened.
+    fn pop_front(&mut self) {
+        let opens = self.runs.get(0).opens;
+        self.runs.pop_front();
+        if self.runs.len() > 0 {
+            let next = self.runs.get_mut(0);
+            next.opens = next.opens.or(opens);
+        }
+    }
+
+    /// Drops the `n ≤ held` oldest spans: whole epochs while they fit,
+    /// then the oldest of the straddling epoch in its order.
+    fn evict(&mut self, mut n: u64) {
+        while n > 0 {
+            let front = *self.runs.get(0);
+            if front.opens == Some(Order::Key) {
+                let (runs, spans) = self.front_epoch();
+                if spans <= n {
+                    (0..runs).for_each(|_| self.runs.pop_front());
+                    self.held -= spans;
+                    n -= spans;
+                } else {
+                    self.trim_front_epoch(runs, n);
+                    self.held -= n;
+                    n = 0;
+                }
+            } else {
+                let take = n.min(u64::from(front.count));
+                if take == u64::from(front.count) {
+                    self.pop_front();
+                } else {
+                    self.runs.get_mut(0).advance(take as u16);
+                }
+                self.held -= take;
+                n -= take;
+            }
+        }
+        if self.runs.len() == 0 {
+            (self.open, self.extends) = (false, false);
+        }
+    }
+
+    /// Drops the `n` smallest keys of the oldest epoch, a keyed one of
+    /// `runs` runs holding more than `n` spans.
+    fn trim_front_epoch(&mut self, runs: usize, n: u64) {
+        if n == 1 {
+            // The smallest key is some run's head.
+            let (mut at, mut min) = (0, self.runs.get(0).key(0));
+            for i in 1..runs {
+                let key = self.runs.get(i).key(0);
+                if key < min {
+                    (at, min) = (i, key);
+                }
+            }
+            let run = self.runs.get_mut(at);
+            if run.count > 1 {
+                run.advance(1);
+                return;
+            }
+            let first = *self.runs.get(0);
+            *self.runs.get_mut(at) = SpanRun { opens: None, ..first };
+            self.runs.pop_front();
+            self.runs.get_mut(0).opens = Some(Order::Key);
+            return;
+        }
+        let cut = threshold(self.runs.iter().take(runs), n);
+        // Survivors pack toward the epoch's end; the emptied front slots go.
+        let mut kept = runs;
+        for i in (0..runs).rev() {
+            let mut run = *self.runs.get(i);
+            let below = run.below(cut);
+            if below < run.count {
+                if below > 0 {
+                    run.advance(below);
+                }
+                run.opens = None;
+                kept -= 1;
+                *self.runs.get_mut(kept) = run;
+            }
+        }
+        (0..kept).for_each(|_| self.runs.pop_front());
+        self.runs.get_mut(0).opens = Some(Order::Key);
+    }
+
+    /// Folds the pending repeated samples into the histograms.
+    fn flush_repeats(&mut self) {
+        let (n, d) = self.repeats;
+        for (h, &v) in self.stages.iter_mut().zip(&d) {
+            h.record_n(v, n);
+        }
+        self.repeats.0 = 0;
     }
 
     /// Deterministically merges other shards' recorders into the spans
-    /// this one recorded since its total read `since`: all of them sort by
-    /// [`SpanRecord::merge_key`] after the earlier spans, so the result
-    /// does not depend on the sharding as long as every ring holds its
-    /// newest spans by key ([`FlightRecorder::sort_since`]). Stage
-    /// histograms are summed, so they stay exact past ring overflow.
+    /// this one recorded since [`FlightRecorder::mark`] read `since`: a
+    /// run's spans from every shard form one epoch ordered by merge key,
+    /// and the newest `capacity` of them (found by one threshold, as at
+    /// an epoch close) stay, so the result does not depend on the
+    /// sharding as long as every shard kept its newest `capacity` spans
+    /// by key. Stage histograms are summed, so they stay exact past
+    /// overflow. Off the hot path.
     pub fn absorb(&mut self, since: u64, parts: Vec<FlightRecorder>) {
-        let own = self.held_since(since);
-        let mut records = self.ring.newest_mut(own).to_vec();
+        let front = self.pushed - self.runs.len() as u64;
+        let first = (since.max(front) - front) as usize;
         for part in &parts {
-            for (i, h) in part.stages.iter().enumerate() {
-                self.stages[i].merge(h);
+            for stage in Stage::ALL {
+                self.stages[stage.index()].merge(&part.stage_histogram(stage));
             }
-            // Spans a part overwrote count as offered here, and dropped.
-            self.ring.total += part.ring.dropped();
-            records.extend(part.iter().copied());
+            self.total += part.total;
         }
-        records.sort_unstable_by_key(SpanRecord::merge_key);
-        // The earliest go back into this ring's own slots, the rest after.
-        let (mine, theirs) = records.split_at(own);
-        self.ring.newest_mut(own).copy_from_slice(mine);
-        for &record in theirs {
-            self.ring.push(record);
+        let own = || self.runs.iter().skip(first);
+        let union = own().map(|r| u64::from(r.count)).sum::<u64>()
+            + parts.iter().map(|p| p.held).sum::<u64>();
+        let cut = (union > self.cap).then(|| {
+            let theirs = parts.iter().flat_map(|p| p.runs.iter());
+            threshold(own().chain(theirs), union - self.cap)
+        });
+        let trimmed = |mut run: SpanRun| {
+            let below = cut.map_or(0, |k| run.below(k));
+            (below < run.count).then(|| {
+                if below > 0 {
+                    run.advance(below);
+                }
+                run.opens = None;
+                run
+            })
+        };
+        // This recorder's own spans of the run, trimmed in place, open the
+        // run's one epoch.
+        let mut kept = first;
+        for i in first..self.runs.len() {
+            if let Some(run) = trimmed(*self.runs.get(i)) {
+                *self.runs.get_mut(kept) = run;
+                kept += 1;
+            }
         }
+        self.runs.truncate_back(self.runs.len() - kept);
+        let mut opened = kept > first;
+        if opened {
+            self.runs.get_mut(first).opens = Some(Order::Key);
+        }
+        // Older spans give way to the run's.
+        self.held = self.runs.iter().map(|r| u64::from(r.count)).sum();
+        let older: u64 = self.runs.iter().take(first).map(|r| u64::from(r.count)).sum();
+        let keep = union.min(self.cap);
+        if older + keep > self.cap {
+            self.evict(older + keep - self.cap);
+        }
+        for part in &parts {
+            for &run in part.runs.iter() {
+                if let Some(mut run) = trimmed(run) {
+                    if !opened {
+                        run.opens = Some(Order::Key);
+                        opened = true;
+                    }
+                    self.runs.push_back(run);
+                    self.pushed += 1;
+                    self.held += u64::from(run.count);
+                }
+            }
+        }
+        self.order = Order::Commit;
+        (self.open, self.extends) = (false, false);
     }
 
     /// Latency histogram (nanoseconds) for one stage.
-    pub fn stage_histogram(&self, stage: Stage) -> &Histogram {
-        &self.stages[stage.index()]
+    pub fn stage_histogram(&self, stage: Stage) -> Histogram {
+        let mut h = self.stages[stage.index()].clone();
+        h.record_n(self.repeats.1[stage.index()], self.repeats.0);
+        h
     }
 
     /// Spans currently held (≤ capacity).
     pub fn len(&self) -> usize {
-        self.ring.len()
+        self.held as usize
     }
 
     /// `true` when no spans are held.
     pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
+        self.held == 0
     }
 
     /// Maximum spans held at once.
     pub fn capacity(&self) -> usize {
-        self.ring.capacity()
+        self.cap as usize
     }
 
-    /// Spans ever recorded (including those overwritten since).
+    /// Spans ever recorded (including those dropped since).
     pub fn total_recorded(&self) -> u64 {
-        self.ring.total()
+        self.total
     }
 
-    /// Spans lost to ring overwriting.
+    /// Spans lost to overflow.
     pub fn dropped(&self) -> u64 {
-        self.ring.dropped()
+        self.total - self.held
     }
 
-    /// Iterates held spans, oldest → newest (commit order).
-    pub fn iter(&self) -> impl Iterator<Item = &SpanRecord> {
-        self.ring.iter()
+    /// Iterates held spans, oldest → newest: epoch by epoch, an engine
+    /// epoch's runs expanded in merge-key order (a merge over its runs)
+    /// and the serial driver's in commit order. Off the hot path: it
+    /// allocates a cursor per run of one epoch.
+    pub fn iter(&self) -> impl Iterator<Item = SpanRecord> + '_ {
+        let runs = &self.runs;
+        let (mut next, mut end, mut keyed) = (0, 0, false);
+        // Cursors `(key, run, member)`, smallest first: every run of a
+        // keyed epoch, or the one current run of a commit-ordered one.
+        let mut cursors: BinaryHeap<Reverse<(u128, usize, u16)>> = BinaryHeap::new();
+        std::iter::from_fn(move || {
+            if cursors.is_empty() {
+                if next == runs.len() {
+                    return None;
+                }
+                keyed = runs.get(next).opens == Some(Order::Key);
+                end = next + 1;
+                while end < runs.len() && runs.get(end).opens.is_none() {
+                    end += 1;
+                }
+                let open = if keyed { end } else { next + 1 };
+                cursors.extend((next..open).map(|i| Reverse((runs.get(i).key(0), i, 0))));
+                next = open;
+            }
+            let Reverse((_, i, m)) = cursors.pop()?;
+            let run = runs.get(i);
+            if m + 1 < run.count {
+                cursors.push(Reverse((run.key(m + 1), i, m + 1)));
+            } else if !keyed && next < end {
+                cursors.push(Reverse((0, next, 0)));
+                next += 1;
+            }
+            Some(run.member(m))
+        })
     }
 }
 
@@ -441,6 +901,28 @@ mod tests {
         }
     }
 
+    /// Member `i` of a train from `node`: every instant `stride` ns later
+    /// per member, so consecutive members extend one span run.
+    fn train(node: u16, seq0: u64, start: u64, stride: u64, i: u64) -> SpanRecord {
+        let at = start + stride * i;
+        SpanRecord {
+            id: XferId::new(node, seq0 + i),
+            src: node,
+            dst: node + 1,
+            bytes: 4096,
+            initiated_at: t(at),
+            queued_at: t(at + 3),
+            link_ready: t(at + 7),
+            wire_done: t(at + 20),
+            delivered_at: t(at + 31),
+            status_at: t(at + 31),
+        }
+    }
+
+    fn ids(fr: &FlightRecorder) -> Vec<u64> {
+        fr.iter().map(|s| s.id.raw()).collect()
+    }
+
     #[test]
     fn xfer_id_packs_node_and_sequence() {
         let id = XferId::new(3, 17);
@@ -463,32 +945,45 @@ mod tests {
 
     #[test]
     fn ring_is_disabled_by_default_and_overwrites_when_full() {
-        let mut ring: EventRing<u64> = EventRing::new(3);
-        assert!(!ring.is_enabled());
-        assert_eq!(ring.buf.capacity(), 0);
-        ring.set_enabled(true);
-        assert!(ring.is_enabled());
-        for v in 0..5 {
-            ring.push(v);
+        let mut fr = FlightRecorder::new(3);
+        assert!(!fr.is_enabled());
+        assert_eq!(fr.runs.buf.capacity(), 0);
+        fr.record(span(9, 30));
+        assert_eq!(fr.total_recorded(), 0, "a disabled recorder records nothing");
+        fr.set_enabled(true);
+        assert!(fr.is_enabled());
+        // Serial (commit-order) spans whose link_ready runs backwards:
+        // the oldest recorded go first, whatever their keys.
+        for seq in 0..5 {
+            fr.record(span(seq, 100 - 10 * seq));
         }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.total(), 5);
-        assert_eq!(ring.dropped(), 2);
-        let held: Vec<u64> = ring.iter().copied().collect();
+        assert_eq!(fr.len(), 3);
+        assert_eq!(fr.total_recorded(), 5);
+        assert_eq!(fr.dropped(), 2);
+        let held: Vec<u64> = fr.iter().map(|s| s.id.seq()).collect();
         assert_eq!(held, vec![2, 3, 4]);
     }
 
     #[test]
     fn enabling_reserves_storage_once() {
-        let mut ring: EventRing<u64> = EventRing::new(128);
-        assert_eq!(ring.buf.capacity(), 0);
-        ring.set_enabled(true);
-        let cap = ring.buf.capacity();
+        let mut fr = FlightRecorder::new(128);
+        assert_eq!(fr.runs.buf.capacity(), 0);
+        fr.set_enabled(true);
+        let cap = fr.runs.buf.capacity();
         assert!(cap >= 128);
-        for v in 0..1000 {
-            ring.push(v);
+        for i in 0..1000 {
+            // Trains of 7 between single spans, serially and in epochs.
+            if i % 100 == 0 {
+                fr.open_epoch();
+            }
+            let s = if i % 8 == 7 { span(1 << 40 | i, 5 * i) } else { train(2, i, 100 * i, 0, 0) };
+            fr.record(s);
+            if i % 100 == 99 {
+                fr.close_epoch();
+            }
         }
-        assert_eq!(ring.buf.capacity(), cap, "recording must never reallocate");
+        assert_eq!(fr.runs.buf.capacity(), cap, "recording must never reallocate");
+        assert_eq!(fr.len(), 128);
     }
 
     #[test]
@@ -503,100 +998,222 @@ mod tests {
     }
 
     #[test]
-    fn absorb_merges_in_commit_order_regardless_of_sharding() {
-        // Shard A holds seq 0 (link_ready 40) and seq 2 (link_ready 30);
-        // shard B holds seq 1 (link_ready 30). Commit order sorts by
-        // (link_ready, id): seq1 ties seq2 on time, loses on id? No —
-        // XferId::new(0, 1) < XferId::new(0, 2), so order is 1, 2, 0.
-        let mut a = FlightRecorder::new(8);
-        let mut b = FlightRecorder::new(8);
-        a.set_enabled(true);
-        b.set_enabled(true);
-        a.record(span(0, 40));
-        a.record(span(2, 30));
-        b.record(span(1, 30));
-
-        let mut merged = FlightRecorder::new(8);
-        merged.absorb(0, vec![a, b]);
-        let seqs: Vec<u64> = merged.iter().map(|s| s.id.seq()).collect();
-        assert_eq!(seqs, vec![1, 2, 0]);
-        assert_eq!(merged.total_recorded(), 3);
-        assert_eq!(merged.stage_histogram(Stage::Wire).count(), 3);
+    fn a_train_is_one_run_and_every_member_reaches_the_histograms() {
+        let mut fr = FlightRecorder::new(1024);
+        fr.set_enabled(true);
+        fr.open_epoch();
+        for i in 0..600 {
+            fr.record(train(4, 0, 1000, 250, i));
+        }
+        fr.close_epoch();
+        assert_eq!(fr.runs.len(), 1, "one train, one span run");
+        assert_eq!(fr.len(), 600);
+        let expanded: Vec<SpanRecord> = fr.iter().collect();
+        let want: Vec<SpanRecord> = (0..600).map(|i| train(4, 0, 1000, 250, i)).collect();
+        assert_eq!(expanded, want);
+        let wire = fr.stage_histogram(Stage::Wire);
+        assert_eq!(
+            (wire.count(), wire.min(), wire.max(), wire.sum()),
+            (600, Some(13), Some(13), 7800)
+        );
     }
 
-    /// What a run leaves in `machine` when every shard records into a
-    /// recorder of its own and the merge concatenates, sorts and appends
-    /// their retained spans: the model [`FlightRecorder::sort_since`] and
-    /// [`FlightRecorder::absorb`] must reproduce.
-    fn model_merge(machine: &FlightRecorder, shards: &[Vec<SpanRecord>]) -> (Vec<u64>, u64) {
-        let cap = machine.capacity();
-        let mut ring = EventRing::new(cap);
-        ring.set_enabled(true);
-        ring.total = machine.total_recorded();
-        let mut retained = Vec::new();
-        for spans in shards {
-            ring.total += spans.len().saturating_sub(cap) as u64;
-            retained.extend_from_slice(&spans[spans.len().saturating_sub(cap)..]);
+    #[test]
+    fn below_counts_members_under_a_key_by_arithmetic() {
+        // Against a member-by-member count, over strides with and without
+        // ties at the probe instant and around each member's id.
+        for stride in [0u32, 1, 7, 64] {
+            let mut run = SpanRun::new(train(1, 40, 500, 0, 0), Some(Order::Key));
+            run.stride_ns = stride;
+            run.count = 9;
+            let keys: Vec<u128> = (0..9).map(|i| run.key(i)).collect();
+            for &k in &keys {
+                for probe in [k - 1, k, k + 1, k + (1 << 64)] {
+                    let want = keys.iter().filter(|&&m| m < probe).count() as u16;
+                    assert_eq!(run.below(probe), want, "stride {stride}, probe {probe:#x}");
+                }
+            }
+            assert_eq!(run.below(0), 0);
+            assert_eq!(run.below(u128::MAX), 9);
         }
-        retained.sort_unstable_by_key(SpanRecord::merge_key);
-        let earlier: Vec<SpanRecord> = machine.iter().copied().collect();
-        ring.total -= earlier.len() as u64;
-        for s in earlier.into_iter().chain(retained) {
-            ring.push(s);
-        }
-        (ring.iter().map(|s| s.id.raw()).collect(), ring.dropped())
+    }
+
+    /// What a run leaves in the machine recorder: the spans it held
+    /// before (commit order, newest `cap` of them), then every shard's
+    /// spans of the run, and of those the newest `cap` by merge key —
+    /// "newest cap by key", whatever the sharding. Returns the held ids
+    /// in order and the dropped count.
+    fn model(cap: usize, earlier: &[SpanRecord], shards: &[Vec<SpanRecord>]) -> (Vec<u64>, u64) {
+        let mut run: Vec<SpanRecord> = shards.concat();
+        run.sort_unstable_by_key(SpanRecord::merge_key);
+        let held: Vec<SpanRecord> = earlier.iter().chain(&run).copied().collect();
+        let total = held.len() as u64;
+        let kept = &held[held.len().saturating_sub(cap)..];
+        (kept.iter().map(|s| s.id.raw()).collect(), total - kept.len() as u64)
     }
 
     #[test]
     fn shard_zero_recording_in_place_matches_the_merge_model() {
         // Spans in commit order that is not merge-key order (link_ready
-        // runs backwards within each group of three), on an 8-span ring:
-        // runs below, at and past its capacity, after 0, 5, 11 and 14
-        // earlier spans (an empty, a partly full and a wrapped ring; 14
-        // makes a 3-span run wrap past the end of storage), at 1, 2 and
-        // 3 shards.
-        let spans = |shard: u16, n: u64| -> Vec<SpanRecord> {
+        // runs backwards within each group of three), interleaved with
+        // trains that extend runs, on an 8-span recorder: runs below, at
+        // and past its capacity — some past it in one epoch, so an epoch
+        // is trimmed partway through its runs — after 0, 5, 11 and 14
+        // earlier spans, at 1, 2 and 3 shards, in one or two epochs.
+        let spans = |shard: u16, n: u64, epoch: u64| -> Vec<SpanRecord> {
             (0..n)
                 .map(|i| {
-                    let mut s = span(i, 1000 + 10 * (i / 3) + 3 * (2 - i % 3) + u64::from(shard));
-                    s.id = XferId::new(shard, i);
-                    s
+                    let base = 1000 * (epoch + 1);
+                    if (i / 4) % 2 == 1 {
+                        // Blocks of four consecutive train members: runs.
+                        train(shard, 1000 * epoch, base + 40, 2, i)
+                    } else {
+                        let lr = base + 10 * (i / 3) + 3 * (2 - i % 3) + u64::from(shard);
+                        let mut s = span(i, lr);
+                        s.id = XferId::new(shard, 1000 * epoch + i);
+                        s
+                    }
                 })
                 .collect()
         };
         for earlier in [0u64, 5, 11, 14] {
             for run in [3u64, 8, 13, 20] {
                 for shards in 1u16..=3 {
-                    let mut machine = FlightRecorder::new(8);
-                    machine.set_enabled(true);
-                    for i in 0..earlier {
-                        machine.record(span(1 << 40 | i, 10 + i));
-                    }
-                    let parts: Vec<Vec<SpanRecord>> =
-                        (0..shards).map(|k| spans(k, run + u64::from(k))).collect();
-                    let want = model_merge(&machine, &parts);
-                    let since = machine.total_recorded();
-                    for &s in &parts[0] {
-                        machine.record(s);
-                    }
-                    if shards == 1 {
-                        machine.sort_since(since);
-                    } else {
-                        let others = parts[1..]
-                            .iter()
-                            .map(|p| {
+                    for epochs in 1..=2u64 {
+                        let mut machine = FlightRecorder::new(8);
+                        machine.set_enabled(true);
+                        let before: Vec<SpanRecord> =
+                            (0..earlier).map(|i| span(1 << 40 | i, 10 + i)).collect();
+                        before.iter().for_each(|&s| machine.record(s));
+                        let parts: Vec<Vec<Vec<SpanRecord>>> = (0..shards)
+                            .map(|k| (0..epochs).map(|e| spans(k, run + u64::from(k), e)).collect())
+                            .collect();
+                        let flat: Vec<Vec<SpanRecord>> = parts.iter().map(|p| p.concat()).collect();
+                        let held: Vec<SpanRecord> = machine.iter().collect();
+                        let mut want = model(8, &held, &flat);
+                        want.1 += machine.dropped();
+                        let mark = machine.mark();
+                        let mut recorders: Vec<FlightRecorder> = (1..shards)
+                            .map(|_| {
                                 let mut r = FlightRecorder::new(8);
                                 r.set_enabled(true);
-                                p.iter().for_each(|&s| r.record(s));
                                 r
                             })
                             .collect();
-                        machine.absorb(since, others);
+                        for e in 0..epochs as usize {
+                            for (k, part) in parts.iter().enumerate() {
+                                let r = if k == 0 { &mut machine } else { &mut recorders[k - 1] };
+                                r.open_epoch();
+                                part[e].iter().for_each(|&s| r.record(s));
+                                r.close_epoch();
+                            }
+                        }
+                        if shards > 1 {
+                            machine.absorb(mark, recorders);
+                        }
+                        let got = (ids(&machine), machine.dropped());
+                        assert_eq!(
+                            got, want,
+                            "{earlier} earlier, {run} run, {shards} shards, {epochs} epochs"
+                        );
+                        assert_eq!(
+                            machine.len() as u64 + machine.dropped(),
+                            machine.total_recorded()
+                        );
                     }
-                    let got = (machine.iter().map(|s| s.id.raw()).collect(), machine.dropped());
-                    assert_eq!(got, want, "{earlier} earlier, {run} run, {shards} shards");
                 }
             }
         }
+    }
+
+    #[test]
+    fn absorb_merges_in_commit_order_regardless_of_sharding() {
+        // Shard A holds seq 0 (link_ready 40) and seq 2 (link_ready 30);
+        // shard B holds seq 1 (link_ready 30). Merge-key order is
+        // (link_ready, id): seq 1 ties seq 2 on time and wins on id, so
+        // the order is 1, 2, 0.
+        let mut a = FlightRecorder::new(8);
+        let mut b = FlightRecorder::new(8);
+        a.set_enabled(true);
+        b.set_enabled(true);
+        a.open_epoch();
+        a.record(span(0, 40));
+        a.record(span(2, 30));
+        a.close_epoch();
+        b.open_epoch();
+        b.record(span(1, 30));
+        b.close_epoch();
+
+        let mut merged = FlightRecorder::new(8);
+        merged.absorb(merged.mark(), vec![a, b]);
+        let seqs: Vec<u64> = merged.iter().map(|s| s.id.seq()).collect();
+        assert_eq!(seqs, vec![1, 2, 0]);
+        assert_eq!(merged.total_recorded(), 3);
+        assert_eq!(merged.stage_histogram(Stage::Wire).count(), 3);
+    }
+
+    #[test]
+    fn a_run_trimmed_partway_expands_to_the_spans_the_member_model_keeps() {
+        // Two interleaved trains and a few single spans in one epoch, 300
+        // spans into a 100-span recorder: the epoch close cuts both
+        // trains partway, at one key threshold.
+        let mut spans: Vec<SpanRecord> = Vec::new();
+        for i in 0..140 {
+            spans.push(train(2, 0, 1000, 10, i));
+            spans.push(train(6, 0, 1003, 10, i));
+        }
+        spans.extend((0..20).map(|i| span(1 << 40 | i, 1000 + 71 * i)));
+        let mut fr = FlightRecorder::new(100);
+        fr.set_enabled(true);
+        fr.open_epoch();
+        // Commit order: one train, then the other, then the singles.
+        let (trains, singles) = spans.split_at(280);
+        trains
+            .iter()
+            .step_by(2)
+            .chain(trains.iter().skip(1).step_by(2))
+            .for_each(|&s| fr.record(s));
+        singles.iter().for_each(|&s| fr.record(s));
+        assert!(fr.runs.len() <= 22, "the trains stay runs: {} runs", fr.runs.len());
+        fr.close_epoch();
+        let (want, dropped) = model(100, &[], &[spans]);
+        assert_eq!(ids(&fr), want);
+        assert_eq!(fr.dropped(), dropped);
+        let wire = fr.stage_histogram(Stage::Wire);
+        assert_eq!(wire.count(), 300, "histograms see dropped spans too");
+    }
+
+    #[test]
+    fn serial_spans_after_an_engine_epoch_evict_it_by_key() {
+        // A keyed epoch of two trains fills the recorder; serial spans
+        // recorded after it push out its smallest keys first.
+        let mut fr = FlightRecorder::new(10);
+        fr.set_enabled(true);
+        fr.open_epoch();
+        (0..5).for_each(|i| fr.record(train(2, 0, 100, 10, i)));
+        (0..5).for_each(|i| fr.record(train(6, 0, 104, 10, i)));
+        fr.close_epoch();
+        let mut keyed: Vec<SpanRecord> = fr.iter().collect();
+        let serial: Vec<SpanRecord> = (0..13).map(|i| span(1 << 40 | i, 5000 - i)).collect();
+        for (n, &s) in serial.iter().enumerate() {
+            fr.record(s);
+            keyed.push(s);
+            let want: Vec<u64> = keyed[keyed.len() - 10..].iter().map(|s| s.id.raw()).collect();
+            assert_eq!(ids(&fr), want, "after {} serial spans", n + 1);
+        }
+    }
+
+    #[test]
+    fn an_epoch_of_more_single_spans_than_slots_keeps_its_newest_keys() {
+        // 40 single spans whose keys fall and rise in commit order, in one
+        // epoch of a 16-span recorder: every slot fills mid-epoch, and the
+        // close still leaves the 16 largest keys.
+        let spans: Vec<SpanRecord> = (0..40).map(|i| span(i, 1000 + (i * 37) % 101)).collect();
+        let mut fr = FlightRecorder::new(16);
+        fr.set_enabled(true);
+        fr.open_epoch();
+        spans.iter().for_each(|&s| fr.record(s));
+        fr.close_epoch();
+        assert_eq!((ids(&fr), fr.dropped()), model(16, &[], &[spans]));
     }
 }

@@ -66,7 +66,7 @@ fn four_kb_transfer_records_one_monotonic_five_stage_span() {
     assert_eq!(mc.read_user(1, r, VirtAddr::new(RECV_VA), 4096).unwrap(), data);
 
     assert_eq!(mc.recorder().len(), 1, "one packet, one span");
-    let span = *mc.recorder().iter().next().unwrap();
+    let span = mc.recorder().iter().next().unwrap();
     assert_eq!(span.src, 0);
     assert_eq!(span.dst, 1);
     assert_eq!(span.bytes, 4096);
