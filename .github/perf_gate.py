@@ -13,10 +13,13 @@ its own `<checkout>/.bench_build`. Every run reports two rates: the untraced
 `msgs_per_host_s` and `recorder_on_msgs_per_host_s`, measured in the same
 run with the flight recorder on. Exits 1 when, on any workload, the head's
 median of either rate is below 0.80 times the base's median of the same
-rate; exits non-zero without a verdict when a run fails or reports wrong
-outputs. Also prints each side's median recorder-on rate over its median
-untraced rate per workload, for reading the recorder's cost; that ratio
-gates nothing.
+rate. Every run also reports the workload process's peak resident memory,
+`peak_rss_mib`; the gate prints each side's median per workload and exits 1
+when the head's median exceeds the base's median times one plus that
+metric's bound in the base checkout's `BENCHMARK.json` (0.05). Exits
+non-zero without a verdict when a run fails or reports wrong outputs. Also
+prints each side's median recorder-on rate over its median untraced rate
+per workload, for reading the recorder's cost; that ratio gates nothing.
 """
 
 import argparse
@@ -28,6 +31,7 @@ import sys
 
 WORKLOADS = ("stream", "scatter", "serving")
 METRICS = ("msgs_per_host_s", "recorder_on_msgs_per_host_s")
+RSS = "peak_rss_mib"
 RUNS = 5
 SECONDS = 3
 SEED = 7
@@ -45,7 +49,13 @@ def run_once(tree, workload):
         sys.stderr.write(done.stderr)
         sys.exit(f"perf_gate: {workload} in {tree} failed with exit code {done.returncode}")
     metrics = json.loads(done.stdout.strip().splitlines()[-1])["metrics"]
-    return {m: metrics[m]["value"] for m in METRICS}
+    return {m: metrics[m]["value"] for m in METRICS + (RSS,)}
+
+
+def rss_bound(tree):
+    with open(os.path.join(tree, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    return next(m["bound"] for m in spec["end_to_end"] if m["name"] == RSS)
 
 
 def quartiles(xs):
@@ -59,16 +69,18 @@ def main():
     p.add_argument("--head", required=True, help="checkout of the change")
     args = p.parse_args()
     sides = {"base": os.path.abspath(args.base), "head": os.path.abspath(args.head)}
+    rss_ceiling = 1 + rss_bound(sides["base"])
 
-    rates = {(side, w, m): [] for side in sides for w in WORKLOADS for m in METRICS}
+    rates = {(side, w, m): [] for side in sides for w in WORKLOADS for m in METRICS + (RSS,)}
     for i in range(RUNS):
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
         for w in WORKLOADS:
             for side in order:
                 got = run_once(sides[side], w)
-                for m in METRICS:
+                for m in METRICS + (RSS,):
                     rates[(side, w, m)].append(got[m])
                 shown = "  ".join(f"{m} {got[m]:,.0f}" for m in METRICS)
+                shown += f"  {RSS} {got[RSS]:.1f}"
                 print(f"run {i + 1}/{RUNS} {w:8} {side}: {shown}", flush=True)
 
     def summary(xs):
@@ -86,6 +98,15 @@ def main():
             print(f"{w:8}  {summary(base):>36}  {summary(head):>36}  {ratio:.3f} {verdict}")
             if ratio < FLOOR:
                 failed.append(f"{w} {m}")
+    print(f"\n{RSS} (median; fails above {rss_ceiling:.2f}x the base)")
+    print(f"{'workload':8}  {'base':>8}  {'head':>8}  ratio")
+    for w in WORKLOADS:
+        base, head = (statistics.median(rates[(side, w, RSS)]) for side in sides)
+        ok = head <= base * rss_ceiling
+        verdict = "ok" if ok else f"FAIL (> {rss_ceiling:.2f})"
+        print(f"{w:8}  {base:8.1f}  {head:8.1f}  {head / base:.3f} {verdict}")
+        if not ok:
+            failed.append(f"{w} {RSS}")
     # Information only: ROADMAP item 8's target is a recorder-on median of
     # at least 0.8x the untraced one on every workload.
     print("\nrecorder_on / untraced (median over median; target >= 0.80, not gated)")
@@ -97,9 +118,10 @@ def main():
             shown.append(f"{on / statistics.median(rates[(side, w, 'msgs_per_host_s')]):6.3f}")
         print(f"{w:8}  {'  '.join(shown)}")
     if failed:
-        sys.exit(f"perf_gate: below {FLOOR:.2f}x the base median on {failed}")
+        sys.exit(f"perf_gate: past the bound of the base median on {failed}")
     print(f"perf_gate: every workload's median {' and '.join(METRICS)} "
-          f"is at least {FLOOR:.2f}x the base")
+          f"is at least {FLOOR:.2f}x the base, and its median {RSS} at most "
+          f"{rss_ceiling:.2f}x")
 
 
 if __name__ == "__main__":

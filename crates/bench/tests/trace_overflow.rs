@@ -1,8 +1,10 @@
-//! A traced run whose single epoch commits more spans than the flight
-//! recorder holds (`Multicomputer::TRACE_SPANS`) must keep the same spans
-//! at every thread count: the newest by merge key. 128 pairs × 1,024
-//! messages of 4 KB replay in one epoch, so one epoch records 131,072
-//! spans into a 65,536-span recorder.
+//! Traces that record more spans than the flight recorder holds
+//! (`Multicomputer::TRACE_SPANS`). A run whose single epoch overflows it
+//! must keep the same spans at every thread count: the newest by merge
+//! key. 128 pairs × 1,024 messages of 4 KB replay in one epoch, so one
+//! epoch records 131,072 spans into a 65,536-span recorder. The serial
+//! driver, one epoch per `propagate`, must keep the spans of the last
+//! packets it committed.
 
 use shrimp_bench::host_perf::stream_pairs_traced;
 
@@ -29,4 +31,27 @@ fn a_single_epoch_past_the_span_ring_exports_the_same_trace_at_any_thread_count(
             fnv(&traces[0].1)
         );
     }
+}
+
+#[test]
+fn the_serial_driver_past_the_span_ring_keeps_the_last_packets_committed() {
+    // 2 pairs × 33,000 sends of 64 B, one packet and one `propagate` (one
+    // recorder epoch) each: 66,000 spans into a 65,536-span recorder. The
+    // serial driver commits pair 0's sends, then pair 1's, so the last
+    // `TRACE_SPANS` packets committed are pair 1's 33,000 and pair 0's
+    // newest 32,536.
+    let (_, bin) = stream_pairs_traced(4, 64, 33_000, 0);
+    let trace = shrimp::decode_trace_bin(&bin).expect("well-formed trace");
+    let cap = shrimp::Multicomputer::TRACE_SPANS;
+    assert_eq!((trace.spans.len(), trace.recorded, trace.dropped), (cap, 66_000, 464));
+    let seqs = |src: u16| -> Vec<u64> {
+        trace.spans.iter().filter(|s| s.src == src).map(|s| s.id.seq()).collect()
+    };
+    let (first, second) = (seqs(0), seqs(2));
+    assert_eq!((first.len(), second.len()), (cap - 33_000, 33_000));
+    // Both senders numbered their packets alike, so pair 0's newest
+    // packet carries pair 1's newest sequence number.
+    let last = *second.last().unwrap();
+    assert_eq!(second, (last + 1 - 33_000..=last).collect::<Vec<_>>());
+    assert_eq!(first, (last + 1 - first.len() as u64..=last).collect::<Vec<_>>());
 }

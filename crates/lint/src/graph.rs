@@ -752,6 +752,23 @@ mod tests {
     }
 
     #[test]
+    fn a_pub_field_receiver_binds_a_blacklisted_method_by_type() {
+        // `record` is on the blacklist, so only the field's type can bind
+        // it: the field's visibility and attributes must not hide it.
+        let w = ws(&[(
+            "a.rs",
+            "pub(crate) struct Core {\n    #[allow(dead_code)]\n    pub(crate) hits: u64,\n    \
+             /// Doc.\n    pub recorder: Recorder,\n}\n\
+             struct Recorder;\nimpl Recorder { fn record(&mut self, x: u64) {} }\n\
+             impl Core { fn apply(&mut self) { self.recorder.record(1); } }\n",
+        )]);
+        let apply = find(&w, "Core::apply");
+        let record = find(&w, "Recorder::record");
+        let call = w.calls_of(apply).iter().find(|c| c.name == "record").unwrap();
+        assert_eq!(call.targets, vec![record]);
+    }
+
+    #[test]
     fn reachability_follows_chains_and_allow_prunes_edges() {
         let src = "\
 // lint:hot_path

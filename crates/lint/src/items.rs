@@ -306,6 +306,7 @@ impl Parser<'_> {
         split_top_level_commas(&self.t[j + 1..close.saturating_sub(1)], &mut groups);
         let mut fields = Vec::new();
         for g in groups {
+            let g = field_declaration(g);
             let field = match (parse_param(g), bare_field_ty) {
                 (Param { name: Some(n), ty: Some(ty) }, _) => Some((n, ty)),
                 (_, Some(ty)) => g.last().and_then(Token::ident).map(|n| (n.into(), ty.into())),
@@ -428,6 +429,21 @@ pub(crate) fn split_top_level_commas<'a>(toks: &'a [Token], out: &mut Vec<&'a [T
     if start < toks.len() {
         out.push(&toks[start..]);
     }
+}
+
+/// A struct field group without its attributes and visibility, so that
+/// `#[x] pub(crate) name: Type` parses like `name: Type`.
+fn field_declaration(mut g: &[Token]) -> &[Token] {
+    while g.first().is_some_and(|t| t.is_punct('#')) && g.get(1).is_some_and(|t| t.is_punct('[')) {
+        g = &g[matching_bracket(g, 1, g.len())..];
+    }
+    if g.first().is_some_and(|t| t.is_ident("pub")) {
+        g = &g[1..];
+        if g.first().is_some_and(|t| t.is_punct('(')) {
+            g = &g[matching_paren(g, 0, g.len())..];
+        }
+    }
+    g
 }
 
 /// Parses one `pattern: Type` group (a parameter or a struct field).

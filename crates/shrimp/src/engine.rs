@@ -341,7 +341,11 @@ impl DeliveryCore {
     /// lanes starting at global index `base`, and the fabric only holds
     /// entries bound for it. A single packet delivers one at a time; a
     /// run's committed prefix delivers under one dispatch — one horizon
-    /// check and one lane lookup cover the whole prefix. Allocation-free.
+    /// check and one lane lookup cover the whole prefix. The commit's
+    /// spans form one recorder epoch, closed after the drain: a serial
+    /// `propagate` and each engine epoch are kept the same way, newest
+    /// commits whole and the straddling one cut by merge key.
+    /// Allocation-free.
     // lint:hot_path
     pub fn commit_due(
         &mut self,
@@ -362,6 +366,7 @@ impl DeliveryCore {
                 }
             }
         }
+        self.recorder.close_epoch();
     }
 
     /// Applies the committed prefix of a run to its lane. Every member

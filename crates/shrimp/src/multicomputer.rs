@@ -332,11 +332,12 @@ impl Multicomputer {
     /// expands it here, so the trace still has one record per packet.
     /// The same workload exports byte-identical traces at any thread
     /// count, overflowed or not, and from the serial driver too **while
-    /// the recorder holds every span** ([`Multicomputer::TRACE_SPANS`]):
-    /// past that, the engine keeps the newest spans by merge key — even
-    /// when one epoch alone overflows — and the serial driver (which
-    /// records per `propagate`, in commit order) its newest by commit
-    /// order, and the two may differ.
+    /// the recorder holds every span** ([`Multicomputer::TRACE_SPANS`]).
+    /// Past that, both drivers keep their newest commits whole and cut
+    /// the straddling one by merge key — an engine run so keeps its
+    /// newest spans by key, even when one epoch alone overflows — but a
+    /// serial `propagate` is not an engine epoch, so the serial and
+    /// engine traces may differ.
     /// Convert to Perfetto JSON with [`crate::trace_bin_to_json`]; analyze
     /// with the `shrimp_trace` binary. Export is off the hot path.
     pub fn export_trace_bin(&self) -> Vec<u8> {
@@ -936,7 +937,8 @@ mod tests {
         let bin = mc.export_trace_bin();
         assert_eq!(&bin[..8], TRACE_BIN_MAGIC);
         assert_eq!(bin.len(), 192 + 4 * 64, "4 spans at 64 bytes after the 192-byte header");
-        // The decoder recovers exactly the recorder's spans, in commit order.
+        // The decoder recovers exactly the recorder's spans. The trace is
+        // in merge-key order, and so are these four one-span commits.
         let decoded = decode_trace_bin(&bin).expect("well-formed buffer");
         let recorded: Vec<_> = mc.recorder().iter().collect();
         assert_eq!(decoded.spans, recorded);

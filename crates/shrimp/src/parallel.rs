@@ -314,11 +314,10 @@ impl Shard<'_> {
             };
             // An epoch commits exactly the packets due by its horizon, the
             // same set at any sharding, and every one of them before any
-            // later epoch's; kept by merge key at each close, the recorder
-            // holds the newest spans by key, whichever shard recorded them.
-            self.core.recorder.open_epoch();
+            // later epoch's; kept by merge key at each commit's close, the
+            // recorder holds the newest spans by key, whichever shard
+            // recorded them.
             self.core.commit_due(self.fabric, self.lanes, self.base, horizon);
-            self.core.recorder.close_epoch();
             lap(clock, &mut mark, &mut self.phases.commit);
             if let Some(x) = crossing {
                 x.barrier.wait();

@@ -20,13 +20,14 @@
 //! (proxy references, Invals, evictions, context switches, faults) are
 //! counters in the metrics registry, not events.
 //!
-//! Retention: the recorder keeps its newest `capacity` spans. An engine
-//! epoch's spans are ordered by merge key `(link_ready, src‖seq)` and the
-//! serial driver's by commit order; at each epoch close the oldest go —
-//! whole epochs first, then the epoch straddling the cut at one key
-//! threshold — without sorting a span. Engine epochs commit in key order,
-//! so a run keeps its newest spans by key, and the parallel engine's
-//! merge of per-shard recorders keeps the same spans at any thread count.
+//! Retention: the recorder keeps its newest `capacity` spans. Every commit
+//! (a serial `propagate` or one engine epoch) records one epoch, whose
+//! spans are ordered by merge key `(link_ready, src‖seq)`; at each epoch
+//! close the oldest go — whole epochs first, then the epoch straddling
+//! the cut by key — without sorting a span. Engine epochs commit in key
+//! order, so a run keeps its newest spans by key, and the parallel
+//! engine's merge of per-shard recorders keeps the same spans at any
+//! thread count.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -206,16 +207,6 @@ impl SpanRecord {
     }
 }
 
-/// How one epoch's spans are ordered, and so which of them go first when
-/// the recorder is full.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Order {
-    /// Commit order, the serial driver's: the earliest recorded go first.
-    Commit,
-    /// Merge-key order, an engine epoch's: the smallest keys go first.
-    Key,
-}
-
 /// A merge key `(link_ready, id)` packed into one integer of the same
 /// order.
 fn packed(link_ready: SimTime, id: u64) -> u128 {
@@ -240,17 +231,16 @@ struct SpanRun {
     head: SpanRecord,
     stride_ns: u32,
     count: u16,
-    /// On the first run of an epoch, that epoch's order; `None` on the
-    /// rest of its runs.
-    opens: Option<Order>,
+    /// Whether the run is the first of its epoch.
+    opens: bool,
 }
 
 // The recorder reserves one run per span of capacity.
 const _: () = assert!(std::mem::size_of::<SpanRun>() <= 72);
 
 impl SpanRun {
-    fn new(head: SpanRecord, opens: Option<Order>) -> Self {
-        SpanRun { head, stride_ns: 0, count: 1, opens }
+    fn new(head: SpanRecord) -> Self {
+        SpanRun { head, stride_ns: 0, count: 1, opens: false }
     }
 
     /// Member `i` (`i = count` is the span that would extend the run).
@@ -277,7 +267,7 @@ impl SpanRun {
 
     /// Grows the run by `span` when it is the member after the last (the
     /// second member fixes the stride).
-    fn extend(&mut self, span: &SpanRecord) -> bool {
+    fn grow(&mut self, span: &SpanRecord) -> bool {
         if self.count == 1 {
             let gap = span.initiated_at.as_nanos().wrapping_sub(self.head.initiated_at.as_nanos());
             let Ok(stride) = u32::try_from(gap) else { return false };
@@ -349,6 +339,11 @@ fn threshold<'a>(runs: impl Iterator<Item = &'a SpanRun> + Clone, n: u64) -> u12
     }
     lo
 }
+
+/// Cuts of at most this many spans drop the smallest key one at a time:
+/// each drop is one pass over the epoch's run heads, where [`threshold`]
+/// takes some 80 bisection probes, each counting every run's members.
+const HEAD_DROPS: u64 = 64;
 
 /// Fixed-capacity FIFO of `Copy` values. Construction is free: storage is
 /// reserved only when the recorder is enabled, so a disabled recorder
@@ -436,17 +431,6 @@ impl<T: Copy> Ring<T> {
             self.head = 0;
         }
     }
-
-    /// Drops the newest `n` values.
-    fn truncate_back(&mut self, n: usize) {
-        self.len -= n;
-        if self.len == 0 {
-            self.head = 0;
-            self.buf.clear();
-        } else if self.buf.len() < self.cap {
-            self.buf.truncate(self.head + self.len);
-        }
-    }
 }
 
 /// The flight recorder: span runs plus per-stage latency histograms.
@@ -454,15 +438,14 @@ impl<T: Copy> Ring<T> {
 /// Spans are held as *span runs* (a head span plus a count and a
 /// stride), so a message train the engine commits as one run costs one
 /// stored record, not one per member. Held spans are grouped in epochs,
-/// oldest first: each engine epoch ([`FlightRecorder::open_epoch`] …
-/// [`FlightRecorder::close_epoch`]) is ordered by merge key, and spans
-/// recorded outside one (the serial driver) by commit order. When more
-/// than `capacity` spans are held, the oldest go — whole epochs first,
-/// then the epoch that straddles the cut, by merge key or by commit
-/// order. Engine epochs commit in merge-key order (every packet due by
-/// one horizon commits before any later one), so an engine run keeps its
-/// newest `capacity` spans by merge key at any sharding; the serial
-/// driver keeps its newest by commit order.
+/// oldest first: every commit records one, which
+/// [`FlightRecorder::close_epoch`] ends, and each is ordered by merge key.
+/// When more than `capacity` spans are held, the oldest go — whole epochs
+/// first, then the smallest keys of the epoch that straddles the cut. An
+/// engine epoch commits every packet due by its horizon before any later
+/// one, so an engine run keeps its newest `capacity` spans by merge key
+/// at any sharding; the serial driver keeps its newest commits whole and
+/// cuts the straddling one by key.
 ///
 /// Histograms and the `total` count see *every* recorded span even after
 /// spans are dropped, so summary statistics are exact while the recorder
@@ -471,15 +454,13 @@ impl<T: Copy> Ring<T> {
 pub struct FlightRecorder {
     /// Span runs, oldest first; storage for one run per span of capacity.
     runs: Ring<SpanRun>,
-    /// Spans held (at most `cap` outside an open engine epoch).
+    /// Spans held (at most `cap` once the newest epoch is closed).
     held: u64,
     cap: u64,
     enabled: bool,
     total: u64,
     /// Runs ever pushed: the absolute index of the next one.
     pushed: u64,
-    /// The order of epochs opened now: `Key` inside an engine epoch.
-    order: Order,
     /// Whether the newest epoch takes more spans (its newest run may grow).
     open: bool,
     /// Whether `next`, the member after the newest run's last, extends it
@@ -507,7 +488,6 @@ impl FlightRecorder {
             enabled: false,
             total: 0,
             pushed: 0,
-            order: Order::Commit,
             open: false,
             extends: false,
             next: SpanRecord::default(),
@@ -529,10 +509,11 @@ impl FlightRecorder {
         self.enabled
     }
 
-    /// Records one completed span (no-op while disabled, alloc-free
-    /// while enabled). A span that extends the newest run by one stride
-    /// costs one comparison and a few increments: its stage durations
-    /// are the run's, so the histograms take it as a repeat.
+    /// Records one completed span into the open epoch (no-op while
+    /// disabled, alloc-free while enabled). A span that extends the
+    /// newest run by one stride costs one comparison and a few
+    /// increments: its stage durations are the run's, so the histograms
+    /// take it as a repeat.
     #[inline]
     pub fn record(&mut self, span: SpanRecord) {
         if !self.enabled {
@@ -550,9 +531,6 @@ impl FlightRecorder {
         } else {
             self.record_new(span);
         }
-        if self.order == Order::Commit && self.held > self.cap {
-            self.evict(1);
-        }
     }
 
     /// [`FlightRecorder::record`] for a span that is not the expected
@@ -568,7 +546,7 @@ impl FlightRecorder {
         let n = self.runs.len();
         if self.open && n > 0 {
             let run = self.runs.get_mut(n - 1);
-            if run.extend(&span) {
+            if run.grow(&span) {
                 self.held += 1;
                 self.extends = run.count < u16::MAX;
                 self.next = run.member(run.count);
@@ -578,24 +556,16 @@ impl FlightRecorder {
         // Whether or not `span` is kept, the repeat durations are its own
         // now, not the newest run's.
         self.extends = false;
-        self.push(span);
+        self.push_run(SpanRun::new(span));
     }
 
-    /// Starts an engine epoch: the spans recorded until
-    /// [`FlightRecorder::close_epoch`] are ordered by merge key.
-    pub fn open_epoch(&mut self) {
-        self.order = Order::Key;
-        (self.open, self.extends) = (false, false);
-    }
-
-    /// Ends an engine epoch and keeps the newest `capacity` spans: whole
-    /// old epochs go first, then the smallest keys of the epoch that
-    /// straddles the cut, found per run by arithmetic. No span is sorted.
+    /// Ends the open epoch (one commit's spans) and keeps the newest
+    /// `capacity` spans: whole old epochs go first, then the smallest keys
+    /// of the epoch that straddles the cut. No span is sorted.
     pub fn close_epoch(&mut self) {
         if self.held > self.cap {
             self.evict(self.held - self.cap);
         }
-        self.order = Order::Commit;
         (self.open, self.extends) = (false, false);
     }
 
@@ -604,31 +574,28 @@ impl FlightRecorder {
         self.pushed
     }
 
-    /// Starts a run for `span`, making room first when every slot holds
-    /// a run.
-    fn push(&mut self, span: SpanRecord) {
+    /// Adds `run` to the open epoch, opening one if none is, and makes
+    /// room first when every slot holds a run.
+    fn push_run(&mut self, mut run: SpanRun) {
         if self.runs.is_full() && self.held > self.cap {
             self.evict(self.held - self.cap);
         }
         if self.runs.is_full() {
-            // `cap` spans in single-span runs: one of them or `span` goes.
-            // Inside an engine epoch that is the only one held, a span
-            // below every held key is the one.
-            if self.open && self.order == Order::Key {
-                let (runs, _) = self.front_epoch();
-                if runs == self.runs.len() {
-                    let key = packed(span.link_ready, span.id.raw());
-                    if self.runs.iter().all(|r| r.key(0) > key) {
-                        return;
-                    }
+            // `cap` spans in single-span runs: one of them or `run` goes.
+            // While the open epoch is the only one held, a run below
+            // every held key is the one.
+            if self.open && self.front_epoch().0 == self.runs.len() {
+                let last = run.key(run.count - 1);
+                if self.runs.iter().all(|r| r.key(0) > last) {
+                    return;
                 }
             }
             self.evict(1);
         }
-        let opens = (!self.open).then_some(self.order);
-        self.runs.push_back(SpanRun::new(span, opens));
+        run.opens = !self.open;
+        self.runs.push_back(run);
         self.pushed += 1;
-        self.held += 1;
+        self.held += u64::from(run.count);
         self.open = true;
     }
 
@@ -636,48 +603,26 @@ impl FlightRecorder {
     fn front_epoch(&self) -> (usize, u64) {
         let mut spans = u64::from(self.runs.get(0).count);
         let mut runs = 1;
-        while runs < self.runs.len() && self.runs.get(runs).opens.is_none() {
+        while runs < self.runs.len() && !self.runs.get(runs).opens {
             spans += u64::from(self.runs.get(runs).count);
             runs += 1;
         }
         (runs, spans)
     }
 
-    /// Drops the oldest run; the next run inherits the epoch it opened.
-    fn pop_front(&mut self) {
-        let opens = self.runs.get(0).opens;
-        self.runs.pop_front();
-        if self.runs.len() > 0 {
-            let next = self.runs.get_mut(0);
-            next.opens = next.opens.or(opens);
-        }
-    }
-
     /// Drops the `n ≤ held` oldest spans: whole epochs while they fit,
-    /// then the oldest of the straddling epoch in its order.
+    /// then the smallest keys of the straddling epoch.
     fn evict(&mut self, mut n: u64) {
         while n > 0 {
-            let front = *self.runs.get(0);
-            if front.opens == Some(Order::Key) {
-                let (runs, spans) = self.front_epoch();
-                if spans <= n {
-                    (0..runs).for_each(|_| self.runs.pop_front());
-                    self.held -= spans;
-                    n -= spans;
-                } else {
-                    self.trim_front_epoch(runs, n);
-                    self.held -= n;
-                    n = 0;
-                }
+            let (runs, spans) = self.front_epoch();
+            if spans <= n {
+                (0..runs).for_each(|_| self.runs.pop_front());
+                self.held -= spans;
+                n -= spans;
             } else {
-                let take = n.min(u64::from(front.count));
-                if take == u64::from(front.count) {
-                    self.pop_front();
-                } else {
-                    self.runs.get_mut(0).advance(take as u16);
-                }
-                self.held -= take;
-                n -= take;
+                self.trim_front_epoch(runs, n);
+                self.held -= n;
+                n = 0;
             }
         }
         if self.runs.len() == 0 {
@@ -685,27 +630,33 @@ impl FlightRecorder {
         }
     }
 
-    /// Drops the `n` smallest keys of the oldest epoch, a keyed one of
-    /// `runs` runs holding more than `n` spans.
-    fn trim_front_epoch(&mut self, runs: usize, n: u64) {
-        if n == 1 {
-            // The smallest key is some run's head.
-            let (mut at, mut min) = (0, self.runs.get(0).key(0));
-            for i in 1..runs {
-                let key = self.runs.get(i).key(0);
-                if key < min {
-                    (at, min) = (i, key);
+    /// Drops the `n` smallest keys of the oldest epoch, whose `runs` runs
+    /// hold more than `n` spans: a cut of up to [`HEAD_DROPS`] drops the
+    /// smallest head `n` times, a larger one cuts every run at one key
+    /// threshold.
+    fn trim_front_epoch(&mut self, mut runs: usize, n: u64) {
+        if n <= HEAD_DROPS {
+            for _ in 0..n {
+                // The smallest key is some run's head.
+                let (mut at, mut min) = (0, self.runs.get(0).key(0));
+                for i in 1..runs {
+                    let key = self.runs.get(i).key(0);
+                    if key < min {
+                        (at, min) = (i, key);
+                    }
                 }
+                let run = self.runs.get_mut(at);
+                if run.count > 1 {
+                    run.advance(1);
+                    continue;
+                }
+                // The front run fills the emptied slot.
+                let first = *self.runs.get(0);
+                *self.runs.get_mut(at) = SpanRun { opens: false, ..first };
+                self.runs.pop_front();
+                self.runs.get_mut(0).opens = true;
+                runs -= 1;
             }
-            let run = self.runs.get_mut(at);
-            if run.count > 1 {
-                run.advance(1);
-                return;
-            }
-            let first = *self.runs.get(0);
-            *self.runs.get_mut(at) = SpanRun { opens: None, ..first };
-            self.runs.pop_front();
-            self.runs.get_mut(0).opens = Some(Order::Key);
             return;
         }
         let cut = threshold(self.runs.iter().take(runs), n);
@@ -715,16 +666,14 @@ impl FlightRecorder {
             let mut run = *self.runs.get(i);
             let below = run.below(cut);
             if below < run.count {
-                if below > 0 {
-                    run.advance(below);
-                }
-                run.opens = None;
+                run.advance(below);
+                run.opens = false;
                 kept -= 1;
                 *self.runs.get_mut(kept) = run;
             }
         }
         (0..kept).for_each(|_| self.runs.pop_front());
-        self.runs.get_mut(0).opens = Some(Order::Key);
+        self.runs.get_mut(0).opens = true;
     }
 
     /// Folds the pending repeated samples into the histograms.
@@ -737,75 +686,48 @@ impl FlightRecorder {
     }
 
     /// Deterministically merges other shards' recorders into the spans
-    /// this one recorded since [`FlightRecorder::mark`] read `since`: a
-    /// run's spans from every shard form one epoch ordered by merge key,
-    /// and the newest `capacity` of them (found by one threshold, as at
-    /// an epoch close) stay, so the result does not depend on the
+    /// this one recorded since [`FlightRecorder::mark`] read `since`:
+    /// those spans re-open as one epoch, every other shard's runs join
+    /// it, and the newest `capacity` spans by merge key stay, cut at one
+    /// key as at an epoch close. The result does not depend on the
     /// sharding as long as every shard kept its newest `capacity` spans
     /// by key. Stage histograms are summed, so they stay exact past
     /// overflow. Off the hot path.
     pub fn absorb(&mut self, since: u64, parts: Vec<FlightRecorder>) {
-        let front = self.pushed - self.runs.len() as u64;
-        let first = (since.max(front) - front) as usize;
         for part in &parts {
             for stage in Stage::ALL {
                 self.stages[stage.index()].merge(&part.stage_histogram(stage));
             }
             self.total += part.total;
         }
-        let own = || self.runs.iter().skip(first);
-        let union = own().map(|r| u64::from(r.count)).sum::<u64>()
-            + parts.iter().map(|p| p.held).sum::<u64>();
-        let cut = (union > self.cap).then(|| {
-            let theirs = parts.iter().flat_map(|p| p.runs.iter());
-            threshold(own().chain(theirs), union - self.cap)
-        });
-        let trimmed = |mut run: SpanRun| {
-            let below = cut.map_or(0, |k| run.below(k));
-            (below < run.count).then(|| {
-                if below > 0 {
-                    run.advance(below);
-                }
-                run.opens = None;
-                run
-            })
-        };
-        // This recorder's own spans of the run, trimmed in place, open the
-        // run's one epoch.
-        let mut kept = first;
+        let front = self.pushed - self.runs.len() as u64;
+        let first = (since.max(front) - front) as usize;
         for i in first..self.runs.len() {
-            if let Some(run) = trimmed(*self.runs.get(i)) {
-                *self.runs.get_mut(kept) = run;
-                kept += 1;
-            }
+            self.runs.get_mut(i).opens = i == first;
         }
-        self.runs.truncate_back(self.runs.len() - kept);
-        let mut opened = kept > first;
-        if opened {
-            self.runs.get_mut(first).opens = Some(Order::Key);
-        }
-        // Older spans give way to the run's.
-        self.held = self.runs.iter().map(|r| u64::from(r.count)).sum();
+        (self.open, self.extends) = (first < self.runs.len(), false);
+        // What the close would drop goes first, found at one key: older
+        // spans past the room the run leaves, and the run's spans below
+        // its newest `capacity`, ours in place and theirs as they join.
+        // Left to the joins, each would evict one span by a pass over the
+        // epoch.
         let older: u64 = self.runs.iter().take(first).map(|r| u64::from(r.count)).sum();
-        let keep = union.min(self.cap);
-        if older + keep > self.cap {
-            self.evict(older + keep - self.cap);
-        }
-        for part in &parts {
-            for &run in part.runs.iter() {
-                if let Some(mut run) = trimmed(run) {
-                    if !opened {
-                        run.opens = Some(Order::Key);
-                        opened = true;
-                    }
-                    self.runs.push_back(run);
-                    self.pushed += 1;
-                    self.held += u64::from(run.count);
-                }
+        let union = self.held - older + parts.iter().map(|p| p.held).sum::<u64>();
+        let own = self.runs.iter().skip(first);
+        let theirs = parts.iter().flat_map(|p| p.runs.iter());
+        let cut =
+            (union > self.cap).then(|| threshold(own.clone().chain(theirs), union - self.cap));
+        let below = |run: &SpanRun| cut.map_or(0, |k| run.below(k));
+        let ours: u64 = own.map(|r| u64::from(below(r))).sum();
+        self.evict((older + union).saturating_sub(self.cap).min(older) + ours);
+        for &(mut run) in parts.iter().flat_map(|p| p.runs.iter()) {
+            let n = below(&run);
+            if n < run.count {
+                run.advance(n);
+                self.push_run(run);
             }
         }
-        self.order = Order::Commit;
-        (self.open, self.extends) = (false, false);
+        self.close_epoch();
     }
 
     /// Latency histogram (nanoseconds) for one stage.
@@ -840,37 +762,31 @@ impl FlightRecorder {
         self.total - self.held
     }
 
-    /// Iterates held spans, oldest → newest: epoch by epoch, an engine
-    /// epoch's runs expanded in merge-key order (a merge over its runs)
-    /// and the serial driver's in commit order. Off the hot path: it
-    /// allocates a cursor per run of one epoch.
+    /// Iterates held spans, oldest → newest: epoch by epoch, each
+    /// epoch's runs expanded in merge-key order (a merge over its runs).
+    /// Off the hot path: it allocates a cursor per run of one epoch.
     pub fn iter(&self) -> impl Iterator<Item = SpanRecord> + '_ {
         let runs = &self.runs;
-        let (mut next, mut end, mut keyed) = (0, 0, false);
-        // Cursors `(key, run, member)`, smallest first: every run of a
-        // keyed epoch, or the one current run of a commit-ordered one.
+        let mut next = 0;
+        // Cursors `(key, run, member)` over one epoch's runs, smallest
+        // first.
         let mut cursors: BinaryHeap<Reverse<(u128, usize, u16)>> = BinaryHeap::new();
         std::iter::from_fn(move || {
             if cursors.is_empty() {
                 if next == runs.len() {
                     return None;
                 }
-                keyed = runs.get(next).opens == Some(Order::Key);
-                end = next + 1;
-                while end < runs.len() && runs.get(end).opens.is_none() {
-                    end += 1;
+                let start = next;
+                next += 1;
+                while next < runs.len() && !runs.get(next).opens {
+                    next += 1;
                 }
-                let open = if keyed { end } else { next + 1 };
-                cursors.extend((next..open).map(|i| Reverse((runs.get(i).key(0), i, 0))));
-                next = open;
+                cursors.extend((start..next).map(|i| Reverse((runs.get(i).key(0), i, 0))));
             }
             let Reverse((_, i, m)) = cursors.pop()?;
             let run = runs.get(i);
             if m + 1 < run.count {
                 cursors.push(Reverse((run.key(m + 1), i, m + 1)));
-            } else if !keyed && next < end {
-                cursors.push(Reverse((0, next, 0)));
-                next += 1;
             }
             Some(run.member(m))
         })
@@ -952,10 +868,11 @@ mod tests {
         assert_eq!(fr.total_recorded(), 0, "a disabled recorder records nothing");
         fr.set_enabled(true);
         assert!(fr.is_enabled());
-        // Serial (commit-order) spans whose link_ready runs backwards:
+        // Serial spans, one commit each, whose link_ready runs backwards:
         // the oldest recorded go first, whatever their keys.
         for seq in 0..5 {
             fr.record(span(seq, 100 - 10 * seq));
+            fr.close_epoch();
         }
         assert_eq!(fr.len(), 3);
         assert_eq!(fr.total_recorded(), 5);
@@ -972,10 +889,7 @@ mod tests {
         let cap = fr.runs.buf.capacity();
         assert!(cap >= 128);
         for i in 0..1000 {
-            // Trains of 7 between single spans, serially and in epochs.
-            if i % 100 == 0 {
-                fr.open_epoch();
-            }
+            // Trains of 7 between single spans, in epochs of 100.
             let s = if i % 8 == 7 { span(1 << 40 | i, 5 * i) } else { train(2, i, 100 * i, 0, 0) };
             fr.record(s);
             if i % 100 == 99 {
@@ -1001,7 +915,6 @@ mod tests {
     fn a_train_is_one_run_and_every_member_reaches_the_histograms() {
         let mut fr = FlightRecorder::new(1024);
         fr.set_enabled(true);
-        fr.open_epoch();
         for i in 0..600 {
             fr.record(train(4, 0, 1000, 250, i));
         }
@@ -1023,7 +936,7 @@ mod tests {
         // Against a member-by-member count, over strides with and without
         // ties at the probe instant and around each member's id.
         for stride in [0u32, 1, 7, 64] {
-            let mut run = SpanRun::new(train(1, 40, 500, 0, 0), Some(Order::Key));
+            let mut run = SpanRun::new(train(1, 40, 500, 0, 0));
             run.stride_ns = stride;
             run.count = 9;
             let keys: Vec<u128> = (0..9).map(|i| run.key(i)).collect();
@@ -1038,15 +951,17 @@ mod tests {
         }
     }
 
-    /// What a run leaves in the machine recorder: the spans it held
-    /// before (commit order, newest `cap` of them), then every shard's
-    /// spans of the run, and of those the newest `cap` by merge key —
-    /// "newest cap by key", whatever the sharding. Returns the held ids
-    /// in order and the dropped count.
-    fn model(cap: usize, earlier: &[SpanRecord], shards: &[Vec<SpanRecord>]) -> (Vec<u64>, u64) {
-        let mut run: Vec<SpanRecord> = shards.concat();
-        run.sort_unstable_by_key(SpanRecord::merge_key);
-        let held: Vec<SpanRecord> = earlier.iter().chain(&run).copied().collect();
+    /// What the recorder holds after `earlier` spans (in the order it
+    /// holds them) and then `epochs`, each in merge-key order: the newest
+    /// `cap` of them — of a run's spans, "newest cap by key", whatever the
+    /// sharding. Returns the held ids in order and the dropped count.
+    fn model(cap: usize, earlier: &[SpanRecord], epochs: &[Vec<SpanRecord>]) -> (Vec<u64>, u64) {
+        let mut held = earlier.to_vec();
+        for epoch in epochs {
+            let start = held.len();
+            held.extend(epoch);
+            held[start..].sort_unstable_by_key(SpanRecord::merge_key);
+        }
         let total = held.len() as u64;
         let kept = &held[held.len().saturating_sub(cap)..];
         (kept.iter().map(|s| s.id.raw()).collect(), total - kept.len() as u64)
@@ -1084,13 +999,16 @@ mod tests {
                         machine.set_enabled(true);
                         let before: Vec<SpanRecord> =
                             (0..earlier).map(|i| span(1 << 40 | i, 10 + i)).collect();
-                        before.iter().for_each(|&s| machine.record(s));
+                        for &s in &before {
+                            machine.record(s);
+                            machine.close_epoch();
+                        }
                         let parts: Vec<Vec<Vec<SpanRecord>>> = (0..shards)
                             .map(|k| (0..epochs).map(|e| spans(k, run + u64::from(k), e)).collect())
                             .collect();
                         let flat: Vec<Vec<SpanRecord>> = parts.iter().map(|p| p.concat()).collect();
                         let held: Vec<SpanRecord> = machine.iter().collect();
-                        let mut want = model(8, &held, &flat);
+                        let mut want = model(8, &held, &[flat.concat()]);
                         want.1 += machine.dropped();
                         let mark = machine.mark();
                         let mut recorders: Vec<FlightRecorder> = (1..shards)
@@ -1103,7 +1021,6 @@ mod tests {
                         for e in 0..epochs as usize {
                             for (k, part) in parts.iter().enumerate() {
                                 let r = if k == 0 { &mut machine } else { &mut recorders[k - 1] };
-                                r.open_epoch();
                                 part[e].iter().for_each(|&s| r.record(s));
                                 r.close_epoch();
                             }
@@ -1136,11 +1053,9 @@ mod tests {
         let mut b = FlightRecorder::new(8);
         a.set_enabled(true);
         b.set_enabled(true);
-        a.open_epoch();
         a.record(span(0, 40));
         a.record(span(2, 30));
         a.close_epoch();
-        b.open_epoch();
         b.record(span(1, 30));
         b.close_epoch();
 
@@ -1165,7 +1080,6 @@ mod tests {
         spans.extend((0..20).map(|i| span(1 << 40 | i, 1000 + 71 * i)));
         let mut fr = FlightRecorder::new(100);
         fr.set_enabled(true);
-        fr.open_epoch();
         // Commit order: one train, then the other, then the singles.
         let (trains, singles) = spans.split_at(280);
         trains
@@ -1181,6 +1095,31 @@ mod tests {
         assert_eq!(fr.dropped(), dropped);
         let wire = fr.stage_histogram(Stage::Wire);
         assert_eq!(wire.count(), 300, "histograms see dropped spans too");
+
+        // The serial driver's pattern, one epoch per commit: epochs of two
+        // or three spans, closed one at a time (single spans whose keys
+        // fall, or a train), into an 8-span recorder. The closes cut the
+        // straddling epoch by key at fewer spans than it has runs and, on
+        // a train, at more.
+        let epochs: Vec<Vec<SpanRecord>> = (0..16)
+            .map(|e| {
+                let members = 2 + e % 2;
+                (0..members)
+                    .map(|i| match e % 3 {
+                        1 => train(3, 10 * e, 100 * e, 4, i),
+                        _ => span(10 * e + i, 100 * e + 50 - i),
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut fr = FlightRecorder::new(8);
+        fr.set_enabled(true);
+        for (e, epoch) in epochs.iter().enumerate() {
+            epoch.iter().for_each(|&s| fr.record(s));
+            fr.close_epoch();
+            let (want, dropped) = model(8, &[], &epochs[..=e]);
+            assert_eq!((ids(&fr), fr.dropped()), (want, dropped), "after epoch {e}");
+        }
     }
 
     #[test]
@@ -1189,7 +1128,6 @@ mod tests {
         // recorded after it push out its smallest keys first.
         let mut fr = FlightRecorder::new(10);
         fr.set_enabled(true);
-        fr.open_epoch();
         (0..5).for_each(|i| fr.record(train(2, 0, 100, 10, i)));
         (0..5).for_each(|i| fr.record(train(6, 0, 104, 10, i)));
         fr.close_epoch();
@@ -1197,6 +1135,7 @@ mod tests {
         let serial: Vec<SpanRecord> = (0..13).map(|i| span(1 << 40 | i, 5000 - i)).collect();
         for (n, &s) in serial.iter().enumerate() {
             fr.record(s);
+            fr.close_epoch();
             keyed.push(s);
             let want: Vec<u64> = keyed[keyed.len() - 10..].iter().map(|s| s.id.raw()).collect();
             assert_eq!(ids(&fr), want, "after {} serial spans", n + 1);
@@ -1211,7 +1150,6 @@ mod tests {
         let spans: Vec<SpanRecord> = (0..40).map(|i| span(i, 1000 + (i * 37) % 101)).collect();
         let mut fr = FlightRecorder::new(16);
         fr.set_enabled(true);
-        fr.open_epoch();
         spans.iter().for_each(|&s| fr.record(s));
         fr.close_epoch();
         assert_eq!((ids(&fr), fr.dropped()), model(16, &[], &[spans]));
